@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .dist import JSD_MAX, PowerLawFit, SupportSet, TokenDistribution, fit_power_law, jsd, kl, set_metrics, tvd
 from .decoding import DecodingStrategy, apply_strategy, confidence, derive_seed, sample, top1
-from .probe import PrefixGrid, ProbeResult, damcl, filter_confident_correct, mcl, mcl_histogram
+from .probe import PrefixGrid, ProbeResult, damcl, mcl, mcl_histogram
 from .detection import (
     ContextLabel,
     LsdsConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "PrefixGrid",
     "ProbeResult",
     "damcl",
-    "filter_confident_correct",
     "mcl",
     "mcl_histogram",
     "ContextLabel",

@@ -1,7 +1,7 @@
 """Next-token distribution backends: mocks for tests, HTTP clients for real models."""
 
 from .base import Backend, BackendRequest, Tokenizer, prefix_distribution
-from .cache import CachedBackend, cached
+from .cache import CachedBackend
 from .http import BackendEndpoint, HttpBackend, OpenAICompatBackend, complete_distribution
 from .mock import (
     ConstantBackend,
@@ -21,7 +21,6 @@ __all__ = [
     "Tokenizer",
     "prefix_distribution",
     "CachedBackend",
-    "cached",
     "BackendEndpoint",
     "HttpBackend",
     "OpenAICompatBackend",

@@ -41,6 +41,25 @@ class Tokenizer(Protocol):
     def detokenize(self, tokens: Sequence[int]) -> str: ...
 
 
+class BackendWrapper:
+    """Base for a backend in front of another one; forwards ``inner``'s metadata."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def vocab_size(self) -> int:
+        return self.inner.vocab_size
+
+    @property
+    def eos_token_id(self):
+        return self.inner.eos_token_id
+
+    @property
+    def truncation(self) -> str:
+        return self.inner.truncation
+
+
 def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDistribution:
     """Next-token distribution conditioned on the final ``ell`` tokens of ``s``."""
     n = len(s)

@@ -1,62 +1,27 @@
-"""LRU caching of next-token distributions, keyed on the exact token suffix."""
+"""Memo of next-token distributions for one unit of work, keyed on the exact token suffix."""
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from ..dist import TokenDistribution
-from .base import BackendRequest
+from .base import BackendRequest, BackendWrapper
 
 
-class CachedBackend:
-    """Bounded LRU in front of any backend.
+class CachedBackend(BackendWrapper):
+    """Each distinct suffix reaches ``inner`` once for as long as the memo lives.
 
-    Distributions are immutable, so hits return the same object the upstream
-    produced. Safe to share across threads; concurrent misses on the same
-    key may each hit upstream once (backends are referentially transparent,
-    so the duplicates agree).
+    A memo serves one unit of work (one sequence, or one prompt's samples):
+    create it when the unit starts and drop it when the unit is done, so it
+    holds only that unit's distributions and needs no bound. A memo is used
+    by one thread only, so it takes no lock. Distributions are immutable, so
+    a repeat returns the same object the upstream produced.
     """
 
-    def __init__(self, inner, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.inner = inner
-        self.capacity = int(capacity)
-        self.hits = 0
-        self.misses = 0
-        self._store: OrderedDict[tuple[int, ...], TokenDistribution] = OrderedDict()
-        self._lock = threading.Lock()
-
-    @property
-    def vocab_size(self) -> int:
-        return self.inner.vocab_size
-
-    @property
-    def eos_token_id(self):
-        return self.inner.eos_token_id
-
-    @property
-    def truncation(self) -> str:
-        return self.inner.truncation
+    def __init__(self, inner):
+        super().__init__(inner)
+        self._store: dict[tuple[int, ...], TokenDistribution] = {}
 
     def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
-        key = request.tokens
-        with self._lock:
-            hit = self._store.get(key)
-            if hit is not None:
-                self._store.move_to_end(key)
-                self.hits += 1
-                return hit
-            self.misses += 1
-        value = self.inner.next_token_distribution(request)
-        with self._lock:
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-        return value
-
-
-def cached(inner, capacity: int = 4096) -> CachedBackend:
-    return CachedBackend(inner, capacity)
+        dist = self._store.get(request.tokens)
+        if dist is None:
+            dist = self._store[request.tokens] = self.inner.next_token_distribution(request)
+        return dist

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from ..dist import TokenDistribution
 from ..errors import BackendError, UsageError
-from .base import BackendRequest
+from .base import BackendRequest, BackendWrapper
 
 
 class _CountingBackend:
@@ -158,25 +158,13 @@ class NgramBackend(_CountingBackend):
         return self.table.get(key, self._fallback)
 
 
-class DelayedBackend:
+class DelayedBackend(BackendWrapper):
     """Wraps a backend and sleeps per call, optionally per context token."""
 
     def __init__(self, inner, per_call_s: float = 0.0, per_token_s: float = 0.0):
-        self.inner = inner
+        super().__init__(inner)
         self.per_call_s = float(per_call_s)
         self.per_token_s = float(per_token_s)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.inner.vocab_size
-
-    @property
-    def eos_token_id(self):
-        return self.inner.eos_token_id
-
-    @property
-    def truncation(self) -> str:
-        return self.inner.truncation
 
     @property
     def calls(self) -> int:
@@ -189,7 +177,7 @@ class DelayedBackend:
         return self.inner.next_token_distribution(request)
 
 
-class FlakyBackend:
+class FlakyBackend(BackendWrapper):
     """Wraps a backend and fails deterministically, for retry and flush tests.
 
     ``fail_first`` makes the first n calls raise (the transient-failure
@@ -198,23 +186,11 @@ class FlakyBackend:
     """
 
     def __init__(self, inner, fail_first: int = 0, fail_after: int | None = None):
-        self.inner = inner
+        super().__init__(inner)
         self.fail_first = int(fail_first)
         self.fail_after = fail_after
         self.attempts = 0
         self._lock = threading.Lock()
-
-    @property
-    def vocab_size(self) -> int:
-        return self.inner.vocab_size
-
-    @property
-    def eos_token_id(self):
-        return self.inner.eos_token_id
-
-    @property
-    def truncation(self) -> str:
-        return self.inner.truncation
 
     def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
         with self._lock:

@@ -119,16 +119,20 @@ def cad_step(
     strategy: DecodingStrategy,
     backend: Backend,
     short_len: int = 32,
+    raw_full: TokenDistribution | None = None,
 ) -> TokenDistribution:
     """Contrast the full context against the short suffix, then decode.
 
     Weights are p_full^(1+alpha) * p_short^(-alpha); the short operand is
     floored before the negative power. alpha=0 reduces to plain decoding.
-    Applied at every step, with no gate and no token selection.
+    Applied at every step, with no gate and no token selection. A caller
+    that already holds the full-context distribution passes it as
+    ``raw_full`` to save the call.
     """
     if alpha < 0:
         raise StrategyError("alpha must be >= 0")
-    raw_full = prefix_distribution(s, len(s), backend)
+    if raw_full is None:
+        raw_full = prefix_distribution(s, len(s), backend)
     raw_short = prefix_distribution(s, min(short_len, len(s)), backend)
     weights = raw_full.probs ** (1.0 + alpha) * np.maximum(raw_short.probs, PROB_FLOOR) ** (-alpha)
     return apply_strategy(TokenDistribution.from_weights(weights), strategy)
@@ -177,7 +181,9 @@ def generate(
             elif method == "cad":
                 raw_full = prefix_distribution(ctx, len(ctx), backend)
                 pre = apply_strategy(raw_full, cfg.strategy)
-                post = cad_step(ctx, alpha, cfg.strategy, backend, short_len=cfg.short_len)
+                post = cad_step(
+                    ctx, alpha, cfg.strategy, backend, short_len=cfg.short_len, raw_full=raw_full
+                )
                 report = BoostReport(step=0, lsds=None, boosted_set=SupportSet.of(()), pre=pre, post=post)
             else:
                 raw_full = prefix_distribution(ctx, len(ctx), backend)

@@ -14,6 +14,7 @@ in SCHEMAS.md; reruns with the same seed and mock backend are byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -66,8 +67,8 @@ from .errors import (
     StrategyError,
     UsageError,
 )
-from .probe import METRIC_NAMES, PrefixGrid, damcl, filter_confident_correct, mcl, mcl_histogram
-from .reporting import ConfusionMatrix, Histogram, append_jsonl, write_report, write_text
+from .probe import METRIC_NAMES, PrefixGrid, accepts, damcl, mcl, mcl_histogram
+from .reporting import ConfusionMatrix, Histogram, aggregate_share, append_jsonl, write_report, write_text
 from .textmetrics import score_all, summarize
 
 ENV_BACKEND_URL = "CTXLENS_BACKEND_URL"
@@ -90,7 +91,6 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--parallel", type=int, default=1, help="concurrent backend calls")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--cache", type=int, default=4096, help="LRU cache capacity, 0 disables")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -156,7 +156,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("bench", help="detection overhead vs context length")
     _common_options(p)
     p.add_argument("--lengths", default="100,200,500", help="comma-separated context lengths")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument(
+        "--repeat", type=int, default=3, help="timings per length; the fastest of each is kept"
+    )
     p.add_argument("--short-len", type=int, default=32)
     p.add_argument("--strategy", default="nucleus:0.9")
     p.set_defaults(func=cmd_bench)
@@ -212,7 +214,7 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def build_backend(spec: str | None, cache_capacity: int):
+def build_backend(spec: str | None):
     if spec is None:
         url = os.environ.get(ENV_BACKEND_URL)
         if not url:
@@ -237,8 +239,6 @@ def build_backend(spec: str | None, cache_capacity: int):
         )
     else:
         raise UsageError(f"unrecognized backend spec {spec!r}")
-    if cache_capacity > 0:
-        return CachedBackend(backend, capacity=cache_capacity)
     return backend
 
 
@@ -312,7 +312,11 @@ def _load_input_sequences(args, backend):
 
 
 def _run_ordered(items, fn, parallel: int):
-    """Map in deterministic input order; parallelism never reorders output."""
+    """Map in deterministic input order; parallelism never reorders output.
+
+    ``fn`` handles one unit of work (a sequence, or a prompt's samples) and
+    gives it its own ``CachedBackend``, so a memo never crosses threads.
+    """
     if parallel <= 1:
         for item in items:
             yield fn(item)
@@ -330,23 +334,32 @@ def _fit_payload(fit):
 
 
 def cmd_mcl(args) -> int:
-    backend = build_backend(args.backend, args.cache)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, warnings = _load_input_sequences(args, backend)
     samples = sorted(samples, key=lambda s: s.seq_id)
     grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
-    outcome = filter_confident_correct(samples, args.delta, backend)
-    kept = outcome.kept
+
+    def probe_one(sample):
+        """The probe result, or why the confident-correct gate filtered the sample out."""
+        if sample.next_token is None:
+            return "no ground-truth next token"
+        memo = CachedBackend(backend)
+        full = prefix_distribution(sample.tokens, len(sample.tokens), memo)
+        if not accepts(full, sample.next_token, args.delta):
+            return "full-context prediction not confident-correct"
+        return mcl(sample.tokens, sample.next_token, args.delta, grid, memo)
 
     results = []
+    filtered = []
     with (out / "mcl_results.jsonl").open("w", encoding="utf-8") as fh:
-        runner = _run_ordered(
-            kept, lambda s: mcl(s.tokens, s.next_token, args.delta, grid, backend), args.parallel
-        )
-        for sample, res in zip(kept, runner):
-            append_jsonl(fh, res.to_record(sample.seq_id))
-            results.append(res)
+        for sample, res in zip(samples, _run_ordered(samples, probe_one, args.parallel)):
+            if isinstance(res, str):
+                filtered.append({"seq_id": sample.seq_id, "reason": res})
+            else:
+                append_jsonl(fh, res.to_record(sample.seq_id))
+                results.append(res)
 
     resolved = [r for r in results if r.resolved]
     fit = None
@@ -354,18 +367,16 @@ def cmd_mcl(args) -> int:
     if resolved:
         bins, fit = mcl_histogram(resolved)
         write_text(out / "mcl_hist.csv", Histogram.from_pairs(bins).to_csv())
-        total = len(resolved)
-        share["32"] = sum(c for ell, c in bins if ell <= 32) / total
-        share["96"] = sum(c for ell, c in bins if ell <= 96) / total
+        share = {"32": aggregate_share(resolved, 32), "96": aggregate_share(resolved, 96)}
     write_report(
         out / "mcl_summary.json",
         {
             "command": "mcl",
             "n_input": len(samples),
-            "n_kept": len(kept),
+            "n_kept": len(results),
             "n_resolved": len(resolved),
             "n_unresolved": len(results) - len(resolved),
-            "filtered": [{"seq_id": sid, "reason": reason} for sid, reason in outcome.errors],
+            "filtered": filtered,
             "warnings": warnings,
             "share_le": share,
             "fit": _fit_payload(fit),
@@ -379,7 +390,7 @@ def cmd_mcl(args) -> int:
 
 
 def cmd_damcl(args) -> int:
-    backend = build_backend(args.backend, args.cache)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, warnings = _load_input_sequences(args, backend)
@@ -389,37 +400,42 @@ def cmd_damcl(args) -> int:
         raise UsageError("--strategies needs at least one strategy")
     epsilons = _parse_float_list(args.epsilons, "--epsilons")
     grid = PrefixGrid(start=args.grid_start, step=args.grid_step, mode=args.grid_mode)
+    combos = [(strategy, eps) for strategy in strategies for eps in epsilons]
+    slugs = [f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}" for strategy, eps in combos]
 
-    combos = []
-    for strategy in strategies:
-        for eps in epsilons:
-            slug = f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}"
-            results = []
-            with (out / f"damcl_{slug}.jsonl").open("w", encoding="utf-8") as fh:
-                runner = _run_ordered(
-                    samples,
-                    lambda s: damcl(s.tokens, strategy, args.metric, eps, grid, backend),
-                    args.parallel,
-                )
-                for sample, res in zip(samples, runner):
-                    append_jsonl(fh, res.to_record(sample.seq_id))
-                    results.append(res)
-            hist = Histogram.from_values(r.resolved_length for r in results)
-            write_text(out / f"damcl_{slug}_hist.csv", hist.to_csv())
-            combos.append(
-                {
-                    "strategy": strategy.token(),
-                    "metric": args.metric,
-                    "epsilon": eps,
-                    "n": len(results),
-                    "mean_length": sum(r.resolved_length for r in results) / len(results),
-                }
-            )
+    def probe_one(sample):
+        """Every strategy x epsilon combination of one sequence, on one memo."""
+        memo = CachedBackend(backend)
+        return [damcl(sample.tokens, strategy, args.metric, eps, grid, memo) for strategy, eps in combos]
+
+    results = [[] for _ in combos]
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context((out / f"damcl_{slug}.jsonl").open("w", encoding="utf-8")) for slug in slugs
+        ]
+        for sample, row in zip(samples, _run_ordered(samples, probe_one, args.parallel)):
+            for fh, combo_results, res in zip(files, results, row):
+                append_jsonl(fh, res.to_record(sample.seq_id))
+                combo_results.append(res)
+
+    summaries = []
+    for (strategy, eps), slug, combo_results in zip(combos, slugs, results):
+        hist = Histogram.from_values(r.resolved_length for r in combo_results)
+        write_text(out / f"damcl_{slug}_hist.csv", hist.to_csv())
+        summaries.append(
+            {
+                "strategy": strategy.token(),
+                "metric": args.metric,
+                "epsilon": eps,
+                "n": len(combo_results),
+                "mean_length": sum(r.resolved_length for r in combo_results) / len(combo_results),
+            }
+        )
     write_report(
         out / "damcl_summary.json",
         {
             "command": "damcl",
-            "combos": combos,
+            "combos": summaries,
             "warnings": warnings,
             "grid": {"mode": grid.mode, "start": grid.start, "step": grid.step},
             "truncation": backend.truncation,
@@ -429,9 +445,10 @@ def cmd_damcl(args) -> int:
     return EXIT_OK
 
 
-def _oracle_label_fn(args, backend):
+def _oracle_label_fn(args):
+    """The oracle as a function of (sample, backend); the backend is the position's memo."""
     if args.oracle == "planted":
-        def planted(sample):
+        def planted(sample, backend):
             if sample.label is None:
                 raise DataError(f"sequence {sample.seq_id} has no planted label")
             return sample.label
@@ -440,14 +457,14 @@ def _oracle_label_fn(args, backend):
     if args.oracle == "mcl":
         grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
 
-        def from_mcl(sample):
+        def from_mcl(sample, backend):
             if sample.next_token is None:
                 raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
             return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, backend).label
 
         return from_mcl
 
-    def from_lsd_lcl(sample):
+    def from_lsd_lcl(sample, backend):
         if sample.next_token is None:
             raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
         return lsd_lcl_oracle_label(sample.tokens, sample.next_token, backend).label
@@ -456,7 +473,7 @@ def _oracle_label_fn(args, backend):
 
 
 def cmd_detect(args) -> int:
-    backend = build_backend(args.backend, args.cache)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, _ = load_sequences_jsonl(args.corpus)
@@ -466,11 +483,11 @@ def cmd_detect(args) -> int:
         strategy=DecodingStrategy.parse(args.strategy),
         tau=args.tau,
     )
-    label_of = _oracle_label_fn(args, backend)
+    label_of = _oracle_label_fn(args)
 
     def run_one(sample):
-        score = lsds(sample.tokens, cfg, backend)
-        return score, label_of(sample)
+        memo = CachedBackend(backend)
+        return lsds(sample.tokens, cfg, memo), label_of(sample, memo)
 
     scored = []
     with (out / "detect_results.jsonl").open("w", encoding="utf-8") as fh:
@@ -523,7 +540,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    backend = build_backend(args.backend, args.cache)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.method == "taboo" and args.lam is None:
@@ -556,18 +573,28 @@ def cmd_generate(args) -> int:
         "short_len": cfg.short_len,
         "max_new": args.max_new,
     }
+
+    def generate_prompt(item):
+        """All samples of one prompt, on one memo."""
+        p_idx, (_, tokens) = item
+        memo = CachedBackend(backend)
+        return [
+            generate(
+                tokens,
+                args.max_new,
+                args.method,
+                cfg,
+                derive_seed(args.seed, p_idx, k),
+                memo,
+                alpha=args.alpha,
+            )
+            for k in range(args.n_samples)
+        ]
+
     with (out / "generations.jsonl").open("w", encoding="utf-8") as fh:
-        for p_idx, (prompt_id, tokens) in enumerate(prompts):
-            for k in range(args.n_samples):
-                result = generate(
-                    tokens,
-                    args.max_new,
-                    args.method,
-                    cfg,
-                    derive_seed(args.seed, p_idx, k),
-                    backend,
-                    alpha=args.alpha,
-                )
+        runner = _run_ordered(enumerate(prompts), generate_prompt, args.parallel)
+        for (prompt_id, _), results in zip(prompts, runner):
+            for k, result in enumerate(results):
                 text = tokenizer.detokenize(result.tokens)
                 record = {
                     "prompt_id": prompt_id,
@@ -629,23 +656,26 @@ def _load_golds(path: str) -> dict[str, str]:
 
 
 def cmd_bench(args) -> int:
-    # Timing must see real backend latency, so the cache stays off.
-    backend = build_backend(args.backend, 0)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lengths = [int(x) for x in args.lengths.split(",") if x]
     if not lengths or any(n <= args.short_len for n in lengths):
         raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
+    if args.repeat < 1:
+        raise UsageError("--repeat must be >= 1")
     strategy = DecodingStrategy.parse(args.strategy)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     # One warmup call resolves lazy vocab discovery on HTTP backends.
     prefix_distribution([0], 1, backend)
     vocab = backend.vocab_size
 
+    # Scheduling noise only ever adds time, so the fastest of the repeats is
+    # the least disturbed estimate of each component's cost.
     rows = []
     for n in lengths:
         seq = [int(t) for t in rng.integers(0, vocab, size=n)]
-        full_s = short_s = arith_s = 0.0
+        full_s = short_s = arith_s = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
             raw_full = prefix_distribution(seq, n, backend)
@@ -654,11 +684,11 @@ def cmd_bench(args) -> int:
             t2 = time.perf_counter()
             jsd(apply_strategy(raw_short, strategy), apply_strategy(raw_full, strategy))
             t3 = time.perf_counter()
-            full_s += t1 - t0
-            short_s += t2 - t1
-            arith_s += t3 - t2
-        full_ms = 1e3 * full_s / args.repeat
-        extra_ms = 1e3 * (short_s + arith_s) / args.repeat
+            full_s = min(full_s, t1 - t0)
+            short_s = min(short_s, t2 - t1)
+            arith_s = min(arith_s, t3 - t2)
+        full_ms = 1e3 * full_s
+        extra_ms = 1e3 * (short_s + arith_s)
         rows.append(
             {"len": n, "full_ms": full_ms, "extra_ms": extra_ms, "ratio": extra_ms / full_ms}
         )
@@ -714,7 +744,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    backend = build_backend(args.backend, args.cache)
+    backend = build_backend(args.backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = _tokenizer_of(backend)

@@ -15,7 +15,7 @@ from typing import Sequence
 from .backends import Backend, prefix_distribution
 from .decoding import DecodingStrategy, apply_strategy
 from .dist import JSD_MAX, SupportSet, TokenDistribution, jsd
-from .errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError, VocabMismatch
+from .errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
 from .probe import PrefixGrid, mcl
 
 #: Floor applied to probabilities inside log ratios so they stay finite.
@@ -33,13 +33,12 @@ class LsdsConfig:
 
     ``short_len`` is a token count when int, or a fraction of the sequence
     length when a float in (0, 1). ``tau`` is the long/short decision
-    threshold, ``gamma`` the boosting gate.
+    threshold.
     """
 
     short_len: int | float = 32
     strategy: DecodingStrategy = DecodingStrategy.nucleus(0.9)
     tau: float = 0.6
-    gamma: float = 0.1225
 
     def __post_init__(self):
         if isinstance(self.short_len, bool) or (
@@ -50,8 +49,6 @@ class LsdsConfig:
             raise StrategyError("fractional short_len must lie in (0, 1)")
         if not 0.0 <= self.tau <= JSD_MAX:
             raise StrategyError(f"tau must lie in [0, {JSD_MAX}]")
-        if not 0.0 <= self.gamma <= JSD_MAX:
-            raise StrategyError(f"gamma must lie in [0, {JSD_MAX}]")
 
     def resolved_short_len(self, seq_len: int) -> int:
         if isinstance(self.short_len, float):
@@ -129,10 +126,9 @@ def lsd_lcl_oracle_label(
     ``lsd_threshold`` nats over the short suffix AND the full-context
     log-probability itself is at least ``lcl_threshold``.
     """
-    if not 0 <= t < backend.vocab_size:
-        raise VocabMismatch(f"token {t} outside vocab {backend.vocab_size}")
     if len(s) <= short_len:
         raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {short_len}")
+    # entry() checks t against the fetched distribution's vocab.
     p_full = prefix_distribution(s, len(s), backend).entry(t)
     p_short = prefix_distribution(s, short_len, backend).entry(t)
     lsd = math.log(max(p_full, PROB_FLOOR)) - math.log(max(p_short, PROB_FLOOR))

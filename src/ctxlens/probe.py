@@ -10,7 +10,7 @@ sequence, so it always resolves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .decoding import DecodingStrategy, apply_strategy, confidence, top1
@@ -114,12 +114,12 @@ def mcl(
     """Smallest grid suffix length whose top prediction is ``t`` with confidence >= ``delta``.
 
     Unresolved (no grid point accepts) is a legitimate outcome, returned as
-    ``resolved_length=None``, never an exception.
+    ``resolved_length=None``, never an exception. ``t`` is checked against
+    the vocab of the fetched distributions, so a backend that learns its
+    vocab size from its first response needs no call beforehand.
     """
     if delta < 0:
         raise StrategyError("delta must be >= 0")
-    if not 0 <= t < backend.vocab_size:
-        raise VocabMismatch(f"target token {t} outside vocab {backend.vocab_size}")
     if grid.mode != "percentile" and len(s) < grid.start:
         raise SequenceTooShort(f"sequence length {len(s)} below grid start {grid.start}")
     points = grid.points(len(s))
@@ -131,6 +131,8 @@ def mcl(
         except BackendError as err:
             err.partial_trace = trace
             raise
+        if not 0 <= t < dist.vocab_size:
+            raise VocabMismatch(f"target token {t} outside vocab {dist.vocab_size}")
         tk = top1(dist)
         cf = confidence(dist)
         trace.append((ell, (tk, cf)))
@@ -203,29 +205,6 @@ def damcl(
         grid_points=tuple(points),
         threshold=epsilon,
     )
-
-
-@dataclass
-class FilterOutcome:
-    """Samples that pass the confident-correct gate, plus per-sample rejections."""
-
-    kept: list = field(default_factory=list)
-    errors: list = field(default_factory=list)  # (seq_id, reason)
-
-
-def filter_confident_correct(samples, delta: float, backend: Backend) -> FilterOutcome:
-    """Keep samples whose full-context prediction is their ground-truth token with margin delta."""
-    out = FilterOutcome()
-    for sample in samples:
-        if sample.next_token is None:
-            out.errors.append((sample.seq_id, "no ground-truth next token"))
-            continue
-        dist = prefix_distribution(sample.tokens, len(sample.tokens), backend)
-        if accepts(dist, sample.next_token, delta):
-            out.kept.append(sample)
-        else:
-            out.errors.append((sample.seq_id, "full-context prediction not confident-correct"))
-    return out
 
 
 def mcl_histogram(results: Sequence[ProbeResult]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:

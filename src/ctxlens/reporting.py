@@ -123,21 +123,9 @@ def aggregate_share(results: Sequence, cutoff: int) -> float:
 
 def write_report(path: str | Path, payload: dict) -> Path:
     """Write a JSON report atomically (temp file + rename), tagged with the schema."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     body = dict(payload)
     body["schema"] = REPORT_SCHEMA
-    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
 def read_report(path: str | Path) -> dict:
@@ -154,7 +142,7 @@ def append_jsonl(fh, record: dict) -> None:
 
 
 def write_text(path: str | Path, text: str) -> Path:
-    """Atomic plain-text write, same temp-and-rename dance as reports."""
+    """Atomic plain-text write: a temp file in the target directory, then a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")

@@ -1,6 +1,4 @@
-"""Mock backends, the suffix-probe helper, and the LRU cache."""
-
-import threading
+"""Mock backends, the suffix-probe helper, the wrappers, and the per-unit memo."""
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from ctxlens.backends import (
     PlantedDependencyBackend,
     PlantedLastTokenBackend,
     SwitchBackend,
-    cached,
     parse_mock_spec,
     prefix_distribution,
 )
@@ -116,75 +113,40 @@ class TestPrefixDistribution:
 class TestCachedBackend:
     def test_differential_against_uncached(self, rng):
         plain = PlantedLastTokenBackend(answer_token=3, vocab_size=32)
-        wrapped = CachedBackend(PlantedLastTokenBackend(answer_token=3, vocab_size=32), capacity=64)
+        inner = PlantedLastTokenBackend(answer_token=3, vocab_size=32)
+        wrapped = CachedBackend(inner)
         pool = [tuple(int(t) for t in rng.integers(0, 32, size=rng.integers(1, 12))) for _ in range(40)]
+        asked = set()
         for _ in range(1000):
             tokens = pool[int(rng.integers(0, len(pool)))]
+            asked.add(tokens)
             a = plain.next_token_distribution(_req(tokens))
             b = wrapped.next_token_distribution(_req(tokens))
             assert a.same_values(b)
-        assert wrapped.hits + wrapped.misses == 1000
-        assert wrapped.hits > 0
+        assert inner.calls == len(asked)
 
-    def test_capacity_one_evicts(self):
+    def test_each_distinct_suffix_reaches_upstream_once(self):
         inner = ConstantBackend(TokenDistribution.uniform(2))
-        b = CachedBackend(inner, capacity=1)
-        for tokens in ([1], [2], [1]):
-            b.next_token_distribution(_req(tokens))
-        assert inner.calls == 3
-        assert b.hits == 0
-
-    def test_capacity_two_keeps_both(self):
-        inner = ConstantBackend(TokenDistribution.uniform(2))
-        b = CachedBackend(inner, capacity=2)
+        b = CachedBackend(inner)
         for tokens in ([1], [2], [1], [2]):
             b.next_token_distribution(_req(tokens))
         assert inner.calls == 2
-        assert b.hits == 2
 
-    def test_lru_eviction_order(self):
+    def test_failed_call_is_not_remembered(self):
         inner = ConstantBackend(TokenDistribution.uniform(2))
-        b = CachedBackend(inner, capacity=2)
-        b.next_token_distribution(_req([1]))  # miss -> {1}
-        b.next_token_distribution(_req([2]))  # miss -> {1, 2}
-        b.next_token_distribution(_req([1]))  # hit, 1 becomes most recent
-        b.next_token_distribution(_req([3]))  # miss, evicts 2
-        b.next_token_distribution(_req([1]))  # still cached
-        b.next_token_distribution(_req([2]))  # miss again
-        assert inner.calls == 4
+        b = CachedBackend(FlakyBackend(inner, fail_first=1))
+        with pytest.raises(BackendError):
+            b.next_token_distribution(_req([1]))
+        assert b.next_token_distribution(_req([1])).vocab_size == 2
+        assert inner.calls == 1
 
     def test_delegates_metadata(self):
         inner = ConstantBackend(TokenDistribution.uniform(8), eos_token_id=7)
-        b = cached(inner, capacity=4)
+        b = CachedBackend(inner)
         assert b.vocab_size == 8
         assert b.eos_token_id == 7
         assert b.truncation == inner.truncation
         assert b.inner is inner
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            CachedBackend(ConstantBackend(TokenDistribution.uniform(2)), capacity=0)
-
-    def test_thread_safety(self, rng):
-        plain = PlantedLastTokenBackend(answer_token=1, vocab_size=16)
-        b = CachedBackend(PlantedLastTokenBackend(answer_token=1, vocab_size=16), capacity=8)
-        pool = [tuple(int(t) for t in rng.integers(0, 16, size=4)) for _ in range(20)]
-        failures = []
-
-        def worker():
-            for i in range(200):
-                tokens = pool[i % len(pool)]
-                got = b.next_token_distribution(_req(tokens))
-                want = plain.next_token_distribution(_req(tokens))
-                if not got.same_values(want):
-                    failures.append(tokens)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
 
 
 class TestFlakyBackend:

@@ -261,6 +261,12 @@ class TestGenerate:
         assert all(len(r.boosted_set) == 0 for r in out.reports)
         assert all(not np.array_equal(r.pre.probs, r.post.probs) for r in out.reports)
 
+    def test_cad_makes_two_calls_per_step_without_a_memo(self):
+        b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], cutoff=3)
+        out = generate([1, 2, 3], 5, "cad", cfg_with(2.0), seed=3, backend=b, alpha=0.5)
+        assert len(out.reports) == 5
+        assert b.calls == 2 * 5
+
     def test_unknown_method_rejected(self):
         b = ConstantBackend(TokenDistribution.uniform(3))
         with pytest.raises(StrategyError):

@@ -7,7 +7,8 @@ import pytest
 
 import ctxlens.cli as cli
 from conftest import write_jsonl
-from ctxlens.backends import FlakyBackend, PlantedLastTokenBackend
+from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
+from ctxlens.dist import TokenDistribution
 from ctxlens.reporting import read_report
 
 
@@ -35,6 +36,9 @@ def planted_corpus_records(n_short=8, n_long=2, length=300, seed=99, with_labels
             rec["label"] = "short" if depth <= 32 else "long"
         records.append(rec)
     return records
+
+
+PLANTED = "mock:planted_last:answer=5,vocab=256"
 
 
 def run(argv):
@@ -129,30 +133,46 @@ class TestMclCommand:
         records[0]["next_token"] = 7  # planted answer is 5, so this fails the gate
         corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
         out = tmp_path / "out"
-        assert run(
-            [
-                "mcl",
-                "--backend",
-                "mock:planted_last:answer=5,vocab=256",
-                "--corpus",
-                str(corpus),
-                "--out",
-                str(out),
-            ]
-        ) == 0
+        assert run(["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--out", str(out)]) == 0
         summary = read_report(out / "mcl_summary.json")
         assert summary["n_kept"] == 1
         assert summary["filtered"][0]["seq_id"] == "s00"
 
+    def test_gate_keeps_confident_correct_only(self, tmp_path):
+        records = planted_corpus_records(n_short=3, n_long=0)
+        records[0]["next_token"] = 7  # planted answer is 5, so this fails the gate
+        del records[2]["next_token"]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        assert run(["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert [r["seq_id"] for r in read_jsonl(out / "mcl_results.jsonl")] == ["s01"]
+        summary = read_report(out / "mcl_summary.json")
+        assert (summary["n_input"], summary["n_kept"]) == (3, 1)
+        assert summary["filtered"] == [
+            {"seq_id": "s00", "reason": "full-context prediction not confident-correct"},
+            {"seq_id": "s02", "reason": "no ground-truth next token"},
+        ]
+
+    def test_gate_with_delta_one_rejects_everything(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=0))
+        out = tmp_path / "out"
+        argv = ["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--delta", "1", "--out", str(out)]
+        assert run(argv) == 0
+        assert read_jsonl(out / "mcl_results.jsonl") == []
+        summary = read_report(out / "mcl_summary.json")
+        assert summary["n_kept"] == 0
+        assert [f["seq_id"] for f in summary["filtered"]] == ["s00", "s01"]
+
     def test_partial_results_survive_backend_outage(self, tmp_path, monkeypatch):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records())
         out = tmp_path / "out"
-        # Budget: 10 gate calls + 8 quick probes + 12 probes for s08, then
-        # the outage hits the first probe of s09.
+        # Budget: the gate call plus one probe for each of s00..s07, the gate
+        # call plus 12 probes for s08 and the gate call for s09, then the
+        # outage hits the first probe of s09.
         flaky = FlakyBackend(
             PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=30
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec, cache: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         code = run(
             ["mcl", "--backend", "unused", "--corpus", str(corpus), "--out", str(out)]
         )
@@ -475,14 +495,11 @@ class TestGenerateCommand:
         assert outs[0] != outs[1]
 
     def test_backend_outage_sets_error_and_exit_code(self, tmp_path, monkeypatch):
-        from ctxlens.backends import ConstantBackend
-        from ctxlens.dist import TokenDistribution
-
         prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": [1, 2]}])
         flaky = FlakyBackend(
             ConstantBackend(TokenDistribution.point_mass(1, vocab_size=4)), fail_after=2
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec, cache: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         out = tmp_path / "out"
         code = run(
             [
@@ -505,6 +522,69 @@ class TestGenerateCommand:
         assert records[0]["error"] is not None
         summary = read_report(out / "generate_summary.json")
         assert summary["had_backend_error"] is True
+
+
+class TestUpstreamCalls:
+    """Backend calls per command are exact: each distinct suffix of a unit is fetched once."""
+
+    @pytest.fixture
+    def backend(self, monkeypatch):
+        mock = PlantedLastTokenBackend(vocab_size=256, answer_token=5)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
+        return mock
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_mcl_at_grid_start_length(self, tmp_path, backend, parallel):
+        corpus = write_jsonl(
+            tmp_path / "corpus.jsonl", [{"seq_id": "s", "tokens": [1] * 31 + [20], "next_token": 5}]
+        )
+        argv = ["mcl", "--backend", "unused", "--corpus", str(corpus), "--parallel", parallel]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert backend.calls == 1
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_damcl_fetches_each_grid_point_once_for_all_combos(self, tmp_path, backend, parallel):
+        # Percentile grid over 100 tokens: 10, 20, ..., 100. Depth 35 resolves at 40, depth 80 at 80.
+        records = [
+            {"seq_id": f"s{i}", "tokens": [1] * 99 + [depth], "next_token": 5}
+            for i, depth in enumerate((35, 80))
+        ]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        argv = [
+            "damcl", "--backend", "unused", "--corpus", str(corpus), "--strategies", "nucleus:0.9,topk:50",
+            "--epsilons", "0.1,0.2", "--parallel", parallel, "--out", str(out),
+        ]
+        assert run(argv) == 0
+        for path in out.glob("damcl_*.jsonl"):
+            assert [r["length"] for r in read_jsonl(path)] == [40, 80]
+        assert len(list(out.glob("damcl_*.jsonl"))) == 4
+        assert backend.calls == (1 + 4) + (1 + 8)
+
+    @pytest.mark.parametrize("oracle", ["planted", "lsd_lcl"])
+    def test_detect_two_per_position(self, tmp_path, backend, oracle):
+        corpus = write_jsonl(
+            tmp_path / "corpus.jsonl", planted_corpus_records(n_short=3, n_long=2, with_labels=True)
+        )
+        argv = ["detect", "--backend", "unused", "--corpus", str(corpus), "--oracle", oracle]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert backend.calls == 2 * 5
+
+    @pytest.mark.parametrize("method", ["taboo", "cad"])
+    def test_generate_samples_of_a_deterministic_prompt_share_calls(self, tmp_path, monkeypatch, method):
+        calls = {}
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": list(range(40))}])
+        for n_samples in (1, 2):
+            mock = ConstantBackend(TokenDistribution.point_mass(1, vocab_size=8))
+            monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
+            argv = [
+                "generate", "--backend", "unused", "--prompts", str(prompts), "--method", method,
+                "--lam", "2", "--max-new", "5", "--n-samples", str(n_samples),
+                "--out", str(tmp_path / f"out{n_samples}"),
+            ]
+            assert run(argv) == 0
+            calls[n_samples] = mock.calls
+        assert calls == {1: 2 * 5, 2: 2 * 5}
 
 
 class TestBenchCommand:
@@ -547,6 +627,10 @@ class TestBenchCommand:
             ]
         )
         assert code == 1
+
+    def test_repeat_must_be_positive(self, tmp_path):
+        argv = ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "100", "--repeat", "0"]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
 
 
 class TestScoreCommand:

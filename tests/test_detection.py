@@ -72,7 +72,6 @@ class TestLsdsConfig:
         cfg = LsdsConfig()
         assert cfg.short_len == 32
         assert cfg.tau == 0.6
-        assert cfg.gamma == 0.1225
 
     def test_fractional_short_len_resolution(self):
         cfg = LsdsConfig(short_len=0.1)
@@ -86,8 +85,6 @@ class TestLsdsConfig:
             LsdsConfig(short_len=1.5)
         with pytest.raises(StrategyError):
             LsdsConfig(tau=JSD_MAX + 0.01)
-        with pytest.raises(StrategyError):
-            LsdsConfig(gamma=-0.1)
 
 
 class TestLsds:

@@ -16,7 +16,9 @@ from ctxlens.backends import (
     OpenAICompatBackend,
     complete_distribution,
 )
-from ctxlens.errors import BackendError
+from ctxlens.detection import LONG, lsd_lcl_oracle_label
+from ctxlens.errors import BackendError, VocabMismatch
+from ctxlens.probe import PrefixGrid, mcl
 
 
 class FakeModelServer:
@@ -113,6 +115,44 @@ class TestCompleteDistribution:
         entries = [(0, math.log(0.5)), (1, math.log(0.5))]
         d = complete_distribution(entries, 2)
         assert d.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+class TestProbesOnFreshBackend:
+    """A fresh HttpBackend learns its vocab from its first response, so probes must not ask sooner."""
+
+    @staticmethod
+    def route(body, n):
+        # Token 2 becomes confident once the context has 4 tokens; before that it is improbable.
+        probs = [0.05, 0.05, 0.9] if len(body["tokens"]) >= 4 else [0.495, 0.495, 0.01]
+        return 200, {"logprobs": full_logprobs(probs), "vocab_size": 3}
+
+    def test_mcl(self):
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = self.route
+            res = mcl([0] * 8, 2, 0.2, PrefixGrid(start=2, step=2), _backend(srv.url))
+            assert res.resolved_length == 4
+            assert srv.hits["/v1/next_logprobs"] == 2
+
+    def test_mcl_checks_target_against_first_response(self):
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = self.route
+            with pytest.raises(VocabMismatch):
+                mcl([0] * 8, 3, 0.2, PrefixGrid(start=2, step=2), _backend(srv.url))
+            assert srv.hits["/v1/next_logprobs"] == 1
+
+    def test_lsd_lcl_oracle(self):
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = self.route
+            label = lsd_lcl_oracle_label([0] * 8, 2, _backend(srv.url), short_len=2)
+            assert label.label == LONG
+            assert srv.hits["/v1/next_logprobs"] == 2
+
+    def test_lsd_lcl_oracle_checks_target_against_first_response(self):
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = self.route
+            with pytest.raises(VocabMismatch):
+                lsd_lcl_oracle_label([0] * 8, 3, _backend(srv.url), short_len=2)
+            assert srv.hits["/v1/next_logprobs"] == 1
 
 
 class TestHttpBackend:

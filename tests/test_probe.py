@@ -32,7 +32,6 @@ from ctxlens.probe import (
     accepts,
     damcl,
     divergence_metric,
-    filter_confident_correct,
     mcl,
     mcl_histogram,
 )
@@ -299,29 +298,6 @@ class TestDamcl:
         b = ConstantBackend(TokenDistribution.uniform(4))
         res = damcl([1] * 10, KEEP_ALL, "jsd", 0.0, PrefixGrid(mode="percentile"), b)
         assert res.resolved_length == 1
-
-
-class TestFilterConfidentCorrect:
-    class _Sample:
-        def __init__(self, seq_id, tokens, next_token):
-            self.seq_id = seq_id
-            self.tokens = tuple(tokens)
-            self.next_token = next_token
-
-    def test_keeps_confident_correct_only(self):
-        b = PlantedDependencyBackend(vocab_size=50, dependency_length=10, answer_token=5)
-        good = self._Sample("good", [1] * 40, 5)
-        wrong = self._Sample("wrong", [1] * 40, 6)
-        missing = self._Sample("missing", [1] * 40, None)
-        out = filter_confident_correct([good, wrong, missing], delta=0.2, backend=b)
-        assert [s.seq_id for s in out.kept] == ["good"]
-        assert sorted(seq_id for seq_id, _ in out.errors) == ["missing", "wrong"]
-
-    def test_delta_one_rejects_everything(self):
-        b = PlantedDependencyBackend(vocab_size=50, dependency_length=10, answer_token=5)
-        sample = self._Sample("s", [1] * 40, 5)
-        out = filter_confident_correct([sample], delta=1.0, backend=b)
-        assert not out.kept
 
 
 class TestMclHistogram:
