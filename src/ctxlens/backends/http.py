@@ -10,17 +10,26 @@ Native wire protocol (one model server, three POST routes):
 When the server returns only the top entries, the residual probability mass
 is spread uniformly over the ids it did not return, so the completed
 distribution sums to one.
+
+Responses must be RFC 8259 JSON, parsed with ``orjson``. The literals
+``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, so a response that
+carries them is retried like any other unparsable body and then ends in
+:class:`BackendError`. A server omits zero-probability ids instead of
+sending a logprob of ``-Infinity``; the residual rule covers them.
+Probabilities are ``np.exp`` of the logprobs, which can differ from
+``math.exp`` in the last digit.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+import orjson
 import requests
 
 from ..dist import TokenDistribution
@@ -28,6 +37,8 @@ from ..errors import BackendError
 from .base import BackendRequest
 
 _BACKOFF_S = (0.1, 0.2, 0.4)
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -47,26 +58,31 @@ class BackendEndpoint:
             raise ValueError("max_parallel must be >= 1")
 
 
-def complete_distribution(entries: Sequence[tuple[int, float]], vocab_size: int) -> TokenDistribution:
-    """Turn (token id, logprob) pairs into a full distribution.
+def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int) -> TokenDistribution:
+    """Turn parallel columns of token ids and logprobs into a full distribution.
 
     Residual mass 1 - sum(exp(logprob)) is spread uniformly over ids that
-    did not appear. A completed vector whose total strays from 1 by more
-    than 1e-6 means the server reported inconsistent logprobs.
+    did not appear. A completed vector whose total is not finite or strays
+    from 1 by more than 1e-6 means the server reported inconsistent logprobs.
     """
+    ids = np.asarray(ids, dtype=np.int64)
+    logprobs = np.asarray(logprobs, dtype=np.float64)
+    if ids.shape != logprobs.shape or ids.ndim != 1:
+        raise BackendError(f"token ids {ids.shape} and logprobs {logprobs.shape} do not pair up")
+    outside = (ids < 0) | (ids >= vocab_size)
+    if outside.any():
+        raise BackendError(f"server returned token id {ids[outside][0]} outside vocab {vocab_size}")
     probs = np.zeros(vocab_size, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is caught by the total check below
+        probs[ids] = np.exp(logprobs)
     seen = np.zeros(vocab_size, dtype=bool)
-    for token_id, logprob in entries:
-        if not 0 <= token_id < vocab_size:
-            raise BackendError(f"server returned token id {token_id} outside vocab {vocab_size}")
-        probs[token_id] = math.exp(logprob)
-        seen[token_id] = True
+    seen[ids] = True
     residual = 1.0 - float(probs.sum())
-    missing = int(vocab_size - seen.sum())
+    missing = vocab_size - int(np.count_nonzero(seen))
     if missing > 0 and residual > 0.0:
         probs[~seen] = residual / missing
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # also rejects NaN and infinite totals
         raise BackendError(f"completed distribution sums to {total!r}, server logprobs inconsistent")
     return TokenDistribution.from_weights(probs)
 
@@ -79,6 +95,11 @@ class _HttpBase:
         self.eos_token_id: int | None = None
         self._session = requests.Session()
         self._gate = threading.Semaphore(endpoint.max_parallel)
+        # One response is parsed at a time. orjson builds about 16 MB of native
+        # document next to the 30 MB object tree of a 6 MB full-vocab body, so
+        # two overlapping parses raise peak memory by the size of one more.
+        # Serialising costs no throughput: orjson and np.fromiter hold the GIL.
+        self._parse_lock = threading.Lock()
         self._vocab_size: int | None = None
 
     @property
@@ -87,7 +108,12 @@ class _HttpBase:
             raise BackendError("vocab size unknown until the first server response")
         return self._vocab_size
 
-    def _post(self, route: str, payload: dict) -> dict:
+    def _post(self, route: str, payload: dict, read: Callable[[dict], _T]) -> _T:
+        """POST ``payload`` and return ``read`` of the parsed response.
+
+        Transport errors, 429, 5xx and unparsable bodies are retried with
+        backoff; other statuses and errors raised by ``read`` are not.
+        """
         url = self.endpoint.base_url.rstrip("/") + route
         last: Exception | None = None
         attempts = 0
@@ -96,14 +122,15 @@ class _HttpBase:
             try:
                 with self._gate:
                     resp = self._session.post(url, json=payload, timeout=self.endpoint.timeout_s)
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 or resp.status_code == 429:
                     raise requests.HTTPError(f"server error {resp.status_code}", response=resp)
                 if resp.status_code != 200:
                     raise BackendError(
                         f"{url} returned {resp.status_code}: {resp.text[:200]}", attempts=attempts
                     )
-                return resp.json()
-            except (requests.RequestException, ValueError) as exc:
+                with self._parse_lock:
+                    return read(orjson.loads(resp.content))
+            except (requests.RequestException, orjson.JSONDecodeError) as exc:
                 last = exc
                 if attempt < self.endpoint.retries:
                     time.sleep(_BACKOFF_S[min(attempt, len(_BACKOFF_S) - 1)])
@@ -119,24 +146,18 @@ class HttpBackend(_HttpBase):
 
     def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
         body = {"tokens": list(request.tokens), "top": self.endpoint.top}
-        data = self._post("/v1/next_logprobs", body)
-        try:
-            vocab = int(data["vocab_size"])
-            entries = [(int(e["id"]), float(e["logprob"])) for e in data["logprobs"]]
-        except (KeyError, TypeError) as exc:
-            raise BackendError(f"malformed next_logprobs response: {exc!r}") from exc
+        vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _read_next_logprobs)
         self._vocab_size = vocab
-        if "eos_token_id" in data and data["eos_token_id"] is not None:
-            self.eos_token_id = int(data["eos_token_id"])
-        return complete_distribution(entries, vocab)
+        if eos is not None:
+            self.eos_token_id = eos
+        return complete_distribution(ids, logprobs, vocab)
 
     def tokenize(self, text: str) -> list[int]:
-        data = self._post("/v1/tokenize", {"text": text})
-        return [int(t) for t in data["tokens"]]
+        return self._post("/v1/tokenize", {"text": text}, lambda data: [int(t) for t in data["tokens"]])
 
     def detokenize(self, tokens: Sequence[int]) -> str:
-        data = self._post("/v1/detokenize", {"tokens": [int(t) for t in tokens]})
-        return str(data["text"])
+        body = {"tokens": [int(t) for t in tokens]}
+        return self._post("/v1/detokenize", body, lambda data: str(data["text"]))
 
 
 class OpenAICompatBackend(_HttpBase):
@@ -163,10 +184,31 @@ class OpenAICompatBackend(_HttpBase):
             "logprobs": self._vocab_size if top == "full" else int(top),
             "echo": False,
         }
-        data = self._post("/v1/completions", body)
-        try:
-            table = data["choices"][0]["logprobs"]["top_logprobs"][0]
-            entries = [(int(token_id), float(lp)) for token_id, lp in table.items()]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed completion response: {exc!r}") from exc
-        return complete_distribution(entries, self._vocab_size)
+        ids, logprobs = self._post("/v1/completions", body, _read_top_logprobs)
+        return complete_distribution(ids, logprobs, self._vocab_size)
+
+
+def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.ndarray]:
+    """Vocab size, EOS id, and the id and logprob columns of a next_logprobs response."""
+    try:
+        vocab = int(data["vocab_size"])
+        eos = data.get("eos_token_id")
+        entries = data["logprobs"]
+        n = len(entries)
+        ids = np.fromiter(map(itemgetter("id"), entries), dtype=np.int64, count=n)
+        logprobs = np.fromiter(map(itemgetter("logprob"), entries), dtype=np.float64, count=n)
+        return vocab, None if eos is None else int(eos), ids, logprobs
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BackendError(f"malformed next_logprobs response: {exc!r}") from exc
+
+
+def _read_top_logprobs(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Id and logprob columns of the first position's ``top_logprobs`` table."""
+    try:
+        table = data["choices"][0]["logprobs"]["top_logprobs"][0]
+        n = len(table)
+        ids = np.fromiter(map(int, table), dtype=np.int64, count=n)
+        logprobs = np.fromiter(table.values(), dtype=np.float64, count=n)
+        return ids, logprobs
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise BackendError(f"malformed completion response: {exc!r}") from exc

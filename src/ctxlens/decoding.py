@@ -88,15 +88,19 @@ class DecodingStrategy:
         return f"adaptive:{self.eps:g}"
 
 
-def _sorted_ids(probs: np.ndarray) -> np.ndarray:
-    # Descending probability; stable sort keeps ascending token id on ties.
-    return np.argsort(-probs, kind="stable")
+def _keep_largest(probs: np.ndarray, desc: np.ndarray) -> TokenDistribution:
+    """Keep the ``len(desc)`` largest entries of ``probs`` and renormalize.
 
-
-def _keep(probs: np.ndarray, kept_ids: np.ndarray) -> TokenDistribution:
+    ``desc`` holds their values in descending order. Every id above the cut
+    value is kept, plus the lowest ids tied at it. The kept mass is summed in
+    descending order, so ties and rounding match a sort by (-prob, id).
+    """
+    cut = desc[-1]
+    keep = probs > cut
+    tied = np.flatnonzero(probs == cut)
+    keep[tied[: len(desc) - np.count_nonzero(keep)]] = True
     out = np.zeros_like(probs)
-    mass = probs[kept_ids].sum()
-    out[kept_ids] = probs[kept_ids] / mass
+    out[keep] = probs[keep] / desc.sum()
     out.flags.writeable = False
     return TokenDistribution(out)
 
@@ -104,19 +108,18 @@ def _keep(probs: np.ndarray, kept_ids: np.ndarray) -> TokenDistribution:
 def apply_strategy(dist: TokenDistribution, strategy: DecodingStrategy) -> TokenDistribution:
     """Truncate ``dist`` per ``strategy`` and renormalize the kept entries."""
     probs = dist.probs
-    order = _sorted_ids(probs)
     if strategy.kind == "greedy":
-        return _keep(probs, order[:1])
+        return TokenDistribution.point_mass(top1(dist), dist.vocab_size)
+    desc = np.sort(probs)[::-1]  # values only, in descending order
     if strategy.kind == "top_k":
-        k = min(strategy.k, dist.vocab_size)
-        return _keep(probs, order[:k])
-    if strategy.kind == "nucleus":
-        cum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(cum, strategy.p, side="left")) + 1
-        return _keep(probs, order[:cut])
-    # adaptive: every token with probability >= eps, at least the argmax
-    n = int((probs >= strategy.eps).sum())
-    return _keep(probs, order[: max(n, 1)])
+        n = min(strategy.k, dist.vocab_size)
+    elif strategy.kind == "nucleus":
+        # Rounding can leave the cumulative sum short of p = 1; keep everything then.
+        n = min(int(np.searchsorted(np.cumsum(desc), strategy.p, side="left")) + 1, dist.vocab_size)
+    else:
+        # adaptive: every token with probability >= eps, at least the argmax
+        n = max(int(np.count_nonzero(probs >= strategy.eps)), 1)
+    return _keep_largest(probs, desc[:n])
 
 
 def top1(dist: TokenDistribution) -> int:
@@ -128,8 +131,10 @@ def confidence(dist: TokenDistribution) -> float:
     """Gap between the two largest probabilities."""
     if dist.vocab_size < 2:
         raise VocabMismatch("confidence needs a vocab of at least 2")
-    two = np.partition(dist.probs, -2)[-2:]
-    return float(two[1] - two[0])
+    probs = dist.probs
+    i = int(np.argmax(probs))
+    second = max(probs[:i].max(initial=0.0), probs[i + 1 :].max(initial=0.0))
+    return float(probs[i] - second)
 
 
 def sample(dist: TokenDistribution, rng_seed: int) -> int:

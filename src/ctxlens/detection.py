@@ -9,6 +9,7 @@ diagnostics, and threshold selection (ROC, Youden) live here too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,9 +209,13 @@ def _rates_at(scored: Sequence[tuple[float, bool]], theta: float) -> tuple[float
 def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
     """Best threshold over midpoints of adjacent distinct scores plus open ends.
 
-    Ties on J resolve to the smallest threshold.
+    Ties on J resolve to the smallest threshold. Each class is sorted once,
+    and the count at or above each candidate is found by bisection, so the
+    sweep is O(n log n).
     """
-    if not any(is_long for _, is_long in scored) or not any(not is_long for _, is_long in scored):
+    pos = sorted(score for score, is_long in scored if is_long)
+    neg = sorted(score for score, is_long in scored if not is_long)
+    if not pos or not neg:
         raise InsufficientData("youden threshold needs both long and short examples")
     distinct = sorted({score for score, _ in scored})
     candidates = [-math.inf]
@@ -218,7 +223,8 @@ def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
     candidates.append(math.inf)
     best: YoudenPoint | None = None
     for theta in candidates:
-        tpr, fpr = _rates_at(scored, theta)
+        tpr = (len(pos) - bisect_left(pos, theta)) / len(pos)
+        fpr = (len(neg) - bisect_left(neg, theta)) / len(neg)
         j = tpr - fpr
         if best is None or j > best.j:
             best = YoudenPoint(theta=theta, j=j, tpr=tpr, fpr=fpr)

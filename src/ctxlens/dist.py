@@ -140,19 +140,21 @@ def kl(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> fl
     return val
 
 
+def _kl_to_midpoint(a: np.ndarray, b: np.ndarray) -> float:
+    """KL(a || (a + b) / 2), with the midpoint formed only on a's support."""
+    pos = a > 0.0
+    a = a[pos]
+    return float((a * np.log(a / ((a + b[pos]) / 2.0))).sum())
+
+
 def jsd(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> float:
     """Jensen-Shannon distance sqrt(KL(p1||q)/2 + KL(p2||q)/2), q the midpoint.
 
     Symmetric in its arguments by construction; bounded by sqrt(log 2).
     """
     _check_same_vocab(p1, p2)
-    a = p1.probs
-    b = p2.probs
-    q = (a + b) / 2.0
-    pos_a = a > 0.0
-    pos_b = b > 0.0
-    kl_a = float((a[pos_a] * np.log(a[pos_a] / q[pos_a])).sum())
-    kl_b = float((b[pos_b] * np.log(b[pos_b] / q[pos_b])).sum())
+    kl_a = _kl_to_midpoint(p1.probs, p2.probs)
+    kl_b = _kl_to_midpoint(p2.probs, p1.probs)
     sq = 0.5 * kl_a + 0.5 * kl_b
     if base != math.e:
         sq /= math.log(base)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import rand_dist
+from conftest import PROPERTY, dists, rand_dist
 from ctxlens.decoding import (
     DecodingStrategy,
     apply_strategy,
@@ -39,6 +41,43 @@ def brute_force_keep(probs, strategy):
     else:
         raise AssertionError(strategy.kind)
     return {t for t in kept if probs[t] > 0.0}
+
+
+def argsort_apply_strategy(dist, strategy):
+    """The full-vocab argsort implementation, kept as the bitwise reference."""
+    probs = dist.probs
+    order = np.argsort(-probs, kind="stable")
+    if strategy.kind == "greedy":
+        kept = order[:1]
+    elif strategy.kind == "top_k":
+        kept = order[: min(strategy.k, dist.vocab_size)]
+    elif strategy.kind == "nucleus":
+        cum = np.cumsum(probs[order])
+        kept = order[: int(np.searchsorted(cum, strategy.p, side="left")) + 1]
+    else:
+        kept = order[: max(int((probs >= strategy.eps).sum()), 1)]
+    out = np.zeros_like(probs)
+    out[kept] = probs[kept] / probs[kept].sum()
+    return TokenDistribution(out)
+
+
+@st.composite
+def dist_and_strategy(draw):
+    d = draw(dists())
+    kind = draw(st.sampled_from(["greedy", "top_k", "nucleus", "adaptive"]))
+    if kind == "greedy":
+        return d, DecodingStrategy.greedy()
+    if kind == "top_k":
+        return d, DecodingStrategy.top_k(draw(st.integers(1, d.vocab_size + 2)))
+    # Thresholds that equal an entry exercise the inclusive boundaries.
+    entries = [float(v) for v in np.unique(d.probs) if 0.0 < v < 1.0]
+    if kind == "nucleus":
+        p = st.one_of(st.sampled_from([0.3, 0.5, 0.9, 0.99, 1.0]), st.floats(1e-6, 1.0))
+        return d, DecodingStrategy.nucleus(draw(p))
+    eps = st.floats(1e-6, 1.0, exclude_max=True)
+    if entries:
+        eps = st.one_of(eps, st.sampled_from(entries))
+    return d, DecodingStrategy.adaptive(draw(eps))
 
 
 class TestStrategyParsing:
@@ -128,6 +167,22 @@ class TestApplyStrategy:
             for t in kept:
                 assert out.entry(t) == pytest.approx(d.entry(t) / mass, abs=1e-12)
 
+    @PROPERTY
+    @given(dist_and_strategy())
+    def test_bitwise_equal_to_argsort_reference(self, case):
+        d, strategy = case
+        out = apply_strategy(d, strategy)
+        assert out.same_values(argsort_apply_strategy(d, strategy))
+        assert not out.probs.flags.writeable
+
+    def test_nucleus_one_keeps_everything_when_the_cumsum_falls_short(self):
+        # These weights normalise to entries whose running sum ends below 1.0.
+        d = TokenDistribution.from_weights([0.1] * 10)
+        assert np.cumsum(np.sort(d.probs))[-1] < 1.0
+        out = apply_strategy(d, DecodingStrategy.nucleus(1.0))
+        assert out.support() == set(range(10))
+        assert out.same_values(argsort_apply_strategy(d, DecodingStrategy.nucleus(1.0)))
+
     def test_greedy_equals_top_one(self, rng):
         for _ in range(200):
             d = rand_dist(rng, int(rng.integers(2, 20)))
@@ -160,7 +215,19 @@ class TestApplyStrategy:
         assert twice.support() == {0}
 
 
+def partition_confidence(dist):
+    """The full-vocab partition implementation, kept as the bitwise reference."""
+    two = np.partition(dist.probs, -2)[-2:]
+    return float(two[1] - two[0])
+
+
 class TestTop1Confidence:
+    @PROPERTY
+    @given(dists())
+    def test_bitwise_equal_to_partition_reference(self, d):
+        if d.vocab_size >= 2:
+            assert confidence(d) == partition_confidence(d)
+
     def test_top1_tie_prefers_lower_id(self):
         d = TokenDistribution.from_probs([0.4, 0.4, 0.2])
         assert top1(d) == 0

@@ -3,11 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import PROPERTY
 
 from ctxlens.backends import ConstantBackend, PlantedDependencyBackend, SwitchBackend
 from ctxlens.decoding import DecodingStrategy
 from ctxlens.detection import (
     LONG,
+    YoudenPoint,
     SHORT,
     ContextLabel,
     LsdsConfig,
@@ -65,6 +70,30 @@ def brute_force_youden(scored):
         fpr = sum(1 for s, is_long in scored if not is_long and s >= theta) / n_neg
         best = max(best, tpr - fpr)
     return best
+
+
+def quadratic_youden(scored):
+    """The candidate-by-candidate rescan, kept as the reference for ``youden_threshold``."""
+    distinct = sorted({score for score, _ in scored})
+    candidates = [-math.inf]
+    candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
+    candidates.append(math.inf)
+    n_pos = sum(1 for _, is_long in scored if is_long)
+    n_neg = len(scored) - n_pos
+    best = None
+    for theta in candidates:
+        tpr = sum(1 for s, is_long in scored if is_long and s >= theta) / n_pos
+        fpr = sum(1 for s, is_long in scored if not is_long and s >= theta) / n_neg
+        if best is None or tpr - fpr > best.j:
+            best = YoudenPoint(theta=theta, j=tpr - fpr, tpr=tpr, fpr=fpr)
+    return best
+
+
+# Few levels give ties; adjacent floats give midpoints that round onto a score.
+_SCORES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5000000000000001, 0.49999999999999994]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestLsdsConfig:
@@ -285,6 +314,15 @@ class TestYouden:
                 continue
             point = youden_threshold(scored)
             assert point.j == pytest.approx(brute_force_youden(scored), abs=1e-12)
+
+    @PROPERTY
+    @given(
+        st.lists(st.tuples(_SCORES, st.booleans()), min_size=2, max_size=60).filter(
+            lambda scored: len({is_long for _, is_long in scored}) == 2
+        )
+    )
+    def test_identical_to_quadratic_reference(self, scored):
+        assert youden_threshold(scored) == quadratic_youden(scored)
 
     def test_indistinguishable_scores_give_zero_j(self):
         scored = [(0.4, True)] * 3 + [(0.4, False)] * 3

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import rand_dist
+from conftest import PROPERTY, dists, rand_dist
 from ctxlens.dist import (
     JSD_MAX,
     InsufficientData,
@@ -44,6 +46,35 @@ def _scalar_jsd(p, q):
     mid = [(pi + qi) / 2.0 for pi, qi in zip(p, q)]
     inner = 0.5 * _scalar_kl(p, mid) + 0.5 * _scalar_kl(q, mid)
     return math.sqrt(max(inner, 0.0))
+
+
+def full_vocab_jsd(p1, p2, base=math.e):
+    """The full-vocab implementation, kept as the bitwise reference."""
+    a = p1.probs
+    b = p2.probs
+    q = (a + b) / 2.0
+    pos_a = a > 0.0
+    pos_b = b > 0.0
+    kl_a = float((a[pos_a] * np.log(a[pos_a] / q[pos_a])).sum())
+    kl_b = float((b[pos_b] * np.log(b[pos_b] / q[pos_b])).sum())
+    sq = 0.5 * kl_a + 0.5 * kl_b
+    if base != math.e:
+        sq /= math.log(base)
+    return math.sqrt(max(sq, 0.0))
+
+
+@st.composite
+def dist_pairs(draw):
+    """Two distributions over one vocab: independent, overlapping, or truncated copies."""
+    p = draw(dists())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = gen.random(p.vocab_size)
+    weights[gen.random(p.vocab_size) < draw(st.sampled_from([0.0, 0.5, 0.99]))] = 0.0
+    if draw(st.booleans()):
+        weights = weights * (p.probs > 0.0)  # support inside p's
+    if weights.sum() == 0.0:
+        weights[int(gen.integers(p.vocab_size))] = 1.0
+    return p, TokenDistribution.from_weights(weights)
 
 
 class TestTokenDistribution:
@@ -179,6 +210,13 @@ class TestJsd:
             q = rand_dist(rng, vocab)
             r = rand_dist(rng, vocab)
             assert jsd(p, r) <= jsd(p, q) + jsd(q, r) + 1e-12
+
+    @PROPERTY
+    @given(dist_pairs(), st.sampled_from([math.e, 2.0]))
+    def test_bitwise_equal_to_full_vocab_reference(self, pair, base):
+        p, q = pair
+        assert jsd(p, q, base) == full_vocab_jsd(p, q, base)
+        assert jsd(q, p, base) == full_vocab_jsd(q, p, base)
 
     def test_base_two_variant(self):
         p = TokenDistribution.point_mass(0, vocab_size=2)

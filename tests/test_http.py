@@ -7,8 +7,14 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+import orjson
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
+from ctxlens.backends import http as http_module
 from ctxlens.backends import (
     BackendEndpoint,
     BackendRequest,
@@ -17,6 +23,7 @@ from ctxlens.backends import (
     complete_distribution,
 )
 from ctxlens.detection import LONG, lsd_lcl_oracle_label
+from ctxlens.dist import TokenDistribution
 from ctxlens.errors import BackendError, VocabMismatch
 from ctxlens.probe import PrefixGrid, mcl
 
@@ -87,15 +94,41 @@ def _backend(url, **kwargs):
     return HttpBackend(BackendEndpoint(base_url=url, timeout_s=5.0, **kwargs))
 
 
+def columns(entries):
+    """Split (id, logprob) pairs into the id and logprob columns."""
+    return [i for i, _ in entries], [lp for _, lp in entries]
+
+
+def math_exp_complete(entries, vocab_size):
+    """The per-entry ``math.exp`` loop, kept as the reference for ``complete_distribution``."""
+    probs = np.zeros(vocab_size, dtype=np.float64)
+    seen = np.zeros(vocab_size, dtype=bool)
+    for token_id, logprob in entries:
+        probs[token_id] = math.exp(logprob)
+        seen[token_id] = True
+    residual = 1.0 - float(probs.sum())
+    missing = int(vocab_size - seen.sum())
+    if missing > 0 and residual > 0.0:
+        probs[~seen] = residual / missing
+    return TokenDistribution.from_weights(probs)
+
+
+# np.exp and math.exp may differ by 1 ulp per entry. That bounds the relative
+# error of each returned entry by a few float64 eps, and the absolute error of
+# the residual (1 minus a sum of at most 1) by a few eps as well.
+EXP_RTOL = 1e-14
+EXP_ATOL = 16 * np.finfo(np.float64).eps
+
+
 class TestCompleteDistribution:
     def test_full_entries(self):
         entries = [(i, math.log(p)) for i, p in enumerate([0.4, 0.3, 0.2, 0.1])]
-        d = complete_distribution(entries, 4)
+        d = complete_distribution(*columns(entries), 4)
         assert d.probs == pytest.approx([0.4, 0.3, 0.2, 0.1], abs=1e-12)
 
     def test_residual_spread_uniformly(self):
         entries = [(2, math.log(0.6)), (0, math.log(0.3))]
-        d = complete_distribution(entries, 5)
+        d = complete_distribution(*columns(entries), 5)
         assert d.entry(2) == pytest.approx(0.6, abs=1e-9)
         assert d.entry(0) == pytest.approx(0.3, abs=1e-9)
         for t in (1, 3, 4):
@@ -105,16 +138,37 @@ class TestCompleteDistribution:
     def test_inconsistent_mass_rejected(self):
         entries = [(0, math.log(0.8)), (1, math.log(0.8))]
         with pytest.raises(BackendError):
-            complete_distribution(entries, 4)
+            complete_distribution(*columns(entries), 4)
 
     def test_out_of_vocab_id_rejected(self):
         with pytest.raises(BackendError):
-            complete_distribution([(9, math.log(0.5))], 4)
+            complete_distribution(*columns([(9, math.log(0.5))]), 4)
 
     def test_top_entries_covering_everything(self):
         entries = [(0, math.log(0.5)), (1, math.log(0.5))]
-        d = complete_distribution(entries, 2)
+        d = complete_distribution(*columns(entries), 2)
         assert d.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 800.0])
+    def test_non_finite_total_rejected(self, bad):
+        with pytest.raises(BackendError):
+            complete_distribution([0, 1], [math.log(0.5), bad], 3)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(BackendError):
+            complete_distribution([-1], [0.0], 4)
+
+    @PROPERTY
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_matches_math_exp_loop(self, vocab, seed, share):
+        gen = np.random.default_rng(seed)
+        probs = gen.random(vocab) ** 8
+        probs /= probs.sum()
+        sent = gen.permutation(vocab)[: max(1, int(share * vocab))]
+        entries = [(int(t), math.log(probs[t])) for t in sent]
+        want = math_exp_complete(entries, vocab)
+        got = complete_distribution(*columns(entries), vocab)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=EXP_RTOL, atol=EXP_ATOL)
 
 
 class TestProbesOnFreshBackend:
@@ -213,6 +267,18 @@ class TestHttpBackend:
             # Two backoffs happened: 0.1s then 0.2s.
             assert elapsed >= 0.3
 
+    def test_retries_429_like_a_5xx(self):
+        def route(body, n):
+            if n == 1:
+                return 429, {"error": "rate limited"}
+            return 200, {"logprobs": full_logprobs([1.0]), "vocab_size": 1}
+
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = route
+            d = _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+            assert d.entry(0) == 1.0
+            assert srv.hits["/v1/next_logprobs"] == 2
+
     def test_gives_up_after_four_attempts(self):
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (503, {"error": "down"})
@@ -237,6 +303,65 @@ class TestHttpBackend:
             with pytest.raises(BackendError) as err:
                 b.next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
             assert err.value.attempts == 4
+
+    @pytest.mark.parametrize(
+        "logprob, hits",
+        [
+            # Not RFC 8259 JSON: unparsable, so retried like any broken body.
+            (b"NaN", 4),
+            (b"Infinity", 4),
+            # Parsed, then rejected without a retry.
+            (b'"-0.5x"', 1),
+            (b"800.0", 1),
+            (b"null", 1),
+        ],
+    )
+    def test_malformed_logprob_values_are_backend_errors(self, logprob, hits):
+        raw = b'{"vocab_size": 2, "logprobs": [{"id": 0, "logprob": -0.1}, {"id": 1, "logprob": %s}]}'
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw % logprob)
+            with pytest.raises(BackendError):
+                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+            assert srv.hits["/v1/next_logprobs"] == hits
+
+    def test_responses_are_parsed_one_at_a_time(self, monkeypatch):
+        # A slow parse that sleeps releases the GIL, so only the lock keeps parses apart.
+        state = {"inflight": 0, "max": 0}
+        guard = threading.Lock()
+        loads = orjson.loads
+
+        def slow_loads(raw):
+            with guard:
+                state["inflight"] += 1
+                state["max"] = max(state["max"], state["inflight"])
+            time.sleep(0.02)
+            with guard:
+                state["inflight"] -= 1
+            return loads(raw)
+
+        monkeypatch.setattr(http_module.orjson, "loads", slow_loads)
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (
+                200,
+                {"logprobs": full_logprobs([0.5, 0.5]), "vocab_size": 2},
+            )
+            b = _backend(srv.url, max_parallel=4)
+            results = []
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: results.append(
+                        b.next_token_distribution(BackendRequest(tokens=(i,), full_length=1))
+                    )
+                )
+                for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        assert state["max"] == 1
 
     def test_connection_refused_maps_to_backend_error(self):
         b = HttpBackend(BackendEndpoint(base_url="http://127.0.0.1:9", timeout_s=0.2))
