@@ -18,19 +18,29 @@ carries them is retried like any other unparsable body and then ends in
 sending a logprob of ``-Infinity``; the residual rule covers them.
 Probabilities are ``np.exp`` of the logprobs, which can differ from
 ``math.exp`` in the last digit.
+
+The client is ``http.client`` over a small pool of keep-alive connections.
+It reads no proxy environment variables, follows no redirects (a 3xx ends
+in :class:`BackendError`), asks for identity encoding only and sends no
+credentials embedded in the URL. HTTPS verifies against the system trust
+store through ``ssl.create_default_context()``.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import selectors
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 import numpy as np
 import orjson
-import requests
 
 from ..dist import TokenDistribution
 from ..errors import BackendError
@@ -56,6 +66,10 @@ class BackendEndpoint:
             raise ValueError("top must be an integer or 'full'")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url {self.base_url!r} needs an http:// or https:// scheme and a host")
+        url.port  # raises ValueError on a malformed port
 
 
 def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int) -> TokenDistribution:
@@ -87,13 +101,36 @@ def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int
     return TokenDistribution.from_weights(probs)
 
 
+class _ServerBusy(http.client.HTTPException):
+    """A 429 or 5xx reply, retried with backoff; ``retry_after`` is the server's numeric wait."""
+
+    def __init__(self, status: int, retry_after: float | None):
+        super().__init__(f"server error {status}")
+        self.retry_after = retry_after
+
+
 class _HttpBase:
     truncation = "suffix"
 
     def __init__(self, endpoint: BackendEndpoint):
         self.endpoint = endpoint
         self.eos_token_id: int | None = None
-        self._session = requests.Session()
+        url = urlsplit(endpoint.base_url)
+        self._prefix = url.path.rstrip("/")
+        if url.scheme == "https":
+            context = ssl.create_default_context()
+            self._connect = lambda: http.client.HTTPSConnection(
+                url.hostname, url.port, timeout=endpoint.timeout_s, context=context
+            )
+        else:
+            self._connect = lambda: http.client.HTTPConnection(
+                url.hostname, url.port, timeout=endpoint.timeout_s
+            )
+        # Idle keep-alive connections. A request holds the gate from taking a
+        # connection until it is back in the pool, so the pool never holds more
+        # than max_parallel connections.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._pool_lock = threading.Lock()
         self._gate = threading.Semaphore(endpoint.max_parallel)
         # One response is parsed at a time. orjson builds about 16 MB of native
         # document next to the 30 MB object tree of a 6 MB full-vocab body, so
@@ -108,33 +145,89 @@ class _HttpBase:
             raise BackendError("vocab size unknown until the first server response")
         return self._vocab_size
 
+    def close(self) -> None:
+        """Close the idle connections; a later request opens new ones."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        with self._pool_lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _closed_by_peer(conn):
+                    return conn
+                conn.close()
+        return self._connect()
+
+    def _roundtrip(self, route: str, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one request on a pooled connection; return the response and its whole body."""
+        with self._gate:
+            conn = self._checkout()
+            try:
+                conn.request("POST", self._prefix + route, body, {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                raw = resp.read()
+            except BaseException:
+                conn.close()
+                raise
+            if resp.will_close:
+                conn.close()
+            else:
+                with self._pool_lock:
+                    self._idle.append(conn)
+        return resp, raw
+
     def _post(self, route: str, payload: dict, read: Callable[[dict], _T]) -> _T:
         """POST ``payload`` and return ``read`` of the parsed response.
 
         Transport errors, 429, 5xx and unparsable bodies are retried with
-        backoff; other statuses and errors raised by ``read`` are not.
+        backoff, or after a longer numeric ``Retry-After`` of a 429 or 503
+        (at most ``timeout_s``); other statuses and errors raised by ``read``
+        are not.
         """
         url = self.endpoint.base_url.rstrip("/") + route
+        body = json.dumps(payload, allow_nan=False).encode()
         last: Exception | None = None
         attempts = 0
         for attempt in range(self.endpoint.retries + 1):
             attempts += 1
             try:
-                with self._gate:
-                    resp = self._session.post(url, json=payload, timeout=self.endpoint.timeout_s)
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    raise requests.HTTPError(f"server error {resp.status_code}", response=resp)
-                if resp.status_code != 200:
-                    raise BackendError(
-                        f"{url} returned {resp.status_code}: {resp.text[:200]}", attempts=attempts
-                    )
+                resp, raw = self._roundtrip(route, body)
+                if resp.status >= 500 or resp.status == 429:
+                    raise _ServerBusy(resp.status, _retry_after(resp))
+                if resp.status != 200:
+                    text = raw.decode("utf-8", "replace")[:200]
+                    raise BackendError(f"{url} returned {resp.status}: {text}", attempts=attempts)
                 with self._parse_lock:
-                    return read(orjson.loads(resp.content))
-            except (requests.RequestException, orjson.JSONDecodeError) as exc:
+                    return read(orjson.loads(raw))
+            except (OSError, http.client.HTTPException, orjson.JSONDecodeError) as exc:
                 last = exc
                 if attempt < self.endpoint.retries:
-                    time.sleep(_BACKOFF_S[min(attempt, len(_BACKOFF_S) - 1)])
+                    delay = _BACKOFF_S[min(attempt, len(_BACKOFF_S) - 1)]
+                    if isinstance(exc, _ServerBusy) and exc.retry_after is not None:
+                        delay = max(delay, min(exc.retry_after, self.endpoint.timeout_s))
+                    time.sleep(delay)
         raise BackendError(f"{url} failed after {attempts} attempts: {last}", attempts=attempts, cause=last)
+
+
+def _closed_by_peer(conn: http.client.HTTPConnection) -> bool:
+    """True if an idle connection's socket is readable: the server closed it (or sent stray bytes)."""
+    if conn.sock is None:
+        return True
+    with selectors.DefaultSelector() as sel:
+        sel.register(conn.sock, selectors.EVENT_READ)
+        return bool(sel.select(0))
+
+
+def _retry_after(resp: http.client.HTTPResponse) -> float | None:
+    """The seconds of a numeric ``Retry-After`` on a 429 or 503; None for an HTTP date or none."""
+    value = (resp.getheader("Retry-After") or "").strip()
+    if resp.status in (429, 503) and value.isascii() and value.isdigit():
+        return float(value)
+    return None
 
 
 class HttpBackend(_HttpBase):

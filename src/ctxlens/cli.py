@@ -214,18 +214,26 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def build_backend(spec: str | None):
+def build_backend(spec: str | None, parallel: int):
+    """The backend a spec names; an HTTP client keeps up to ``parallel`` calls in flight."""
     if spec is None:
         url = os.environ.get(ENV_BACKEND_URL)
         if not url:
             raise UsageError(f"no backend: pass --backend or set {ENV_BACKEND_URL}")
         spec = url if url.startswith(("http://", "https://")) else f"http:{url}"
+
+    def endpoint(url: str, **kwargs) -> BackendEndpoint:
+        try:
+            return BackendEndpoint(base_url=url, max_parallel=max(1, parallel), **kwargs)
+        except ValueError as exc:
+            raise UsageError(f"bad backend spec {spec!r}: {exc}") from None
+
     if spec.startswith("mock:"):
         backend = parse_mock_spec(spec[len("mock:") :])
     elif spec.startswith(("http://", "https://")):
-        backend = HttpBackend(BackendEndpoint(base_url=spec))
+        backend = HttpBackend(endpoint(spec))
     elif spec.startswith("http:"):
-        backend = HttpBackend(BackendEndpoint(base_url=spec[len("http:") :]))
+        backend = HttpBackend(endpoint(spec[len("http:") :]))
     elif spec.startswith("openai:"):
         rest = spec[len("openai:") :]
         url, _, params = rest.partition(",")
@@ -233,7 +241,7 @@ def build_backend(spec: str | None):
         if "vocab" not in kv:
             raise UsageError("openai backend needs vocab=N (vocab size is not discoverable)")
         backend = OpenAICompatBackend(
-            BackendEndpoint(base_url=url, top=int(kv.get("top", 50))),
+            endpoint(url, top=int(kv.get("top", 50))),
             model=kv.get("model", "default"),
             vocab_size=int(kv["vocab"]),
         )
@@ -334,7 +342,7 @@ def _fit_payload(fit):
 
 
 def cmd_mcl(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, warnings = _load_input_sequences(args, backend)
@@ -390,7 +398,7 @@ def cmd_mcl(args) -> int:
 
 
 def cmd_damcl(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, warnings = _load_input_sequences(args, backend)
@@ -473,7 +481,7 @@ def _oracle_label_fn(args):
 
 
 def cmd_detect(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, _ = load_sequences_jsonl(args.corpus)
@@ -540,7 +548,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.method == "taboo" and args.lam is None:
@@ -656,7 +664,7 @@ def _load_golds(path: str) -> dict[str, str]:
 
 
 def cmd_bench(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lengths = [int(x) for x in args.lengths.split(",") if x]
@@ -744,7 +752,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    backend = build_backend(args.backend)
+    backend = build_backend(args.backend, args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = _tokenizer_of(backend)

@@ -77,7 +77,7 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
             try:
                 rec = json.loads(line)
                 doc_id = str(rec["id"])
-                tokens = tuple(int(t) for t in rec["tokens"]) if "tokens" in rec else None
+                tokens = tuple(map(int, rec["tokens"])) if "tokens" in rec else None
                 text = rec.get("text")
                 if tokens is None and text is None:
                     raise KeyError("need 'text' or 'tokens'")
@@ -102,7 +102,7 @@ def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[d
                 continue
             try:
                 rec = json.loads(line)
-                tokens = tuple(int(t) for t in rec["tokens"])
+                tokens = tuple(map(int, rec["tokens"]))
                 if not tokens:
                     raise ValueError("empty token sequence")
                 bucket = rec.get("bucket") or (len(tokens), len(tokens) + 1)

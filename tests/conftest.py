@@ -1,4 +1,7 @@
+import collections
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -57,3 +60,75 @@ def write_jsonl(path, records):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class FakeModelServer:
+    """Tiny threaded HTTP server whose routes are plain callables.
+
+    A route gets the parsed request body and the 1-based hit count for its
+    path, and returns (status, payload) or (status, payload, headers). A bytes
+    payload is sent verbatim, which lets tests serve broken JSON.
+
+    By default the server speaks HTTP/1.0 and closes each connection after
+    its response. With ``keep_alive_s`` it speaks HTTP/1.1 and closes a
+    connection once it has been idle that many seconds. ``peers`` holds the
+    client address of every connection that sent a request.
+    """
+
+    def __init__(self, keep_alive_s: float | None = None):
+        self.keep_alive_s = keep_alive_s
+        self.routes = {}
+        self.hits = collections.Counter()
+        self.bodies = collections.defaultdict(list)
+        self.peers = set()
+        self.inflight = 0
+        self.max_inflight = 0
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            if outer.keep_alive_s is not None:
+                protocol_version = "HTTP/1.1"
+                timeout = outer.keep_alive_s
+
+            def do_POST(self):
+                with outer._lock:
+                    outer.inflight += 1
+                    outer.max_inflight = max(outer.max_inflight, outer.inflight)
+                try:
+                    n = int(self.headers.get("Content-Length") or 0)
+                    body = json.loads(self.rfile.read(n) or b"{}")
+                    with outer._lock:
+                        outer.hits[self.path] += 1
+                        count = outer.hits[self.path]
+                        outer.bodies[self.path].append(body)
+                        outer.peers.add(self.client_address)
+                    fn = outer.routes.get(self.path)
+                    status, payload, *headers = (404, {"error": "no route"}) if fn is None else fn(body, count)
+                    raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(raw)))
+                    for name, value in (headers[0] if headers else {}).items():
+                        self.send_header(name, value)
+                    self.end_headers()
+                    self.wfile.write(raw)
+                finally:
+                    with outer._lock:
+                        outer.inflight -= 1
+
+            def log_message(self, *args):
+                pass
+
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._httpd.server_port}"
+        return self
+
+    def __exit__(self, *exc):
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join()

@@ -1,12 +1,14 @@
 """End-to-end command line runs against mock backends in temp directories."""
 
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 
 import ctxlens.cli as cli
-from conftest import write_jsonl
+from conftest import FakeModelServer, write_jsonl
 from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
 from ctxlens.dist import TokenDistribution
 from ctxlens.reporting import read_report
@@ -172,7 +174,7 @@ class TestMclCommand:
         flaky = FlakyBackend(
             PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=30
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
         code = run(
             ["mcl", "--backend", "unused", "--corpus", str(corpus), "--out", str(out)]
         )
@@ -499,7 +501,7 @@ class TestGenerateCommand:
         flaky = FlakyBackend(
             ConstantBackend(TokenDistribution.point_mass(1, vocab_size=4)), fail_after=2
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
         out = tmp_path / "out"
         code = run(
             [
@@ -530,7 +532,7 @@ class TestUpstreamCalls:
     @pytest.fixture
     def backend(self, monkeypatch):
         mock = PlantedLastTokenBackend(vocab_size=256, answer_token=5)
-        monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
         return mock
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
@@ -576,7 +578,7 @@ class TestUpstreamCalls:
         prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": list(range(40))}])
         for n_samples in (1, 2):
             mock = ConstantBackend(TokenDistribution.point_mass(1, vocab_size=8))
-            monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
+            monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
             argv = [
                 "generate", "--backend", "unused", "--prompts", str(prompts), "--method", method,
                 "--lam", "2", "--max-new", "5", "--n-samples", str(n_samples),
@@ -844,6 +846,41 @@ class TestConfigAndEnvironment:
             ["bench", "--lengths", "100", "--out", str(tmp_path / "out")]
         )
         assert code == 1
+
+
+class TestHttpBackendSpec:
+    @staticmethod
+    def uniform(body, n):
+        return 200, {"logprobs": [{"id": i, "logprob": math.log(1 / 3)} for i in range(3)], "vocab_size": 3}
+
+    def test_parallel_reaches_the_http_client(self, tmp_path):
+        # Six unconfident sequences: each costs one gate call, and all six can be in flight at once.
+        records = [{"seq_id": f"s{i}", "tokens": [1] * 40, "next_token": 0} for i in range(6)]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        with FakeModelServer() as srv:
+
+            def wait_for_six(body, n):
+                deadline = time.monotonic() + 2.0
+                while srv.inflight < 6 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                return self.uniform(body, n)
+
+            srv.routes["/v1/next_logprobs"] = wait_for_six
+            argv = ["mcl", "--backend", srv.url, "--corpus", str(corpus), "--parallel", "6"]
+            assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+            assert srv.hits["/v1/next_logprobs"] == 6
+            assert srv.max_inflight == 6
+
+    @pytest.mark.parametrize("address", ["localhost:{port}", "127.0.0.1:{port}"])
+    def test_spec_without_scheme_is_usage_error(self, tmp_path, capsys, address):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = self.uniform
+            spec = "http:" + address.format(port=srv.url.rsplit(":", 1)[1])
+            code = run(["mcl", "--backend", spec, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert sum(srv.hits.values()) == 0
+        assert "scheme" in capsys.readouterr().err
 
 
 class TestTopLevelInterface:

@@ -1,11 +1,12 @@
 """HTTP backend client against an in-process fake model server."""
 
-import collections
-import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PROPERTY
+from conftest import PROPERTY, FakeModelServer
 from ctxlens.backends import http as http_module
 from ctxlens.backends import (
     BackendEndpoint,
@@ -26,64 +27,6 @@ from ctxlens.detection import LONG, lsd_lcl_oracle_label
 from ctxlens.dist import TokenDistribution
 from ctxlens.errors import BackendError, VocabMismatch
 from ctxlens.probe import PrefixGrid, mcl
-
-
-class FakeModelServer:
-    """Tiny threaded HTTP server whose routes are plain callables.
-
-    A route gets the parsed request body and the 1-based hit count for its
-    path, and returns (status, payload). A bytes payload is sent verbatim,
-    which lets tests serve broken JSON.
-    """
-
-    def __init__(self):
-        self.routes = {}
-        self.hits = collections.Counter()
-        self.bodies = collections.defaultdict(list)
-        self.inflight = 0
-        self.max_inflight = 0
-        self._lock = threading.Lock()
-
-    def __enter__(self):
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                with outer._lock:
-                    outer.inflight += 1
-                    outer.max_inflight = max(outer.max_inflight, outer.inflight)
-                try:
-                    n = int(self.headers.get("Content-Length") or 0)
-                    body = json.loads(self.rfile.read(n) or b"{}")
-                    with outer._lock:
-                        outer.hits[self.path] += 1
-                        count = outer.hits[self.path]
-                        outer.bodies[self.path].append(body)
-                    fn = outer.routes.get(self.path)
-                    status, payload = (404, {"error": "no route"}) if fn is None else fn(body, count)
-                    raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(raw)))
-                    self.end_headers()
-                    self.wfile.write(raw)
-                finally:
-                    with outer._lock:
-                        outer.inflight -= 1
-
-            def log_message(self, *args):
-                pass
-
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        self.url = f"http://127.0.0.1:{self._httpd.server_port}"
-        return self
-
-    def __exit__(self, *exc):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join()
 
 
 def full_logprobs(probs):
@@ -279,6 +222,42 @@ class TestHttpBackend:
             assert d.entry(0) == 1.0
             assert srv.hits["/v1/next_logprobs"] == 2
 
+    def test_numeric_retry_after_is_honoured(self):
+        def route(body, n):
+            if n == 1:
+                return 429, {"error": "rate limited"}, {"Retry-After": "1"}
+            return 200, {"logprobs": full_logprobs([1.0]), "vocab_size": 1}
+
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = route
+            start = time.perf_counter()
+            d = _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+            elapsed = time.perf_counter() - start
+            assert d.entry(0) == 1.0
+            assert srv.hits["/v1/next_logprobs"] == 2
+            assert elapsed >= 1.0
+
+    @pytest.mark.parametrize(
+        "status, retry_after, waits",
+        [
+            (503, "0", [0.1, 0.2, 0.4]),  # shorter than the backoff
+            (503, "2", [2.0, 2.0, 2.0]),
+            (429, "60", [5.0, 5.0, 5.0]),  # capped at timeout_s
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", [0.1, 0.2, 0.4]),  # HTTP date: plain backoff
+            (503, "1.5", [0.1, 0.2, 0.4]),  # not delay-seconds
+            (500, "2", [0.1, 0.2, 0.4]),  # only 429 and 503 carry it
+        ],
+    )
+    def test_retry_after_sets_the_wait(self, monkeypatch, status, retry_after, waits):
+        slept = []
+        monkeypatch.setattr(http_module.time, "sleep", slept.append)
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (status, {}, {"Retry-After": retry_after})
+            with pytest.raises(BackendError) as err:
+                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+        assert err.value.attempts == 4
+        assert slept == waits
+
     def test_gives_up_after_four_attempts(self):
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (503, {"error": "down"})
@@ -287,6 +266,34 @@ class TestHttpBackend:
                 b.next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
             assert srv.hits["/v1/next_logprobs"] == 4
             assert err.value.attempts == 4
+
+    def test_redirects_are_not_followed(self):
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (307, b"moved", {"Location": "/elsewhere"})
+            with pytest.raises(BackendError, match="returned 307: moved"):
+                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+            assert srv.hits["/v1/next_logprobs"] == 1
+
+    def test_request_body_is_json_dumps_bytes(self, monkeypatch):
+        sent = []
+        request = http_module.http.client.HTTPConnection.request
+
+        def spy(conn, method, url, body=None, headers={}, **kwargs):
+            sent.append((method, url, body, dict(headers)))
+            return request(conn, method, url, body, headers, **kwargs)
+
+        monkeypatch.setattr(http_module.http.client.HTTPConnection, "request", spy)
+        with FakeModelServer() as srv:
+            srv.routes["/v1/detokenize"] = lambda body, n: (200, {"text": "x"})
+            _backend(srv.url).detokenize([1, 2])
+        assert sent == [("POST", "/v1/detokenize", b'{"tokens": [1, 2]}', {"Content-Type": "application/json"})]
+
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000", "127.0.0.1:8000", "ftp://host/", "http://", "http://host:port", "/v1"]
+    )
+    def test_endpoint_needs_an_http_scheme_and_a_host(self, url):
+        with pytest.raises(ValueError):
+            BackendEndpoint(base_url=url)
 
     def test_client_errors_do_not_retry(self):
         with FakeModelServer() as srv:
@@ -406,6 +413,83 @@ class TestHttpBackend:
                 t.join()
             assert srv.hits["/v1/next_logprobs"] == 8
             assert srv.max_inflight <= 2
+
+
+def one_token(body, n):
+    """A point mass on the request's first token, so each reply names its request."""
+    return 200, {"logprobs": [{"id": body["tokens"][0], "logprob": 0.0}], "vocab_size": 1000}
+
+
+class TestConnectionPool:
+    def test_server_closed_idle_connection_costs_no_attempt(self, monkeypatch):
+        with FakeModelServer(keep_alive_s=0.2) as srv:
+            srv.routes["/v1/next_logprobs"] = one_token
+            b = _backend(srv.url)
+            b.next_token_distribution(BackendRequest(tokens=(1,), full_length=1))
+            time.sleep(0.5)  # the server drops the idle connection after 0.2 s
+            slept = []
+            monkeypatch.setattr(http_module.time, "sleep", slept.append)
+            d = b.next_token_distribution(BackendRequest(tokens=(2,), full_length=1))
+            b.close()
+        assert d.entry(2) == 1.0
+        assert slept == []
+        assert srv.hits["/v1/next_logprobs"] == 2
+        assert len(srv.peers) == 2
+
+    def test_keep_alive_reuses_one_connection(self):
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = one_token
+            b = _backend(srv.url)
+            for t in range(5):
+                b.next_token_distribution(BackendRequest(tokens=(t,), full_length=1))
+            b.close()
+        assert srv.hits["/v1/next_logprobs"] == 5
+        assert len(srv.peers) == 1
+
+    def test_base_url_path_prefix_is_kept(self):
+        with FakeModelServer() as srv:
+            srv.routes["/api/v1/next_logprobs"] = one_token
+            b = _backend(srv.url + "/api/")
+            assert b.next_token_distribution(BackendRequest(tokens=(3,), full_length=1)).entry(3) == 1.0
+
+    def test_threads_never_share_a_connection(self):
+        n_threads, n_calls = 8, 25
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = one_token
+            b = _backend(srv.url, max_parallel=3)
+            mismatches = []
+
+            def worker(k):
+                for i in range(n_calls):
+                    token = k * n_calls + i
+                    d = b.next_token_distribution(BackendRequest(tokens=(token,), full_length=1))
+                    if d.entry(token) != 1.0:
+                        mismatches.append(token)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            b.close()
+        assert mismatches == []
+        assert srv.hits["/v1/next_logprobs"] == n_threads * n_calls
+        assert srv.max_inflight <= 3
+        assert len(srv.peers) <= 3
+
+    def test_import_leaves_requests_out(self):
+        src = str(Path(http_module.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, ctxlens.cli; print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestOpenAICompatBackend:
