@@ -11,16 +11,9 @@ from ..errors import SequenceTooShort
 
 @dataclass(frozen=True)
 class BackendRequest:
-    """One next-token query.
-
-    ``tokens`` is the (possibly truncated) context actually shown to the
-    model. ``full_length`` records the length of the original sequence so
-    backends that support masked truncation could honor it; the backends
-    shipped here condition on the literal suffix only.
-    """
+    """One next-token query: ``tokens`` is the context actually shown to the model."""
 
     tokens: tuple[int, ...]
-    full_length: int
 
 
 @runtime_checkable
@@ -66,4 +59,4 @@ def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDi
     if not 1 <= ell <= n:
         raise SequenceTooShort(f"prefix length {ell} outside [1, {n}]")
     suffix = tuple(int(t) for t in s[n - ell :])
-    return backend.next_token_distribution(BackendRequest(tokens=suffix, full_length=n))
+    return backend.next_token_distribution(BackendRequest(tokens=suffix))

@@ -8,7 +8,8 @@ overhead timing), ``score`` (text metrics), ``synth`` (synthetic corpora).
 Exit codes: 0 success, 1 usage error, 2 backend failure, 3 data error.
 Backends come from ``--backend`` (``mock:...`` or ``http:URL``) or the
 ``CTXLENS_BACKEND_URL`` environment variable. Output files are documented
-in SCHEMAS.md; reruns with the same seed and mock backend are byte-stable.
+under "File formats" in README.md; reruns with the same seed and mock
+backend are byte-stable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -67,7 +69,7 @@ from .errors import (
     StrategyError,
     UsageError,
 )
-from .probe import METRIC_NAMES, PrefixGrid, accepts, damcl, mcl, mcl_histogram
+from .probe import GRID_MODES, METRIC_NAMES, PrefixGrid, accepts, damcl, mcl, mcl_histogram
 from .reporting import ConfusionMatrix, Histogram, aggregate_share, append_jsonl, write_report, write_text
 from .textmetrics import score_all, summarize
 
@@ -118,7 +120,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--strategies", default="nucleus:0.9", help="comma-separated decoding strategies")
     p.add_argument("--metric", choices=METRIC_NAMES, default="jsd")
     p.add_argument("--epsilons", default="0.1,0.2", help="comma-separated thresholds")
-    p.add_argument("--grid-mode", choices=("percentile", "fixed_step", "fixed_50"), default="percentile")
+    p.add_argument("--grid-mode", choices=GRID_MODES, default="percentile")
     p.add_argument("--grid-start", type=int, default=32)
     p.add_argument("--grid-step", type=int, default=16)
     p.set_defaults(func=cmd_damcl)
@@ -278,6 +280,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise UsageError(f"bad {flag} value {text!r}") from None
     if not values:
         raise UsageError(f"{flag} needs at least one value")
+    if any(math.isnan(v) for v in values):
+        raise UsageError(f"{flag} values must not be nan")
     return values
 
 
@@ -407,14 +411,16 @@ def cmd_damcl(args) -> int:
     if not strategies:
         raise UsageError("--strategies needs at least one strategy")
     epsilons = _parse_float_list(args.epsilons, "--epsilons")
+    floor = min(epsilons)
     grid = PrefixGrid(start=args.grid_start, step=args.grid_step, mode=args.grid_mode)
     combos = [(strategy, eps) for strategy in strategies for eps in epsilons]
     slugs = [f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}" for strategy, eps in combos]
 
     def probe_one(sample):
-        """Every strategy x epsilon combination of one sequence, on one memo."""
+        """Every combination of one sequence, cut from one walk per strategy at the smallest epsilon."""
         memo = CachedBackend(backend)
-        return [damcl(sample.tokens, strategy, args.metric, eps, grid, memo) for strategy, eps in combos]
+        walks = [damcl(sample.tokens, strategy, args.metric, floor, grid, memo) for strategy in strategies]
+        return [walk.at_epsilon(eps) for walk in walks for eps in epsilons]
 
     results = [[] for _ in combos]
     with contextlib.ExitStack() as stack:
@@ -565,9 +571,8 @@ def cmd_generate(args) -> int:
     prompts = []
     for doc in rows:
         tokens = list(doc.tokens) if doc.tokens is not None else tokenizer.tokenize(doc.text)
-        prompts.append((doc.doc_id, tokens))
-    prompts.sort(key=lambda pair: pair[0])
-    golds = _load_golds(args.prompts)
+        prompts.append((doc.doc_id, tokens, doc.gold))
+    prompts.sort(key=lambda prompt: prompt[0])
 
     had_error = False
     per_prompt_scores: dict[str, list[dict[str, float]]] = {}
@@ -584,7 +589,7 @@ def cmd_generate(args) -> int:
 
     def generate_prompt(item):
         """All samples of one prompt, on one memo."""
-        p_idx, (_, tokens) = item
+        p_idx, (_, tokens, _) = item
         memo = CachedBackend(backend)
         return [
             generate(
@@ -601,7 +606,7 @@ def cmd_generate(args) -> int:
 
     with (out / "generations.jsonl").open("w", encoding="utf-8") as fh:
         runner = _run_ordered(enumerate(prompts), generate_prompt, args.parallel)
-        for (prompt_id, _), results in zip(prompts, runner):
+        for (prompt_id, _, gold), results in zip(prompts, runner):
             for k, result in enumerate(results):
                 text = tokenizer.detokenize(result.tokens)
                 record = {
@@ -614,7 +619,6 @@ def cmd_generate(args) -> int:
                 append_jsonl(fh, record)
                 if result.error is not None:
                     had_error = True
-                gold = golds.get(prompt_id)
                 if gold is not None:
                     per_prompt_scores.setdefault(prompt_id, []).append(score_all(text, gold))
 
@@ -646,21 +650,6 @@ def cmd_generate(args) -> int:
         },
     )
     return EXIT_BACKEND if had_error else EXIT_OK
-
-
-def _load_golds(path: str) -> dict[str, str]:
-    golds: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if "id" in rec and rec.get("gold") is not None:
-                golds[str(rec["id"])] = str(rec["gold"])
-    return golds
 
 
 def cmd_bench(args) -> int:

@@ -35,6 +35,7 @@ class Document:
     doc_id: str
     text: str | None = None
     tokens: tuple[int, ...] | None = None
+    gold: str | None = None  # reference continuation, for generate prompts
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class SequenceSample:
 
 
 def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
-    """Read documents ({"id", "text"} or {"id", "tokens"}) in file order.
+    """Read documents ({"id", "text"} or {"id", "tokens"}, optional "gold") in file order.
 
     Malformed lines are returned as error records, not dropped silently. A
     file with no valid documents is an error.
@@ -81,7 +82,8 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
                 text = rec.get("text")
                 if tokens is None and text is None:
                     raise KeyError("need 'text' or 'tokens'")
-                docs.append(Document(doc_id=doc_id, text=text, tokens=tokens))
+                gold = None if rec.get("gold") is None else str(rec["gold"])
+                docs.append(Document(doc_id=doc_id, text=text, tokens=tokens, gold=gold))
             except (ValueError, KeyError, TypeError) as exc:
                 errors.append({"line": lineno, "error": str(exc)})
     if not docs:

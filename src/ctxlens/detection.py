@@ -9,7 +9,7 @@ diagnostics, and threshold selection (ROC, Youden) live here too.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,27 +165,21 @@ def scenario(t_hat: int, boosted: SupportSet, full_dist: TokenDistribution) -> s
     return "worst"
 
 
-def roc_auc(scored: Sequence[tuple[float, bool]]) -> float:
-    """Probability a random long sequence outscores a random short one; ties count half."""
+def _by_class(scored: Sequence[tuple[float, bool]], what: str) -> tuple[list[float], list[float]]:
+    """Sorted scores of the long and of the short examples; counts at a threshold are bisections."""
     pos = sorted(score for score, is_long in scored if is_long)
     neg = sorted(score for score, is_long in scored if not is_long)
     if not pos or not neg:
-        raise InsufficientData("roc_auc needs both long and short examples")
-    # Midrank formulation: rank-sum of positives within the pooled sample.
-    pooled = sorted((score, 1 if is_long else 0) for score, is_long in scored)
-    n = len(pooled)
-    rank_sum_pos = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and pooled[j][0] == pooled[i][0]:
-            j += 1
-        midrank = (i + 1 + j) / 2.0  # average of ranks i+1..j
-        rank_sum_pos += midrank * sum(flag for _, flag in pooled[i:j])
-        i = j
-    n_pos = len(pos)
-    n_neg = len(neg)
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        raise InsufficientData(f"{what} needs both long and short examples")
+    return pos, neg
+
+
+def roc_auc(scored: Sequence[tuple[float, bool]]) -> float:
+    """Probability a random long sequence outscores a random short one; ties count half."""
+    pos, neg = _by_class(scored, "roc_auc")
+    # Twice the wins of each positive: shorts strictly below it, twice, plus shorts tied with it.
+    twice_wins = sum(bisect_left(neg, score) + bisect_right(neg, score) for score in pos)
+    return (twice_wins / 2.0) / (len(pos) * len(neg))
 
 
 @dataclass(frozen=True)
@@ -198,14 +192,6 @@ class YoudenPoint:
     fpr: float
 
 
-def _rates_at(scored: Sequence[tuple[float, bool]], theta: float) -> tuple[float, float]:
-    n_pos = sum(1 for _, is_long in scored if is_long)
-    n_neg = len(scored) - n_pos
-    tp = sum(1 for score, is_long in scored if is_long and score >= theta)
-    fp = sum(1 for score, is_long in scored if not is_long and score >= theta)
-    return tp / n_pos, fp / n_neg
-
-
 def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
     """Best threshold over midpoints of adjacent distinct scores plus open ends.
 
@@ -213,10 +199,7 @@ def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
     and the count at or above each candidate is found by bisection, so the
     sweep is O(n log n).
     """
-    pos = sorted(score for score, is_long in scored if is_long)
-    neg = sorted(score for score, is_long in scored if not is_long)
-    if not pos or not neg:
-        raise InsufficientData("youden threshold needs both long and short examples")
+    pos, neg = _by_class(scored, "youden threshold")
     distinct = sorted({score for score, _ in scored})
     candidates = [-math.inf]
     candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
@@ -233,12 +216,12 @@ def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
 
 def tau_sweep(scored: Sequence[tuple[float, bool]], taus: Sequence[float]) -> list[dict]:
     """TPR/FPR/J and accuracy of the ``score >= tau`` rule at each requested tau."""
+    pos, neg = _by_class(scored, "tau sweep")
     rows = []
-    n = len(scored)
     for tau in taus:
-        tpr, fpr = _rates_at(scored, tau)
-        correct = sum(1 for score, is_long in scored if (score >= tau) == is_long)
-        rows.append(
-            {"tau": tau, "tpr": tpr, "fpr": fpr, "j": tpr - fpr, "accuracy": correct / n}
-        )
+        tp = len(pos) - bisect_left(pos, tau)
+        fp = len(neg) - bisect_left(neg, tau)
+        tpr, fpr = tp / len(pos), fp / len(neg)
+        accuracy = (tp + len(neg) - fp) / len(scored)
+        rows.append({"tau": tau, "tpr": tpr, "fpr": fpr, "j": tpr - fpr, "accuracy": accuracy})
     return rows

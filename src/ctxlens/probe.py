@@ -10,7 +10,7 @@ sequence, so it always resolves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .decoding import DecodingStrategy, apply_strategy, confidence, top1
@@ -24,44 +24,37 @@ from .errors import (
 )
 from .backends import Backend, prefix_distribution
 
-GRID_MODES = ("fixed_step", "percentile", "fixed_50")
+GRID_MODES = ("fixed_step", "percentile")
 
-_DEFAULT_PERCENTILES = tuple((i + 1) / 10 for i in range(10))
+#: Fractions of the sequence length that the percentile grid probes.
+PERCENTILES = tuple((i + 1) / 10 for i in range(10))
 
 
 @dataclass(frozen=True)
 class PrefixGrid:
     """Suffix lengths to probe, always ending at the full sequence length.
 
-    ``fixed_step`` walks start, start+step, ...; ``fixed_50`` is the same
-    with a 50-token step; ``percentile`` takes fractions of the sequence
-    length (ceil), deduplicated.
+    ``fixed_step`` walks start, start+step, ...; ``percentile`` takes the
+    ``PERCENTILES`` of the sequence length (ceil), deduplicated.
     """
 
     start: int = 32
     step: int = 16
     mode: str = "fixed_step"
-    percentiles: tuple[float, ...] = _DEFAULT_PERCENTILES
 
     def __post_init__(self):
         if self.mode not in GRID_MODES:
             raise StrategyError(f"unknown grid mode {self.mode!r}")
         if self.start < 1 or self.step < 1:
             raise StrategyError("grid start and step must be >= 1")
-        if self.mode == "percentile":
-            if not self.percentiles or any(not 0.0 < p <= 1.0 for p in self.percentiles):
-                raise StrategyError("percentiles must lie in (0, 1]")
-            if list(self.percentiles) != sorted(self.percentiles):
-                raise StrategyError("percentiles must be ascending")
 
     def points(self, seq_len: int) -> list[int]:
         if seq_len < 1:
             raise SequenceTooShort("sequence must have at least one token")
         if self.mode == "percentile":
-            ells = sorted({max(1, math.ceil(p * seq_len)) for p in self.percentiles})
+            ells = sorted({math.ceil(p * seq_len) for p in PERCENTILES})
         else:
-            step = 50 if self.mode == "fixed_50" else self.step
-            ells = list(range(self.start, seq_len + 1, step)) if seq_len >= self.start else []
+            ells = list(range(self.start, seq_len + 1, self.step))
         if not ells or ells[-1] != seq_len:
             ells.append(seq_len)
         return ells
@@ -81,13 +74,22 @@ class ProbeResult:
     def resolved(self) -> bool:
         return self.resolved_length is not None
 
+    def at_epsilon(self, eps: float) -> ProbeResult:
+        """This damcl probe at a looser ``eps``, cut at the trace's first value <= ``eps``.
+
+        A walk stops at the first crossing of its own threshold, so its trace
+        holds the first crossing of every larger epsilon as well.
+        """
+        if self.kind != "damcl":
+            raise StrategyError("only a damcl probe can be resolved at another epsilon")
+        if eps < self.threshold:
+            raise StrategyError(f"epsilon {eps} is below the walk's threshold {self.threshold}")
+        for i, (ell, value) in enumerate(self.trace):
+            if value <= eps:
+                return replace(self, resolved_length=ell, trace=self.trace[: i + 1], threshold=eps)
+        return replace(self, threshold=eps)
+
     def to_record(self, seq_id: str) -> dict:
-        trace = []
-        for ell, value in self.trace:
-            if isinstance(value, tuple):
-                trace.append([ell, [value[0], value[1]]])
-            else:
-                trace.append([ell, value])
         return {
             "seq_id": seq_id,
             "kind": self.kind,
@@ -95,8 +97,30 @@ class ProbeResult:
             "length": self.resolved_length,
             "grid": list(self.grid_points),
             "threshold": self.threshold,
-            "trace": trace,
+            "trace": list(self.trace),
         }
+
+
+def _walk(
+    kind: str, s: Sequence[int], grid: PrefixGrid, backend: Backend,
+    measure: Callable, stop: Callable, threshold: float,
+) -> ProbeResult:
+    """Fetch the grid points in order, tracing ``(ell, measure(dist))``, up to the first ``stop``.
+
+    A backend failure carries the trace so far as ``partial_trace``.
+    """
+    points = grid.points(len(s))
+    trace: list[tuple] = []
+    for ell in points:
+        try:
+            dist = prefix_distribution(s, ell, backend)
+        except BackendError as err:
+            err.partial_trace = trace
+            raise
+        trace.append((ell, measure(dist)))
+        if stop(trace[-1][1]):
+            return ProbeResult(kind, ell, tuple(trace), tuple(points), threshold)
+    return ProbeResult(kind, None, tuple(trace), tuple(points), threshold)
 
 
 def accepts(dist: TokenDistribution, t: int, delta: float) -> bool:
@@ -104,13 +128,7 @@ def accepts(dist: TokenDistribution, t: int, delta: float) -> bool:
     return top1(dist) == t and confidence(dist) >= delta
 
 
-def mcl(
-    s: Sequence[int],
-    t: int,
-    delta: float,
-    grid: PrefixGrid,
-    backend: Backend,
-) -> ProbeResult:
+def mcl(s: Sequence[int], t: int, delta: float, grid: PrefixGrid, backend: Backend) -> ProbeResult:
     """Smallest grid suffix length whose top prediction is ``t`` with confidence >= ``delta``.
 
     Unresolved (no grid point accepts) is a legitimate outcome, returned as
@@ -122,30 +140,13 @@ def mcl(
         raise StrategyError("delta must be >= 0")
     if grid.mode != "percentile" and len(s) < grid.start:
         raise SequenceTooShort(f"sequence length {len(s)} below grid start {grid.start}")
-    points = grid.points(len(s))
-    trace: list[tuple] = []
-    resolved = None
-    for ell in points:
-        try:
-            dist = prefix_distribution(s, ell, backend)
-        except BackendError as err:
-            err.partial_trace = trace
-            raise
+
+    def measure(dist: TokenDistribution) -> tuple[int, float]:
         if not 0 <= t < dist.vocab_size:
             raise VocabMismatch(f"target token {t} outside vocab {dist.vocab_size}")
-        tk = top1(dist)
-        cf = confidence(dist)
-        trace.append((ell, (tk, cf)))
-        if tk == t and cf >= delta:
-            resolved = ell
-            break
-    return ProbeResult(
-        kind="mcl",
-        resolved_length=resolved,
-        trace=tuple(trace),
-        grid_points=tuple(points),
-        threshold=delta,
-    )
+        return top1(dist), confidence(dist)
+
+    return _walk("mcl", s, grid, backend, measure, lambda v: v[0] == t and v[1] >= delta, delta)
 
 
 _METRICS: dict[str, Callable[[TokenDistribution, TokenDistribution], float]] = {
@@ -166,45 +167,26 @@ def divergence_metric(name: str) -> Callable[[TokenDistribution, TokenDistributi
 
 
 def damcl(
-    s: Sequence[int],
-    strategy: DecodingStrategy,
-    metric: str,
-    epsilon: float,
-    grid: PrefixGrid,
-    backend: Backend,
+    s: Sequence[int], strategy: DecodingStrategy, metric: str, epsilon: float,
+    grid: PrefixGrid, backend: Backend,
 ) -> ProbeResult:
     """Smallest grid suffix length whose decoded distribution is within ``epsilon``.
 
     The divergence is measured against the decoded full-context distribution
     (computed once). The final grid point is the full sequence, where every
     metric is zero, so the probe always resolves; the whole trace is kept so
-    non-monotone divergence profiles stay observable.
+    non-monotone divergence profiles stay observable. ``at_epsilon`` reads
+    the result at any larger epsilon without walking again.
     """
     if epsilon < 0:
         raise StrategyError("epsilon must be >= 0")
     fn = divergence_metric(metric)
-    points = grid.points(len(s))
     reference = apply_strategy(prefix_distribution(s, len(s), backend), strategy)
-    trace: list[tuple] = []
-    resolved = None
-    for ell in points:
-        try:
-            decoded = apply_strategy(prefix_distribution(s, ell, backend), strategy)
-        except BackendError as err:
-            err.partial_trace = trace
-            raise
-        value = fn(decoded, reference)
-        trace.append((ell, float(value)))
-        if value <= epsilon:
-            resolved = ell
-            break
-    return ProbeResult(
-        kind="damcl",
-        resolved_length=resolved,
-        trace=tuple(trace),
-        grid_points=tuple(points),
-        threshold=epsilon,
-    )
+
+    def measure(dist: TokenDistribution) -> float:
+        return float(fn(apply_strategy(dist, strategy), reference))
+
+    return _walk("damcl", s, grid, backend, measure, lambda v: v <= epsilon, epsilon)
 
 
 def mcl_histogram(results: Sequence[ProbeResult]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:

@@ -1,7 +1,7 @@
 """Run artifacts: histograms, confusion matrices, shares, and atomic JSON reports.
 
 Every JSON report embeds the schema version so downstream readers can check
-compatibility; file formats are documented in SCHEMAS.md at the repo root.
+compatibility; file formats are documented under "File formats" in README.md.
 """
 
 from __future__ import annotations

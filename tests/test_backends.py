@@ -21,8 +21,8 @@ from ctxlens.dist import TokenDistribution
 from ctxlens.errors import BackendError, UsageError
 
 
-def _req(tokens, full_length=None):
-    return BackendRequest(tokens=tuple(tokens), full_length=full_length or len(tokens))
+def _req(tokens):
+    return BackendRequest(tokens=tuple(tokens))
 
 
 class TestConstantBackend:
@@ -94,7 +94,6 @@ class TestPrefixDistribution:
         s = (5, 6, 7, 8)
         prefix_distribution(s, 2, Recorder())
         assert seen[0].tokens == (7, 8)
-        assert seen[0].full_length == 4
 
     def test_rejects_out_of_range_lengths(self):
         b = ConstantBackend(TokenDistribution.uniform(2))

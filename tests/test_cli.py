@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import ctxlens.cli as cli
 from conftest import FakeModelServer, write_jsonl
 from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
+from ctxlens.decoding import apply_strategy
 from ctxlens.dist import TokenDistribution
 from ctxlens.reporting import read_report
 
@@ -274,6 +276,23 @@ class TestDamclCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan"])
+    def test_negative_or_nan_epsilon_is_usage_error(self, tmp_path, epsilons):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
+        argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--epsilons", epsilons]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+
+    def test_fixed_50_is_a_step_not_a_mode(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
+        argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--grid-mode"]
+        assert run([*argv, "fixed_50", "--out", str(tmp_path / "bad")]) == 1
+        out = tmp_path / "out"
+        assert run([*argv, "fixed_step", "--grid-step", "50", "--out", str(out)]) == 0
+        summary = read_report(out / "damcl_summary.json")
+        assert summary["grid"] == {"mode": "fixed_step", "start": 32, "step": 50}
+        (record,) = read_jsonl(out / "damcl_nucleus-0.9_jsd_eps0.1.jsonl")
+        assert record["grid"] == [32, 82, 132, 182, 232, 282, 300]
 
 
 class TestDetectCommand:
@@ -545,8 +564,17 @@ class TestUpstreamCalls:
         assert backend.calls == 1
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
-    def test_damcl_fetches_each_grid_point_once_for_all_combos(self, tmp_path, backend, parallel):
+    def test_damcl_fetches_each_grid_point_once_for_all_combos(self, tmp_path, backend, monkeypatch, parallel):
         # Percentile grid over 100 tokens: 10, 20, ..., 100. Depth 35 resolves at 40, depth 80 at 80.
+        decodes = []
+        lock = threading.Lock()
+
+        def counted(dist, strategy):
+            with lock:
+                decodes.append(strategy)
+            return apply_strategy(dist, strategy)
+
+        monkeypatch.setattr("ctxlens.probe.apply_strategy", counted)
         records = [
             {"seq_id": f"s{i}", "tokens": [1] * 99 + [depth], "next_token": 5}
             for i, depth in enumerate((35, 80))
@@ -562,6 +590,8 @@ class TestUpstreamCalls:
             assert [r["length"] for r in read_jsonl(path)] == [40, 80]
         assert len(list(out.glob("damcl_*.jsonl"))) == 4
         assert backend.calls == (1 + 4) + (1 + 8)
+        # Each strategy decodes the reference and every point it walks once, for both epsilons.
+        assert len(decodes) == 2 * ((1 + 4) + (1 + 8))
 
     @pytest.mark.parametrize("oracle", ["planted", "lsd_lcl"])
     def test_detect_two_per_position(self, tmp_path, backend, oracle):

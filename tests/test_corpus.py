@@ -47,6 +47,19 @@ class TestLoadJsonl:
         assert docs[1].tokens == (1, 2, 3)
         assert errors == []
 
+    def test_gold_is_kept_as_text(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "prompts.jsonl",
+            [
+                {"id": "a", "tokens": [1], "gold": "the answer"},
+                {"id": "b", "tokens": [2], "gold": 42},
+                {"id": "c", "tokens": [3], "gold": None},
+                {"id": "d", "tokens": [4]},
+            ],
+        )
+        docs, _ = load_jsonl(path)
+        assert [d.gold for d in docs] == ["the answer", "42", None, None]
+
     def test_malformed_lines_become_error_records(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(

@@ -89,10 +89,48 @@ def quadratic_youden(scored):
     return best
 
 
+def midrank_auc(scored):
+    """The pooled midrank formulation, kept as the reference for ``roc_auc``."""
+    pooled = sorted((score, 1 if is_long else 0) for score, is_long in scored)
+    n = len(pooled)
+    rank_sum_pos = 0.0
+    i = 0
+    while i < n:
+        j = i
+        while j < n and pooled[j][0] == pooled[i][0]:
+            j += 1
+        midrank = (i + 1 + j) / 2.0  # average of ranks i+1..j
+        rank_sum_pos += midrank * sum(flag for _, flag in pooled[i:j])
+        i = j
+    n_pos = sum(flag for _, flag in pooled)
+    n_neg = n - n_pos
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def recount_tau_sweep(scored, taus):
+    """The full recount at each tau, kept as the reference for ``tau_sweep``."""
+    n_pos = sum(1 for _, is_long in scored if is_long)
+    n_neg = len(scored) - n_pos
+    rows = []
+    for tau in taus:
+        tpr = sum(1 for s, is_long in scored if is_long and s >= tau) / n_pos
+        fpr = sum(1 for s, is_long in scored if not is_long and s >= tau) / n_neg
+        correct = sum(1 for s, is_long in scored if (s >= tau) == is_long)
+        rows.append(
+            {"tau": tau, "tpr": tpr, "fpr": fpr, "j": tpr - fpr, "accuracy": correct / len(scored)}
+        )
+    return rows
+
+
 # Few levels give ties; adjacent floats give midpoints that round onto a score.
 _SCORES = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5000000000000001, 0.49999999999999994]),
     st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: Labelled scores holding both classes.
+_SCORED = st.lists(st.tuples(_SCORES, st.booleans()), min_size=2, max_size=60).filter(
+    lambda scored: len({is_long for _, is_long in scored}) == 2
 )
 
 
@@ -280,6 +318,11 @@ class TestRocAuc:
                 continue
             assert roc_auc(scored) == pytest.approx(brute_force_auc(scored), abs=1e-12)
 
+    @PROPERTY
+    @given(_SCORED)
+    def test_identical_to_midrank_reference(self, scored):
+        assert roc_auc(scored) == midrank_auc(scored)
+
     def test_invariant_under_monotone_transform(self, rng):
         scored = [(float(rng.random()), bool(rng.integers(0, 2))) for _ in range(50)]
         scored[0] = (scored[0][0], True)
@@ -316,11 +359,7 @@ class TestYouden:
             assert point.j == pytest.approx(brute_force_youden(scored), abs=1e-12)
 
     @PROPERTY
-    @given(
-        st.lists(st.tuples(_SCORES, st.booleans()), min_size=2, max_size=60).filter(
-            lambda scored: len({is_long for _, is_long in scored}) == 2
-        )
-    )
+    @given(_SCORED)
     def test_identical_to_quadratic_reference(self, scored):
         assert youden_threshold(scored) == quadratic_youden(scored)
 
@@ -356,3 +395,12 @@ class TestTauSweep:
         assert rows[1]["tpr"] == 0.5
         assert rows[1]["fpr"] == 0.0
         assert rows[1]["accuracy"] == 0.75
+
+    @PROPERTY
+    @given(_SCORED, st.lists(st.one_of(_SCORES, st.sampled_from([-math.inf, math.inf])), max_size=8))
+    def test_identical_to_recount_reference(self, scored, taus):
+        assert tau_sweep(scored, taus) == recount_tau_sweep(scored, taus)
+
+    def test_single_class_rejected(self):
+        with pytest.raises(InsufficientData):
+            tau_sweep([(0.5, True), (0.6, True)], [0.5])

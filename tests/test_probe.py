@@ -9,6 +9,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import PROPERTY
 
 from ctxlens.backends import (
     BackendRequest,
@@ -16,8 +20,9 @@ from ctxlens.backends import (
     FlakyBackend,
     PlantedDependencyBackend,
     SwitchBackend,
+    prefix_distribution,
 )
-from ctxlens.decoding import DecodingStrategy
+from ctxlens.decoding import DecodingStrategy, apply_strategy
 from ctxlens.dist import TokenDistribution
 from ctxlens.errors import (
     BackendError,
@@ -27,6 +32,7 @@ from ctxlens.errors import (
     VocabMismatch,
 )
 from ctxlens.probe import (
+    METRIC_NAMES,
     PrefixGrid,
     ProbeResult,
     accepts,
@@ -70,6 +76,42 @@ def answer_dist(vocab, token, conf):
     return TokenDistribution.from_weights(probs)
 
 
+def damcl_reference(s, strategy, metric, epsilon, grid, backend):
+    """The separate damcl walk the probe ran for each epsilon before walks were shared."""
+    fn = divergence_metric(metric)
+    points = grid.points(len(s))
+    reference = apply_strategy(prefix_distribution(s, len(s), backend), strategy)
+    trace = []
+    resolved = None
+    for ell in points:
+        value = fn(apply_strategy(prefix_distribution(s, ell, backend), strategy), reference)
+        trace.append((ell, float(value)))
+        if value <= epsilon:
+            resolved = ell
+            break
+    return ProbeResult(
+        kind="damcl",
+        resolved_length=resolved,
+        trace=tuple(trace),
+        grid_points=tuple(points),
+        threshold=epsilon,
+    )
+
+
+@st.composite
+def staged_backends(draw):
+    """Up to four length bands over one small vocab; weights from a few levels, so ties and zeros occur."""
+    vocab = draw(st.integers(2, 6))
+    level = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    stages = []
+    for min_len in [0] + draw(st.lists(st.integers(1, 120), max_size=3, unique=True)):
+        weights = draw(st.lists(level, min_size=vocab, max_size=vocab))
+        if sum(weights) == 0.0:
+            weights[0] = 1.0
+        stages.append((min_len, TokenDistribution.from_weights(weights)))
+    return StagedBackend(stages)
+
+
 def first_grid_point_at_or_past(d_star, start=32, step=16):
     if d_star <= start:
         return start
@@ -98,7 +140,7 @@ class TestPrefixGrid:
         assert grid.points(5) == [1, 2, 3, 4, 5]
 
     def test_fixed_50_step(self):
-        grid = PrefixGrid(mode="fixed_50")
+        grid = PrefixGrid(step=50)
         assert grid.points(200) == [32, 82, 132, 182, 200]
 
     def test_invalid_configs(self):
@@ -106,10 +148,6 @@ class TestPrefixGrid:
             PrefixGrid(mode="wat")
         with pytest.raises(StrategyError):
             PrefixGrid(start=0)
-        with pytest.raises(StrategyError):
-            PrefixGrid(mode="percentile", percentiles=(0.5, 0.2))
-        with pytest.raises(StrategyError):
-            PrefixGrid(mode="percentile", percentiles=(0.0, 1.0))
 
 
 class TestAccepts:
@@ -298,6 +336,61 @@ class TestDamcl:
         b = ConstantBackend(TokenDistribution.uniform(4))
         res = damcl([1] * 10, KEEP_ALL, "jsd", 0.0, PrefixGrid(mode="percentile"), b)
         assert res.resolved_length == 1
+
+    def test_backend_failure_carries_partial_trace(self):
+        p1 = TokenDistribution.from_probs([0.5, 0.5, 0.0])
+        p2 = TokenDistribution.from_probs([0.25, 0.25, 0.5])
+        # The reference call and grid point 50 succeed; grid point 100 fails.
+        b = FlakyBackend(SwitchBackend(cutoff=100, below=p1, at_or_above=p2), fail_after=2)
+        with pytest.raises(BackendError) as err:
+            damcl([1] * 200, KEEP_ALL, "jsd", 0.1, PrefixGrid(start=50, step=50), b)
+        assert err.value.partial_trace == [(50, JSD_HALF_VS_QUARTER)]
+
+
+class TestAtEpsilon:
+    @PROPERTY
+    @given(
+        backend=staged_backends(),
+        seq_len=st.integers(1, 150),
+        grid=st.one_of(
+            st.just(PrefixGrid(mode="percentile")),
+            st.builds(PrefixGrid, start=st.integers(1, 60), step=st.integers(1, 40)),
+        ),
+        strategy=st.sampled_from(
+            [KEEP_ALL, NUCLEUS, DecodingStrategy.greedy(), DecodingStrategy.parse("topk:2")]
+        ),
+        metric=st.sampled_from(METRIC_NAMES),
+        epsilons=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.1, 0.2, math.inf]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_one_walk_matches_a_walk_per_epsilon(self, backend, seq_len, grid, strategy, metric, epsilons):
+        s = [1] * seq_len
+        walk = damcl(s, strategy, metric, min(epsilons), grid, backend)
+        # Every traced value is an epsilon where the cut lands exactly on a crossing.
+        cuts = epsilons + [value for _, value in walk.trace if value >= walk.threshold]
+        for eps in cuts:
+            got = walk.at_epsilon(eps)
+            want = damcl_reference(s, strategy, metric, eps, grid, backend)
+            assert got.resolved_length == want.resolved_length
+            assert got.trace == want.trace
+            assert got.grid_points == want.grid_points
+            assert got.threshold == want.threshold
+
+    def test_below_the_walks_threshold_is_rejected(self):
+        b = ConstantBackend(TokenDistribution.uniform(4))
+        walk = damcl([1] * 100, KEEP_ALL, "jsd", 0.2, PrefixGrid(), b)
+        assert walk.at_epsilon(0.2) == walk
+        with pytest.raises(StrategyError):
+            walk.at_epsilon(0.1)
+
+    def test_mcl_result_is_rejected(self):
+        b = PlantedDependencyBackend(vocab_size=50, dependency_length=40, answer_token=5)
+        res = mcl([1] * 100, t=5, delta=0.2, grid=PrefixGrid(), backend=b)
+        with pytest.raises(StrategyError):
+            res.at_epsilon(0.5)
 
 
 class TestMclHistogram:
