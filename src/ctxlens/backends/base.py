@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -58,5 +59,9 @@ def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDi
     n = len(s)
     if not 1 <= ell <= n:
         raise SequenceTooShort(f"prefix length {ell} outside [1, {n}]")
-    suffix = tuple(int(t) for t in s[n - ell :])
+    tail = s[n - ell :]
+    if isinstance(tail, array) and tail.typecode == "i":
+        suffix = tuple(tail.tolist())  # the library's token type converts in one C call
+    else:
+        suffix = tuple(int(t) for t in tail)
     return backend.next_token_distribution(BackendRequest(tokens=suffix))

@@ -9,6 +9,7 @@ contrast-based baseline (``cad_step``) and the sampling loop live here too.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -140,16 +141,20 @@ def cad_step(
 
 @dataclass
 class GenerationResult:
-    """Sampled tokens plus per-step reports; ``error`` is set on mid-run backend failure."""
+    """Sampled tokens plus one step record each; ``error`` is set on mid-run backend failure.
+
+    ``steps`` holds ``BoostReport.to_record()`` dicts, built as each step is
+    taken, so no vocab-sized distribution outlives its step.
+    """
 
     tokens: list[int] = field(default_factory=list)
-    reports: list[BoostReport] = field(default_factory=list)
+    steps: list[dict] = field(default_factory=list)
     error: str | None = None
 
     def to_record(self) -> dict:
         return {
             "tokens": list(self.tokens),
-            "steps": [r.to_record() for r in self.reports],
+            "steps": self.steps,
             "error": self.error,
         }
 
@@ -173,7 +178,7 @@ def generate(
     if method not in GENERATION_METHODS:
         raise StrategyError(f"unknown generation method {method!r}")
     result = GenerationResult()
-    ctx = [int(t) for t in prompt]
+    ctx = array("i", prompt)
     for step in range(max_new):
         try:
             if method == "taboo":
@@ -193,7 +198,7 @@ def generate(
             result.error = str(err)
             break
         token = sample(post, derive_seed(seed, step))
-        result.reports.append(replace(report, step=step, chosen=token))
+        result.steps.append(replace(report, step=step, chosen=token).to_record())
         result.tokens.append(token)
         ctx.append(token)
         if backend.eos_token_id is not None and token == backend.eos_token_id:

@@ -570,7 +570,7 @@ def cmd_generate(args) -> int:
     rows, errors = load_jsonl(args.prompts)
     prompts = []
     for doc in rows:
-        tokens = list(doc.tokens) if doc.tokens is not None else tokenizer.tokenize(doc.text)
+        tokens = doc.tokens if doc.tokens is not None else tokenizer.tokenize(doc.text)
         prompts.append((doc.doc_id, tokens, doc.gold))
     prompts.sort(key=lambda prompt: prompt[0])
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .backends import Tokenizer
 from .detection import LONG, SHORT, ContextLabel
@@ -32,27 +34,40 @@ NEEDLE_QUERY = "The magic number mentioned in the provided text is"
 
 @dataclass(frozen=True)
 class Document:
+    """One corpus row or prompt; ``tokens`` is copied into an ``array('i')`` like ``SequenceSample``'s."""
+
     doc_id: str
     text: str | None = None
-    tokens: tuple[int, ...] | None = None
+    tokens: array | None = None
     gold: str | None = None  # reference continuation, for generate prompts
+
+    def __post_init__(self):
+        if self.tokens is not None:
+            object.__setattr__(self, "tokens", array("i", self.tokens))
 
 
 @dataclass(frozen=True)
 class SequenceSample:
-    """One probe-ready sequence: tokens, optional ground truth, and provenance."""
+    """One probe-ready sequence: tokens, optional ground truth, and provenance.
+
+    ``tokens`` is copied into a 4-byte ``array('i')`` on construction. A
+    non-integer id raises TypeError, one outside int32 OverflowError.
+    """
 
     seq_id: str
-    tokens: tuple[int, ...]
+    tokens: array
     next_token: int | None
     doc_id: str
     bucket: tuple[int, int]
     label: str | None = None  # planted short/long label, when the generator knows it
 
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", array("i", self.tokens))
+
     def to_record(self) -> dict:
         return {
             "seq_id": self.seq_id,
-            "tokens": list(self.tokens),
+            "tokens": self.tokens.tolist(),
             "next_token": self.next_token,
             "doc_id": self.doc_id,
             "bucket": list(self.bucket),
@@ -63,28 +78,29 @@ class SequenceSample:
 def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
     """Read documents ({"id", "text"} or {"id", "tokens"}, optional "gold") in file order.
 
-    Malformed lines are returned as error records, not dropped silently. A
-    file with no valid documents is an error.
+    Lines are parsed as strict JSON. Malformed lines, and token ids that are
+    not int32 integers, are returned as error records, not dropped silently.
+    A file with no valid documents is an error.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
     docs: list[Document] = []
     errors: list[dict] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = orjson.loads(line)
                 doc_id = str(rec["id"])
-                tokens = tuple(map(int, rec["tokens"])) if "tokens" in rec else None
+                tokens = array("i", rec["tokens"]) if "tokens" in rec else None
                 text = rec.get("text")
                 if tokens is None and text is None:
                     raise KeyError("need 'text' or 'tokens'")
                 gold = None if rec.get("gold") is None else str(rec["gold"])
                 docs.append(Document(doc_id=doc_id, text=text, tokens=tokens, gold=gold))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 errors.append({"line": lineno, "error": str(exc)})
     if not docs:
         raise DataError(f"no valid documents in {path}")
@@ -92,19 +108,19 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
 
 
 def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[dict]]:
-    """Read pre-cut sequences ({"seq_id", "tokens", "next_token"?, "label"?})."""
+    """Read pre-cut sequences ({"seq_id", "tokens", "next_token"?, "label"?}); bad lines as ``load_jsonl``."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"sequence file not found: {path}")
     samples: list[SequenceSample] = []
     errors: list[dict] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                tokens = tuple(map(int, rec["tokens"]))
+                rec = orjson.loads(line)
+                tokens = array("i", rec["tokens"])
                 if not tokens:
                     raise ValueError("empty token sequence")
                 bucket = rec.get("bucket") or (len(tokens), len(tokens) + 1)
@@ -118,7 +134,7 @@ def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[d
                         label=rec.get("label"),
                     )
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 errors.append({"line": lineno, "error": str(exc)})
     if not samples:
         raise DataError(f"no valid sequences in {path}")
@@ -141,7 +157,7 @@ def sample_sequences(
     """
     if n_per_bucket < 1:
         raise DataError("n_per_bucket must be >= 1")
-    tokens = [int(t) for t in doc_tokens]
+    tokens = array("i", doc_tokens)
     n = len(tokens)
     reserve = 1 if with_ground_truth else 0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
@@ -161,7 +177,7 @@ def sample_sequences(
             samples.append(
                 SequenceSample(
                     seq_id=f"{doc_id}/b{lo}-{hi}/{i}",
-                    tokens=tuple(tokens[end - length : end]),
+                    tokens=tokens[end - length : end],
                     next_token=tokens[end] if with_ground_truth else None,
                     doc_id=doc_id,
                     bucket=(lo, hi),
@@ -244,7 +260,7 @@ def gen_niah(
     label = SHORT if spec.total_len - spec.needle_pos <= spec.window else LONG
     sample = SequenceSample(
         seq_id=f"niah/{rng_seed}",
-        tokens=tuple(tokens),
+        tokens=tokens,
         next_token=answer[0],
         doc_id="niah",
         bucket=(len(tokens), len(tokens) + 1),
@@ -300,7 +316,7 @@ def gen_longeval(
     label = SHORT if len(tokens) - starts[target] <= spec.window else LONG
     sample = SequenceSample(
         seq_id=f"longeval/{rng_seed}",
-        tokens=tuple(tokens),
+        tokens=tokens,
         next_token=answer[0],
         doc_id="longeval",
         bucket=(len(tokens), len(tokens) + 1),
@@ -334,7 +350,7 @@ class TokenDiskCache:
 
     def tokens_for(self, doc: Document, tokenizer: Tokenizer) -> list[int]:
         if doc.tokens is not None:
-            return list(doc.tokens)
+            return doc.tokens.tolist()
         hit = self.get(tokenizer.tokenizer_id, doc.doc_id)
         if hit is not None:
             return hit

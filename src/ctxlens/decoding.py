@@ -17,6 +17,9 @@ from .errors import StrategyError, VocabMismatch
 
 STRATEGY_KINDS = ("greedy", "top_k", "nucleus", "adaptive")
 
+#: First chunk of the partial scans in ``_keep_largest`` and ``_nucleus_size``; each next chunk doubles.
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class DecodingStrategy:
@@ -97,12 +100,46 @@ def _keep_largest(probs: np.ndarray, desc: np.ndarray) -> TokenDistribution:
     """
     cut = desc[-1]
     keep = probs > cut
-    tied = np.flatnonzero(probs == cut)
-    keep[tied[: len(desc) - np.count_nonzero(keep)]] = True
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep] / desc.sum()
+    tied = probs == cut
+    need = len(desc) - np.count_nonzero(keep)
+    # The lowest `need` tied ids are kept. Count tied ids in growing chunks up
+    # to the one holding the last kept id, and list ids in that chunk only.
+    start, size = 0, _CHUNK
+    while (found := np.count_nonzero(tied[start : start + size])) < need:
+        need -= found
+        start += size
+        size *= 2
+    stop = start + int(np.flatnonzero(tied[start : start + size])[need - 1]) + 1
+    keep[:stop] |= tied[:stop]
+    out = np.zeros(len(probs))
+    np.divide(probs, desc.sum(), out=out, where=keep)
     out.flags.writeable = False
     return TokenDistribution(out)
+
+
+def _nucleus_size(desc: np.ndarray, p: float) -> int:
+    """Length of the shortest prefix of ``desc`` whose running sum reaches ``p``.
+
+    The running sum is taken in growing chunks and stops at the chunk that
+    reaches ``p``. Each chunk is summed in place after the previous chunk's
+    total, so every partial sum equals ``np.cumsum(desc)``'s bitwise.
+    Rounding can leave the whole sum short of p = 1; the answer is then
+    ``len(desc)``.
+    """
+    n = len(desc)
+    cum = np.empty(n + 1)  # cum[i] becomes the sum of desc[:i]
+    cum[0] = 0.0
+    start, size = 0, _CHUNK
+    while start < n:
+        stop = min(start + size, n)
+        seg = cum[start : stop + 1]  # seg[0] already holds the sum of desc[:start]
+        seg[1:] = desc[start:stop]
+        np.cumsum(seg, out=seg)
+        j = int(np.searchsorted(seg, p, side="left"))
+        if j < len(seg):
+            return start + j
+        start, size = stop, 2 * size
+    return n
 
 
 def apply_strategy(dist: TokenDistribution, strategy: DecodingStrategy) -> TokenDistribution:
@@ -114,8 +151,7 @@ def apply_strategy(dist: TokenDistribution, strategy: DecodingStrategy) -> Token
     if strategy.kind == "top_k":
         n = min(strategy.k, dist.vocab_size)
     elif strategy.kind == "nucleus":
-        # Rounding can leave the cumulative sum short of p = 1; keep everything then.
-        n = min(int(np.searchsorted(np.cumsum(desc), strategy.p, side="left")) + 1, dist.vocab_size)
+        n = _nucleus_size(desc, strategy.p)
     else:
         # adaptive: every token with probability >= eps, at least the argmax
         n = max(int(np.count_nonzero(probs >= strategy.eps)), 1)

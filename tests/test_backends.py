@@ -1,8 +1,13 @@
 """Mock backends, the suffix-probe helper, the wrappers, and the per-unit memo."""
 
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from ctxlens.backends import (
     BackendRequest,
     CachedBackend,
@@ -94,6 +99,26 @@ class TestPrefixDistribution:
         s = (5, 6, 7, 8)
         prefix_distribution(s, 2, Recorder())
         assert seen[0].tokens == (7, 8)
+
+    @PROPERTY
+    @given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=64), st.data())
+    def test_same_request_for_array_tuple_and_list(self, tokens, data):
+        ell = data.draw(st.integers(1, len(tokens)))
+        seen = []
+
+        class Recorder:
+            vocab_size = 2
+            eos_token_id = None
+            truncation = "suffix"
+
+            def next_token_distribution(self, request):
+                seen.append(request)
+                return TokenDistribution.uniform(2)
+
+        for s in (array("i", tokens), tuple(tokens), list(tokens)):
+            prefix_distribution(s, ell, Recorder())
+        assert seen[0] == seen[1] == seen[2] == BackendRequest(tokens=tuple(tokens[-ell:]))
+        assert all(type(t) is int for request in seen for t in request.tokens)
 
     def test_rejects_out_of_range_lengths(self):
         b = ConstantBackend(TokenDistribution.uniform(2))

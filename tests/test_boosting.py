@@ -1,6 +1,8 @@
 """Boosted decoding steps, the contrast baseline, and the generation loop."""
 
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -246,26 +248,41 @@ class TestGenerate:
     def test_reports_carry_steps_and_choices(self):
         b = ConstantBackend(TokenDistribution.from_probs([0.5, 0.5]))
         out = generate([1], 4, "vanilla", cfg_with(2.0), seed=5, backend=b)
-        assert [r.step for r in out.reports] == [0, 1, 2, 3]
-        assert [r.chosen for r in out.reports] == out.tokens
+        assert [r["step"] for r in out.steps] == [0, 1, 2, 3]
+        assert [r["chosen"] for r in out.steps] == out.tokens
 
     def test_taboo_method_scores_every_step(self):
         b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], cutoff=3)
         out = generate([1, 2, 3], 5, "taboo", cfg_with(2.0), seed=3, backend=b)
-        assert all(r.lsds is not None for r in out.reports)
-        assert any(len(r.boosted_set) > 0 for r in out.reports)
+        assert all(r["lsds"] is not None for r in out.steps)
+        assert any(len(r["boosted"]) > 0 for r in out.steps)
 
     def test_cad_method_runs_ungated(self):
         b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], cutoff=3)
         out = generate([1, 2, 3], 5, "cad", cfg_with(2.0), seed=3, backend=b, alpha=0.5)
-        assert all(len(r.boosted_set) == 0 for r in out.reports)
-        assert all(not np.array_equal(r.pre.probs, r.post.probs) for r in out.reports)
+        assert all(len(r["boosted"]) == 0 for r in out.steps)
+        assert all(r["pre"] != r["post"] for r in out.steps)
 
     def test_cad_makes_two_calls_per_step_without_a_memo(self):
         b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], cutoff=3)
         out = generate([1, 2, 3], 5, "cad", cfg_with(2.0), seed=3, backend=b, alpha=0.5)
-        assert len(out.reports) == 5
+        assert len(out.steps) == 5
         assert b.calls == 2 * 5
+
+    @pytest.mark.parametrize("method", ["vanilla", "cad", "taboo"])
+    def test_result_holds_no_distribution(self, method):
+        # Step records are built when each step is taken; no vocab-sized vector outlives it.
+        b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], cutoff=3)
+        out = generate([1, 2, 3], 5, method, cfg_with(2.0), seed=3, backend=b)
+        assert len(out.steps) == 5
+        seen, stack = set(), [out]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (TokenDistribution, np.ndarray)), f"{method} keeps {obj!r}"
+            stack.extend(gc.get_referents(obj))
 
     def test_unknown_method_rejected(self):
         b = ConstantBackend(TokenDistribution.uniform(3))

@@ -1,6 +1,7 @@
 """Corpus loading, bucketed slice sampling, and synthetic retrieval tasks."""
 
 import json
+from array import array
 
 import pytest
 
@@ -44,7 +45,7 @@ class TestLoadJsonl:
         )
         docs, errors = load_jsonl(path)
         assert [d.doc_id for d in docs] == ["a", "b"]
-        assert docs[1].tokens == (1, 2, 3)
+        assert tuple(docs[1].tokens) == (1, 2, 3)
         assert errors == []
 
     def test_gold_is_kept_as_text(self, tmp_path):
@@ -113,6 +114,46 @@ class TestLoadSequencesJsonl:
         loaded, errors = load_sequences_jsonl(path)
         assert [s.seq_id for s in loaded] == ["ok"]
         assert len(errors) == 1
+
+
+BAD_TOKEN_LINES = {
+    "float": '"tokens": [1, 1.5]',
+    "string": '"tokens": [1, "7"]',
+    "null": '"tokens": [1, null]',
+    "above int32": '"tokens": [1, 2147483648]',
+    "below int32": '"tokens": [-2147483649, 1]',
+    "NaN token": '"tokens": [1, NaN]',
+    "NaN elsewhere": '"tokens": [1, 2], "score": NaN',
+}
+
+
+class TestTokenIds:
+    @pytest.mark.parametrize("id_key, load", [("id", load_jsonl), ("seq_id", load_sequences_jsonl)])
+    @pytest.mark.parametrize("bad", sorted(BAD_TOKEN_LINES))
+    def test_non_int32_token_is_an_error_record(self, tmp_path, id_key, load, bad):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(
+            f'{{"{id_key}": "ok", "tokens": [3, 4]}}\n{{"{id_key}": "bad", {BAD_TOKEN_LINES[bad]}}}\n'
+        )
+        rows, errors = load(path)
+        assert len(rows) == 1
+        assert [e["line"] for e in errors] == [2]
+
+    def test_loaded_and_constructed_tokens_are_int32_arrays(self, tmp_path):
+        path = write_jsonl(tmp_path / "rows.jsonl", [{"id": "a", "seq_id": "a", "tokens": [1, 2, 3]}])
+        spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=50)
+        held = [
+            load_jsonl(path)[0][0].tokens,
+            load_sequences_jsonl(path)[0][0].tokens,
+            Document(doc_id="d", tokens=[1, 2]).tokens,
+            SequenceSample(seq_id="s", tokens=(1, 2), next_token=None, doc_id="d", bucket=(2, 3)).tokens,
+            sample_sequences(list(range(200)), n_per_bucket=1, rng_seed=0)[0][0].tokens,
+            gen_niah(spec, default_filler_tokens(TOKENIZER, 300), TOKENIZER)[0].tokens,
+        ]
+        for tokens in held:
+            assert type(tokens) is array
+            assert tokens.typecode == "i"
+            assert tokens.itemsize == 4
 
 
 class TestSampleSequences:
@@ -194,10 +235,10 @@ class TestGenNiah:
         digits = [t for t in sample.tokens[50 : 50 + 10]][4:]
         assert all(0 <= d <= 9 for d in digits)
         assert sample.next_token == digits[0]
-        assert sample.tokens[50:54] == tuple(TOKENIZER.tokenize("The magic number is"))
+        assert tuple(sample.tokens[50:54]) == tuple(TOKENIZER.tokenize("The magic number is"))
         # The query closes the prompt.
         query = TOKENIZER.tokenize("The magic number mentioned in the provided text is")
-        assert sample.tokens[-len(query) :] == tuple(query)
+        assert tuple(sample.tokens[-len(query) :]) == tuple(query)
         assert label.label == LONG
         assert sample.label == LONG
 

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import PROPERTY, dists, rand_dist
 from ctxlens.decoding import (
     DecodingStrategy,
+    _nucleus_size,
     apply_strategy,
     confidence,
     derive_seed,
@@ -169,6 +170,10 @@ class TestApplyStrategy:
 
     @PROPERTY
     @given(dist_and_strategy())
+    # All-tied vocabs: the cut keeps only the lowest of 32,768 tied ids.
+    @example((TokenDistribution.uniform(32768), DecodingStrategy.top_k(50)))
+    @example((TokenDistribution.uniform(32768), DecodingStrategy.nucleus(0.9)))
+    @example((TokenDistribution.uniform(1000), DecodingStrategy.top_k(999)))
     def test_bitwise_equal_to_argsort_reference(self, case):
         d, strategy = case
         out = apply_strategy(d, strategy)
@@ -181,6 +186,28 @@ class TestApplyStrategy:
         assert np.cumsum(np.sort(d.probs))[-1] < 1.0
         out = apply_strategy(d, DecodingStrategy.nucleus(1.0))
         assert out.support() == set(range(10))
+        assert out.same_values(argsort_apply_strategy(d, DecodingStrategy.nucleus(1.0)))
+
+    @PROPERTY
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5000),
+        st.sampled_from([1.0, 4.0, 16.0]),
+        st.one_of(st.sampled_from([0.5, 0.9, 0.999, 1.0]), st.floats(1e-9, 1.0)),
+    )
+    def test_bounded_nucleus_sum_matches_full_cumsum(self, seed, vocab, power, p):
+        probs = TokenDistribution.from_weights(np.random.default_rng(seed).random(vocab) ** power).probs
+        desc = np.sort(probs)[::-1]
+        full = min(int(np.searchsorted(np.cumsum(desc), p, side="left")) + 1, vocab)
+        assert _nucleus_size(desc, p) == full
+
+    def test_bounded_nucleus_sum_keeps_everything_when_the_cumsum_falls_short(self):
+        # A running sum past several chunks that ends below 1.0 through rounding.
+        d = TokenDistribution.from_weights([0.1] * 3000)
+        desc = np.sort(d.probs)[::-1]
+        assert np.cumsum(desc)[-1] < 1.0
+        assert _nucleus_size(desc, 1.0) == 3000
+        out = apply_strategy(d, DecodingStrategy.nucleus(1.0))
         assert out.same_values(argsort_apply_strategy(d, DecodingStrategy.nucleus(1.0)))
 
     def test_greedy_equals_top_one(self, rng):
