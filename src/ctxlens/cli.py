@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -798,7 +799,41 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed memory in the process for reuse, not hand it back to the kernel.
+
+    By default glibc maps each allocation above its mmap threshold afresh and
+    unmaps it on free, and returns the free top of a heap once it passes the
+    trim threshold. A probe run allocates and frees vocab-sized numpy
+    temporaries (256 KB at V=32768) on every backend call, so under those
+    defaults each call faults the same pages in again: about 225 minor faults
+    per ``detect`` position. Where the C library has no ``mallopt`` (not
+    glibc) this does nothing.
+    """
+    if os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc's largest mmap threshold, 4 MiB per byte of a long (32 MiB on 64-bit): blocks up
+    # to it, such as a float64 vector at V=131072 or orjson's parse buffers for a 6 MB body,
+    # come from the heap.
+    mallopt(_M_MMAP_THRESHOLD, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
+    # Above the free top one call leaves (tens of MB at most, with every thread's
+    # temporaries freed) and above a thread arena's 64 MiB heap, so no heap is trimmed
+    # between calls; the process keeps its high-water mark until it exits.
+    mallopt(_M_TRIM_THRESHOLD, 128 * 1024 * 1024)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, table = build_parser()
     try:

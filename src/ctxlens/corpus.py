@@ -75,6 +75,27 @@ class SequenceSample:
         }
 
 
+def _token_ids(values, line: bytes) -> array:
+    """JSON token ids as an ``array('i')``.
+
+    A float, string, null or bool raises TypeError, an id outside int32 OverflowError.
+    """
+    tokens = array("i", values)
+    # array('i') reads true and false as 1 and 0; only a line that spells one of them can hold one.
+    if (b"true" in line or b"false" in line) and bool in set(map(type, values)):
+        raise TypeError("token ids must be integers, not true or false")
+    return tokens
+
+
+def _token_id(value) -> int | None:
+    """A JSON ``next_token``: null, or an int32 integer (not a float, string or bool)."""
+    if value is None:
+        return None
+    if type(value) is not int:
+        raise TypeError(f"next_token must be an integer, not {value!r}")
+    return array("i", (value,))[0]
+
+
 def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
     """Read documents ({"id", "text"} or {"id", "tokens"}, optional "gold") in file order.
 
@@ -94,7 +115,7 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
             try:
                 rec = orjson.loads(line)
                 doc_id = str(rec["id"])
-                tokens = array("i", rec["tokens"]) if "tokens" in rec else None
+                tokens = _token_ids(rec["tokens"], line) if "tokens" in rec else None
                 text = rec.get("text")
                 if tokens is None and text is None:
                     raise KeyError("need 'text' or 'tokens'")
@@ -108,7 +129,11 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
 
 
 def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[dict]]:
-    """Read pre-cut sequences ({"seq_id", "tokens", "next_token"?, "label"?}); bad lines as ``load_jsonl``."""
+    """Read pre-cut sequences ({"seq_id", "tokens", "next_token"?, "label"?}); bad lines as ``load_jsonl``.
+
+    ``next_token`` is null or an int32 id and ``label`` is null, "short" or
+    "long"; any other value makes the line an error record.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"sequence file not found: {path}")
@@ -120,18 +145,21 @@ def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[d
                 continue
             try:
                 rec = orjson.loads(line)
-                tokens = array("i", rec["tokens"])
+                tokens = _token_ids(rec["tokens"], line)
                 if not tokens:
                     raise ValueError("empty token sequence")
+                label = rec.get("label")
+                if label not in (None, SHORT, LONG):
+                    raise ValueError(f"label must be {SHORT!r}, {LONG!r} or null, not {label!r}")
                 bucket = rec.get("bucket") or (len(tokens), len(tokens) + 1)
                 samples.append(
                     SequenceSample(
                         seq_id=str(rec.get("seq_id", rec.get("id", f"line{lineno}"))),
                         tokens=tokens,
-                        next_token=None if rec.get("next_token") is None else int(rec["next_token"]),
+                        next_token=_token_id(rec.get("next_token")),
                         doc_id=str(rec.get("doc_id", "")),
                         bucket=(int(bucket[0]), int(bucket[1])),
-                        label=rec.get("label"),
+                        label=label,
                     )
                 )
             except (ValueError, KeyError, TypeError, OverflowError) as exc:

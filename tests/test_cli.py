@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -949,3 +954,37 @@ class TestTopLevelInterface:
         assert (
             run(["mcl", "--backend", "carrier-pigeon", "--corpus", str(corpus)]) == 1
         )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
+class TestHeapReuse:
+    # Under glibc's default thresholds each position costs about 225 minor faults (its
+    # vocab-sized temporaries are mapped and unmapped on every call); with the freed heap
+    # kept it costs under 1.
+    MAX_FAULTS_PER_POSITION = 20
+
+    def detect_faults(self, tmp_path, n):
+        # Every position's planted dependency (token 30000) lies beyond its 100 tokens, so the
+        # short and the full call both return the flat V=32768 distribution.
+        rows = [
+            {"seq_id": f"p{i}", "tokens": [7] * 99 + [30000], "label": "long" if i % 2 else "short"}
+            for i in range(n)
+        ]
+        corpus = write_jsonl(tmp_path / f"detect{n}.jsonl", rows)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [
+            sys.executable, "-m", "ctxlens.cli", "detect", "--backend", "mock:planted_last:vocab=32768",
+            "--corpus", str(corpus), "--oracle", "planted", "--out", str(tmp_path / f"out{n}"),
+        ]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            stderr = proc.stderr.read().decode()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, stderr
+        return usage.ru_minflt
+
+    def test_detect_reuses_freed_memory_across_calls(self, tmp_path):
+        small, large = 100, 400
+        extra = self.detect_faults(tmp_path, large) - self.detect_faults(tmp_path, small)
+        assert extra / (large - small) < self.MAX_FAULTS_PER_POSITION

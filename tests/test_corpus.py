@@ -106,6 +106,19 @@ class TestLoadSequencesJsonl:
         assert loaded[0].label is None
         assert loaded[0].bucket == (2, 3)
 
+    @pytest.mark.parametrize("bad", ['"Long"', '"SHORT"', "5", "true", '""'])
+    def test_label_other_than_short_long_or_null_is_an_error_record(self, tmp_path, bad):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text(
+            '{"seq_id": "a", "tokens": [1], "label": "short"}\n'
+            '{"seq_id": "b", "tokens": [1], "label": "long"}\n'
+            '{"seq_id": "c", "tokens": [1], "label": null}\n'
+            f'{{"seq_id": "d", "tokens": [1], "label": {bad}}}\n'
+        )
+        loaded, errors = load_sequences_jsonl(path)
+        assert [s.label for s in loaded] == [SHORT, LONG, None]
+        assert [e["line"] for e in errors] == [4]
+
     def test_empty_tokens_rejected_per_line(self, tmp_path):
         path = write_jsonl(
             tmp_path / "seqs.jsonl",
@@ -124,6 +137,8 @@ BAD_TOKEN_LINES = {
     "below int32": '"tokens": [-2147483649, 1]',
     "NaN token": '"tokens": [1, NaN]',
     "NaN elsewhere": '"tokens": [1, 2], "score": NaN',
+    "true": '"tokens": [1, true]',
+    "false": '"tokens": [false, 1]',
 }
 
 
@@ -138,6 +153,25 @@ class TestTokenIds:
         rows, errors = load(path)
         assert len(rows) == 1
         assert [e["line"] for e in errors] == [2]
+
+    @pytest.mark.parametrize("bad", ["1.5", '"7"', "true", "2147483648"])
+    def test_non_int32_next_token_is_an_error_record(self, tmp_path, bad):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text(
+            f'{{"seq_id": "ok", "tokens": [3], "next_token": 4}}\n'
+            f'{{"seq_id": "bad", "tokens": [3], "next_token": {bad}}}\n'
+        )
+        rows, errors = load_sequences_jsonl(path)
+        assert [s.next_token for s in rows] == [4]
+        assert [e["line"] for e in errors] == [2]
+
+    @pytest.mark.parametrize("id_key, load", [("id", load_jsonl), ("seq_id", load_sequences_jsonl)])
+    def test_true_and_false_outside_tokens_still_load(self, tmp_path, id_key, load):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(f'{{"{id_key}": "true", "tokens": [1, 0], "doc_id": "false", "flag": true}}\n')
+        rows, errors = load(path)
+        assert errors == []
+        assert list(rows[0].tokens) == [1, 0]
 
     def test_loaded_and_constructed_tokens_are_int32_arrays(self, tmp_path):
         path = write_jsonl(tmp_path / "rows.jsonl", [{"id": "a", "seq_id": "a", "tokens": [1, 2, 3]}])
