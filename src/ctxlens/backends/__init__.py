@@ -1,6 +1,6 @@
 """Next-token distribution backends: mocks for tests, HTTP clients for real models."""
 
-from .base import Backend, BackendRequest, Tokenizer, prefix_distribution
+from .base import Backend, Tokenizer, prefix_distribution
 from .cache import CachedBackend
 from .http import BackendEndpoint, HttpBackend, OpenAICompatBackend, complete_distribution
 from .mock import (
@@ -8,7 +8,6 @@ from .mock import (
     DelayedBackend,
     FlakyBackend,
     MockTokenizer,
-    NgramBackend,
     PlantedDependencyBackend,
     PlantedLastTokenBackend,
     SwitchBackend,
@@ -17,7 +16,6 @@ from .mock import (
 
 __all__ = [
     "Backend",
-    "BackendRequest",
     "Tokenizer",
     "prefix_distribution",
     "CachedBackend",
@@ -29,7 +27,6 @@ __all__ = [
     "DelayedBackend",
     "FlakyBackend",
     "MockTokenizer",
-    "NgramBackend",
     "PlantedDependencyBackend",
     "PlantedLastTokenBackend",
     "SwitchBackend",

@@ -3,27 +3,20 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from ..dist import TokenDistribution
 from ..errors import SequenceTooShort
 
 
-@dataclass(frozen=True)
-class BackendRequest:
-    """One next-token query: ``tokens`` is the context actually shown to the model."""
-
-    tokens: tuple[int, ...]
-
-
 @runtime_checkable
 class Backend(Protocol):
+    """The model as an oracle: the context shown to it in, the next-token distribution out."""
+
     vocab_size: int
     eos_token_id: int | None
-    truncation: str
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution: ...
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution: ...
 
 
 @runtime_checkable
@@ -49,10 +42,6 @@ class BackendWrapper:
     def eos_token_id(self):
         return self.inner.eos_token_id
 
-    @property
-    def truncation(self) -> str:
-        return self.inner.truncation
-
 
 def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDistribution:
     """Next-token distribution conditioned on the final ``ell`` tokens of ``s``."""
@@ -64,4 +53,4 @@ def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDi
         suffix = tuple(tail.tolist())  # the library's token type converts in one C call
     else:
         suffix = tuple(int(t) for t in tail)
-    return backend.next_token_distribution(BackendRequest(tokens=suffix))
+    return backend.next_token_distribution(suffix)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..dist import TokenDistribution
-from .base import BackendRequest, BackendWrapper
+from .base import BackendWrapper
 
 
 class CachedBackend(BackendWrapper):
@@ -20,8 +20,8 @@ class CachedBackend(BackendWrapper):
         super().__init__(inner)
         self._store: dict[tuple[int, ...], TokenDistribution] = {}
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
-        dist = self._store.get(request.tokens)
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        dist = self._store.get(tokens)
         if dist is None:
-            dist = self._store[request.tokens] = self.inner.next_token_distribution(request)
+            dist = self._store[tokens] = self.inner.next_token_distribution(tokens)
         return dist

@@ -44,7 +44,6 @@ import orjson
 
 from ..dist import TokenDistribution
 from ..errors import BackendError
-from .base import BackendRequest
 
 _BACKOFF_S = (0.1, 0.2, 0.4)
 
@@ -110,8 +109,6 @@ class _ServerBusy(http.client.HTTPException):
 
 
 class _HttpBase:
-    truncation = "suffix"
-
     def __init__(self, endpoint: BackendEndpoint):
         self.endpoint = endpoint
         self.eos_token_id: int | None = None
@@ -237,8 +234,8 @@ class HttpBackend(_HttpBase):
     def tokenizer_id(self) -> str:
         return f"http:{self.endpoint.base_url}"
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
-        body = {"tokens": list(request.tokens), "top": self.endpoint.top}
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        body = {"tokens": list(tokens), "top": self.endpoint.top}
         vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _read_next_logprobs)
         self._vocab_size = vocab
         if eos is not None:
@@ -267,11 +264,11 @@ class OpenAICompatBackend(_HttpBase):
         self.model = model
         self._vocab_size = int(vocab_size)
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         top = self.endpoint.top
         body = {
             "model": self.model,
-            "prompt": list(request.tokens),
+            "prompt": list(tokens),
             "max_tokens": 1,
             "temperature": 0,
             "logprobs": self._vocab_size if top == "full" else int(top),

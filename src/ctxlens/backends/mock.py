@@ -1,6 +1,6 @@
 """Deterministic in-process backends for tests, demos, and benchmarks.
 
-Every mock is referentially transparent: the same request always yields the
+Every mock is referentially transparent: the same tokens always yield the
 bitwise-identical distribution. Each keeps a ``calls`` counter so cache and
 retry behavior can be asserted against the upstream traffic.
 """
@@ -10,16 +10,14 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..dist import TokenDistribution
 from ..errors import BackendError, UsageError
-from .base import BackendRequest, BackendWrapper
+from .base import BackendWrapper
 
 
 class _CountingBackend:
-    truncation = "suffix"
-
     def __init__(self, vocab_size: int, eos_token_id: int | None = None):
         self.vocab_size = int(vocab_size)
         self.eos_token_id = eos_token_id
@@ -30,11 +28,11 @@ class _CountingBackend:
         with self._lock:
             self.calls += 1
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         self._count()
-        return self._answer(request)
+        return self._answer(tokens)
 
-    def _answer(self, request: BackendRequest) -> TokenDistribution:
+    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
         raise NotImplementedError
 
 
@@ -45,7 +43,7 @@ class ConstantBackend(_CountingBackend):
         super().__init__(dist.vocab_size, eos_token_id)
         self._dist = dist
 
-    def _answer(self, request: BackendRequest) -> TokenDistribution:
+    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
         return self._dist
 
 
@@ -66,8 +64,8 @@ class SwitchBackend(_CountingBackend):
         self.below = below
         self.at_or_above = at_or_above
 
-    def _answer(self, request: BackendRequest) -> TokenDistribution:
-        if len(request.tokens) >= self.cutoff:
+    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        if len(tokens) >= self.cutoff:
             return self.at_or_above
         return self.below
 
@@ -110,7 +108,7 @@ class PlantedDependencyBackend(SwitchBackend):
 class PlantedLastTokenBackend(_CountingBackend):
     """Planted dependency whose length is carried by the sequence itself.
 
-    The final token id (which survives any suffix truncation) is read as the
+    The final token id (which every suffix keeps) is read as the
     dependency length, so one backend can serve a corpus with per-sequence
     dependency lengths.
     """
@@ -127,35 +125,13 @@ class PlantedLastTokenBackend(_CountingBackend):
         self.confident_prob = float(confident_prob)
         self._below, self._above = _planted_pair(vocab_size, answer_token, confident_prob)
 
-    def _answer(self, request: BackendRequest) -> TokenDistribution:
-        if not request.tokens:
+    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        if not tokens:
             return self._below
-        depth = max(1, int(request.tokens[-1]))
-        if len(request.tokens) >= depth:
+        depth = max(1, int(tokens[-1]))
+        if len(tokens) >= depth:
             return self._above
         return self._below
-
-
-class NgramBackend(_CountingBackend):
-    """Table lookup on the last ``order`` tokens; uniform when the key is absent."""
-
-    def __init__(
-        self,
-        vocab_size: int,
-        order: int,
-        table: Mapping[tuple[int, ...], TokenDistribution],
-        eos_token_id: int | None = None,
-    ):
-        if order < 1:
-            raise UsageError("order must be >= 1")
-        super().__init__(vocab_size, eos_token_id)
-        self.order = int(order)
-        self.table = dict(table)
-        self._fallback = TokenDistribution.uniform(vocab_size)
-
-    def _answer(self, request: BackendRequest) -> TokenDistribution:
-        key = tuple(request.tokens[-self.order :])
-        return self.table.get(key, self._fallback)
 
 
 class DelayedBackend(BackendWrapper):
@@ -170,11 +146,11 @@ class DelayedBackend(BackendWrapper):
     def calls(self) -> int:
         return self.inner.calls
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
-        delay = self.per_call_s + self.per_token_s * len(request.tokens)
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        delay = self.per_call_s + self.per_token_s * len(tokens)
         if delay > 0:
             time.sleep(delay)
-        return self.inner.next_token_distribution(request)
+        return self.inner.next_token_distribution(tokens)
 
 
 class FlakyBackend(BackendWrapper):
@@ -192,7 +168,7 @@ class FlakyBackend(BackendWrapper):
         self.attempts = 0
         self._lock = threading.Lock()
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         with self._lock:
             self.attempts += 1
             n = self.attempts
@@ -200,7 +176,7 @@ class FlakyBackend(BackendWrapper):
             raise BackendError(f"injected failure on call {n}", attempts=1)
         if self.fail_after is not None and n > self.fail_after:
             raise BackendError(f"injected outage after {self.fail_after} calls", attempts=1)
-        return self.inner.next_token_distribution(request)
+        return self.inner.next_token_distribution(tokens)
 
 
 class MockTokenizer:

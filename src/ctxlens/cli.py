@@ -88,11 +88,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", help="backend spec: mock:kind:k=v,... or http:URL")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+def _common_options(parser: argparse.ArgumentParser, backend: bool = True, parallel: bool = True) -> None:
+    """The options every subcommand shares, leaving out those a subcommand would not read."""
+    if backend:
+        parser.add_argument("--backend", help="backend spec: mock:kind:k=v,... or http:URL")
+        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--parallel", type=int, default=1, help="concurrent backend calls")
+    if parallel:
+        parser.add_argument("--parallel", type=int, default=1, help="concurrent backend calls")
     parser.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -168,13 +171,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     table["bench"] = p
 
     p = subs.add_parser("score", help="text metrics over prediction/gold pairs")
-    _common_options(p)
+    _common_options(p, backend=False, parallel=False)
     p.add_argument("--pairs", required=True, help="JSONL rows: {id?, pred, gold}")
     p.set_defaults(func=cmd_score)
     table["score"] = p
 
     p = subs.add_parser("synth", help="emit a synthetic labeled corpus")
-    _common_options(p)
+    _common_options(p, parallel=False)
     p.add_argument("--kind", choices=("niah", "longeval"), default="niah")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--total-len", type=int, default=200)
@@ -254,12 +257,7 @@ def build_backend(spec: str | None, parallel: int):
 
 
 def _tokenizer_of(backend):
-    base = backend
-    while not hasattr(base, "tokenize") and hasattr(base, "inner"):
-        base = base.inner
-    if hasattr(base, "tokenize"):
-        return base
-    return MockTokenizer(base.vocab_size)
+    return backend if hasattr(backend, "tokenize") else MockTokenizer(backend.vocab_size)
 
 
 def _parse_buckets(text: str | None):
@@ -324,20 +322,24 @@ def _load_input_sequences(args, backend):
     return samples, errors
 
 
-def _run_ordered(items, fn, parallel: int):
-    """Map in deterministic input order; parallelism never reorders output.
+def _run_units(items, fn, backend, parallel: int):
+    """``fn(item, memo)`` for each unit of work, in input order; parallelism never reorders output.
 
-    ``fn`` handles one unit of work (a sequence, or a prompt's samples) and
-    gives it its own ``CachedBackend``, so a memo never crosses threads.
+    A unit (a sequence, or a prompt's samples) gets its own ``CachedBackend``
+    in front of ``backend``, created on the thread that runs it, so a memo
+    never crosses threads and is dropped when its unit is done.
     """
+
+    def run(item):
+        return fn(item, CachedBackend(backend))
+
     if parallel <= 1:
-        for item in items:
-            yield fn(item)
+        yield from map(run, items)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            yield from pool.map(fn, items)
+            yield from pool.map(run, items)
 
 
 def _fit_payload(fit):
@@ -354,11 +356,12 @@ def cmd_mcl(args) -> int:
     samples = sorted(samples, key=lambda s: s.seq_id)
     grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
 
-    def probe_one(sample):
-        """The probe result, or why the confident-correct gate filtered the sample out."""
+    def probe_one(sample, memo):
+        """The probe result, or why the sample was filtered out before the walk."""
         if sample.next_token is None:
             return "no ground-truth next token"
-        memo = CachedBackend(backend)
+        if len(sample.tokens) < grid.start:
+            return f"sequence length {len(sample.tokens)} below grid start {grid.start}"
         full = prefix_distribution(sample.tokens, len(sample.tokens), memo)
         if not accepts(full, sample.next_token, args.delta):
             return "full-context prediction not confident-correct"
@@ -367,7 +370,7 @@ def cmd_mcl(args) -> int:
     results = []
     filtered = []
     with (out / "mcl_results.jsonl").open("w", encoding="utf-8") as fh:
-        for sample, res in zip(samples, _run_ordered(samples, probe_one, args.parallel)):
+        for sample, res in zip(samples, _run_units(samples, probe_one, backend, args.parallel)):
             if isinstance(res, str):
                 filtered.append({"seq_id": sample.seq_id, "reason": res})
             else:
@@ -395,7 +398,7 @@ def cmd_mcl(args) -> int:
             "fit": _fit_payload(fit),
             "delta": args.delta,
             "grid": {"mode": grid.mode, "start": grid.start, "step": grid.step},
-            "truncation": backend.truncation,
+            "truncation": "suffix",
             "seed": args.seed,
         },
     )
@@ -417,9 +420,8 @@ def cmd_damcl(args) -> int:
     combos = [(strategy, eps) for strategy in strategies for eps in epsilons]
     slugs = [f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}" for strategy, eps in combos]
 
-    def probe_one(sample):
+    def probe_one(sample, memo):
         """Every combination of one sequence, cut from one walk per strategy at the smallest epsilon."""
-        memo = CachedBackend(backend)
         walks = [damcl(sample.tokens, strategy, args.metric, floor, grid, memo) for strategy in strategies]
         return [walk.at_epsilon(eps) for walk in walks for eps in epsilons]
 
@@ -428,7 +430,7 @@ def cmd_damcl(args) -> int:
         files = [
             stack.enter_context((out / f"damcl_{slug}.jsonl").open("w", encoding="utf-8")) for slug in slugs
         ]
-        for sample, row in zip(samples, _run_ordered(samples, probe_one, args.parallel)):
+        for sample, row in zip(samples, _run_units(samples, probe_one, backend, args.parallel)):
             for fh, combo_results, res in zip(files, results, row):
                 append_jsonl(fh, res.to_record(sample.seq_id))
                 combo_results.append(res)
@@ -453,7 +455,7 @@ def cmd_damcl(args) -> int:
             "combos": summaries,
             "warnings": warnings,
             "grid": {"mode": grid.mode, "start": grid.start, "step": grid.step},
-            "truncation": backend.truncation,
+            "truncation": "suffix",
             "seed": args.seed,
         },
     )
@@ -500,14 +502,13 @@ def cmd_detect(args) -> int:
     )
     label_of = _oracle_label_fn(args)
 
-    def run_one(sample):
-        memo = CachedBackend(backend)
+    def run_one(sample, memo):
         return lsds(sample.tokens, cfg, memo), label_of(sample, memo)
 
     scored = []
     with (out / "detect_results.jsonl").open("w", encoding="utf-8") as fh:
         for sample, (score, oracle_label) in zip(
-            samples, _run_ordered(samples, run_one, args.parallel)
+            samples, _run_units(samples, run_one, backend, args.parallel)
         ):
             pred = LONG if score >= cfg.tau else SHORT
             append_jsonl(
@@ -547,7 +548,7 @@ def cmd_detect(args) -> int:
             "short_len": cfg.short_len,
             "strategy": cfg.strategy.token(),
             "oracle": args.oracle,
-            "truncation": backend.truncation,
+            "truncation": "suffix",
             "seed": args.seed,
         },
     )
@@ -588,10 +589,9 @@ def cmd_generate(args) -> int:
         "max_new": args.max_new,
     }
 
-    def generate_prompt(item):
+    def generate_prompt(item, memo):
         """All samples of one prompt, on one memo."""
         p_idx, (_, tokens, _) = item
-        memo = CachedBackend(backend)
         return [
             generate(
                 tokens,
@@ -606,7 +606,7 @@ def cmd_generate(args) -> int:
         ]
 
     with (out / "generations.jsonl").open("w", encoding="utf-8") as fh:
-        runner = _run_ordered(enumerate(prompts), generate_prompt, args.parallel)
+        runner = _run_units(enumerate(prompts), generate_prompt, backend, args.parallel)
         for (prompt_id, _, gold), results in zip(prompts, runner):
             for k, result in enumerate(results):
                 text = tokenizer.detokenize(result.tokens)
@@ -742,7 +742,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
+    backend = build_backend(args.backend, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = _tokenizer_of(backend)

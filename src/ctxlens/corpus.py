@@ -87,13 +87,20 @@ def _token_ids(values, line: bytes) -> array:
     return tokens
 
 
-def _token_id(value) -> int | None:
-    """A JSON ``next_token``: null, or an int32 integer (not a float, string or bool)."""
-    if value is None:
-        return None
+def _int32(value, field: str) -> int:
+    """A JSON int32 integer (not a float, string or bool); ``field`` names it in the error."""
     if type(value) is not int:
-        raise TypeError(f"next_token must be an integer, not {value!r}")
+        raise TypeError(f"{field} must be an integer, not {value!r}")
     return array("i", (value,))[0]
+
+
+def _bucket(value, n: int) -> tuple[int, int]:
+    """A JSON ``bucket``: a list of two int32 integers, or null for the sequence's own ``(n, n + 1)``."""
+    if value is None:
+        return n, n + 1
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"bucket must be a list of two integers, not {value!r}")
+    return _int32(value[0], "bucket"), _int32(value[1], "bucket")
 
 
 def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
@@ -131,8 +138,9 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
 def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[dict]]:
     """Read pre-cut sequences ({"seq_id", "tokens", "next_token"?, "label"?}); bad lines as ``load_jsonl``.
 
-    ``next_token`` is null or an int32 id and ``label`` is null, "short" or
-    "long"; any other value makes the line an error record.
+    ``next_token`` is null or an int32 id, ``bucket`` is null or a list of
+    two int32 integers, and ``label`` is null, "short" or "long"; any other
+    value makes the line an error record.
     """
     path = Path(path)
     if not path.exists():
@@ -151,14 +159,14 @@ def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[d
                 label = rec.get("label")
                 if label not in (None, SHORT, LONG):
                     raise ValueError(f"label must be {SHORT!r}, {LONG!r} or null, not {label!r}")
-                bucket = rec.get("bucket") or (len(tokens), len(tokens) + 1)
+                next_token = rec.get("next_token")
                 samples.append(
                     SequenceSample(
                         seq_id=str(rec.get("seq_id", rec.get("id", f"line{lineno}"))),
                         tokens=tokens,
-                        next_token=_token_id(rec.get("next_token")),
+                        next_token=None if next_token is None else _int32(next_token, "next_token"),
                         doc_id=str(rec.get("doc_id", "")),
-                        bucket=(int(bucket[0]), int(bucket[1])),
+                        bucket=_bucket(rec.get("bucket"), len(tokens)),
                         label=label,
                     )
                 )
@@ -354,24 +362,29 @@ def gen_longeval(
 
 
 class TokenDiskCache:
-    """Document tokenizations cached on disk, keyed by (tokenizer id, doc id)."""
+    """Tokenizations cached on disk, keyed by (tokenizer id, text).
+
+    A file's name is a digest of both, so a document whose text changed
+    between runs is tokenized afresh, and two documents with the same text
+    share one entry.
+    """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, tokenizer_id: str, doc_id: str) -> Path:
-        digest = hashlib.sha256(f"{tokenizer_id}\x00{doc_id}".encode("utf-8")).hexdigest()[:32]
+    def _path(self, tokenizer_id: str, text: str) -> Path:
+        digest = hashlib.sha256(f"{tokenizer_id}\x00{text}".encode("utf-8")).hexdigest()[:32]
         return self.cache_dir / f"{digest}.json"
 
-    def get(self, tokenizer_id: str, doc_id: str) -> list[int] | None:
-        path = self._path(tokenizer_id, doc_id)
+    def get(self, tokenizer_id: str, text: str) -> list[int] | None:
+        path = self._path(tokenizer_id, text)
         if not path.exists():
             return None
         return [int(t) for t in json.loads(path.read_text(encoding="utf-8"))]
 
-    def put(self, tokenizer_id: str, doc_id: str, tokens: Sequence[int]) -> None:
-        path = self._path(tokenizer_id, doc_id)
+    def put(self, tokenizer_id: str, text: str, tokens: Sequence[int]) -> None:
+        path = self._path(tokenizer_id, text)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps([int(t) for t in tokens]), encoding="utf-8")
         tmp.replace(path)
@@ -379,11 +392,11 @@ class TokenDiskCache:
     def tokens_for(self, doc: Document, tokenizer: Tokenizer) -> list[int]:
         if doc.tokens is not None:
             return doc.tokens.tolist()
-        hit = self.get(tokenizer.tokenizer_id, doc.doc_id)
-        if hit is not None:
-            return hit
         if doc.text is None:
             raise DataError(f"document {doc.doc_id} has neither text nor tokens")
+        hit = self.get(tokenizer.tokenizer_id, doc.text)
+        if hit is not None:
+            return hit
         tokens = tokenizer.tokenize(doc.text)
-        self.put(tokenizer.tokenizer_id, doc.doc_id, tokens)
+        self.put(tokenizer.tokenizer_id, doc.text, tokens)
         return tokens

@@ -128,15 +128,14 @@ def first_grid_point_at_or_past(d_star, start=32, step=16):
 class GapRampBackend:
     """Top-1 gap over runner-up grows linearly with the presented length."""
 
-    truncation = "suffix"
     vocab_size = 4
     eos_token_id = None
 
     def __init__(self, target):
         self.target = target
 
-    def next_token_distribution(self, request):
-        gap = min(0.99, len(request.tokens) / 1000.0)
+    def next_token_distribution(self, tokens):
+        gap = min(0.99, len(tokens) / 1000.0)
         top = (3.0 * gap + 1.0) / 4.0
         probs = [(1.0 - top) / 3.0] * 4
         probs[self.target] = top

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import PROPERTY
 from ctxlens.backends import (
-    BackendRequest,
     CachedBackend,
     ConstantBackend,
     DelayedBackend,
     FlakyBackend,
     MockTokenizer,
-    NgramBackend,
     PlantedDependencyBackend,
     PlantedLastTokenBackend,
     SwitchBackend,
@@ -27,7 +25,7 @@ from ctxlens.errors import BackendError, UsageError
 
 
 def _req(tokens):
-    return BackendRequest(tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 class TestConstantBackend:
@@ -74,15 +72,6 @@ class TestPlantedBackends:
         assert deep.entry(5) > 0.5
 
 
-class TestNgramBackend:
-    def test_table_lookup_and_fallback(self):
-        hit = TokenDistribution.point_mass(9, vocab_size=12)
-        b = NgramBackend(order=2, table={(2, 3): hit}, vocab_size=12)
-        assert b.next_token_distribution(_req([7, 2, 3])).same_values(hit)
-        fallback = b.next_token_distribution(_req([3, 2]))
-        assert fallback.same_values(TokenDistribution.uniform(12))
-
-
 class TestPrefixDistribution:
     def test_sends_exact_suffix(self):
         seen = []
@@ -90,15 +79,14 @@ class TestPrefixDistribution:
         class Recorder:
             vocab_size = 4
             eos_token_id = None
-            truncation = "suffix"
 
-            def next_token_distribution(self, request):
-                seen.append(request)
+            def next_token_distribution(self, tokens):
+                seen.append(tokens)
                 return TokenDistribution.uniform(4)
 
         s = (5, 6, 7, 8)
         prefix_distribution(s, 2, Recorder())
-        assert seen[0].tokens == (7, 8)
+        assert seen[0] == (7, 8)
 
     @PROPERTY
     @given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=64), st.data())
@@ -109,16 +97,15 @@ class TestPrefixDistribution:
         class Recorder:
             vocab_size = 2
             eos_token_id = None
-            truncation = "suffix"
 
-            def next_token_distribution(self, request):
-                seen.append(request)
+            def next_token_distribution(self, tokens):
+                seen.append(tokens)
                 return TokenDistribution.uniform(2)
 
         for s in (array("i", tokens), tuple(tokens), list(tokens)):
             prefix_distribution(s, ell, Recorder())
-        assert seen[0] == seen[1] == seen[2] == BackendRequest(tokens=tuple(tokens[-ell:]))
-        assert all(type(t) is int for request in seen for t in request.tokens)
+        assert seen[0] == seen[1] == seen[2] == tuple(tokens[-ell:])
+        assert all(type(t) is int for suffix in seen for t in suffix)
 
     def test_rejects_out_of_range_lengths(self):
         b = ConstantBackend(TokenDistribution.uniform(2))
@@ -129,7 +116,7 @@ class TestPrefixDistribution:
 
     def test_full_length_is_identity_slice(self):
         hit = TokenDistribution.point_mass(1, vocab_size=4)
-        b = NgramBackend(order=3, table={(1, 2, 3): hit}, vocab_size=4)
+        b = SwitchBackend(cutoff=3, below=TokenDistribution.uniform(4), at_or_above=hit)
         out = prefix_distribution((1, 2, 3), 3, b)
         assert out.same_values(hit)
 
@@ -169,7 +156,6 @@ class TestCachedBackend:
         b = CachedBackend(inner)
         assert b.vocab_size == 8
         assert b.eos_token_id == 7
-        assert b.truncation == inner.truncation
         assert b.inner is inner
 
 

@@ -162,6 +162,22 @@ class TestMclCommand:
             {"seq_id": "s02", "reason": "no ground-truth next token"},
         ]
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_sequence_below_grid_start_is_filtered_not_fatal(self, tmp_path, monkeypatch, parallel):
+        mock = PlantedLastTokenBackend(vocab_size=256, answer_token=5)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+        records = [{"seq_id": f"s{i}", "tokens": [1] * 99 + [20], "next_token": 5} for i in range(4)]
+        records[1]["tokens"] = [1] * 19 + [20]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        argv = ["mcl", "--backend", "unused", "--corpus", str(corpus), "--parallel", parallel]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert [r["seq_id"] for r in read_jsonl(out / "mcl_results.jsonl")] == ["s0", "s2", "s3"]
+        summary = read_report(out / "mcl_summary.json")
+        assert (summary["n_input"], summary["n_kept"]) == (4, 3)
+        assert summary["filtered"] == [{"seq_id": "s1", "reason": "sequence length 20 below grid start 32"}]
+        assert mock.calls == 3 * 2  # the short sequence costs no call
+
     def test_gate_with_delta_one_rejects_everything(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=0))
         out = tmp_path / "out"
@@ -624,6 +640,43 @@ class TestUpstreamCalls:
         assert calls == {1: 2 * 5, 2: 2 * 5}
 
 
+class MinimalBackend:
+    """Only the three members of the backend contract: no base class and no tokenizer."""
+
+    def __init__(self, inner):
+        self.vocab_size = inner.vocab_size
+        self.eos_token_id = inner.eos_token_id
+        self._inner = inner
+
+    def next_token_distribution(self, tokens):
+        return self._inner.next_token_distribution(tokens)
+
+
+class TestBackendContract:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mcl"],
+            ["damcl", "--strategies", "nucleus:0.9,greedy"],
+            ["detect", "--oracle", "mcl", "--tau-sweep", "0.1,0.5"],
+            ["generate", "--method", "taboo", "--lam", "2", "--max-new", "4", "--n-samples", "2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_three_member_backend_matches_the_mock_spec(self, tmp_path, monkeypatch, command):
+        corpus = write_jsonl(
+            tmp_path / "corpus.jsonl", planted_corpus_records(n_short=3, n_long=2, with_labels=True)
+        )
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": [1] * 39 + [20]}])
+        source = ["--prompts", str(prompts)] if command[0] == "generate" else ["--corpus", str(corpus)]
+        argv = [*command, *source, "--parallel", "2"]
+        assert run([*argv, "--backend", PLANTED, "--out", str(tmp_path / "spec")]) == 0
+        minimal = MinimalBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5))
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: minimal)
+        assert run([*argv, "--backend", "unused", "--out", str(tmp_path / "minimal")]) == 0
+        assert tree_bytes(tmp_path / "minimal") == tree_bytes(tmp_path / "spec")
+
+
 class TestBenchCommand:
     def test_overhead_ratio_tracks_short_fraction(self, tmp_path):
         out = tmp_path / "out"
@@ -703,6 +756,19 @@ class TestScoreCommand:
             run(["score", "--pairs", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "out")])
             == 3
         )
+
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--backend", PLANTED], ["--parallel", "2"]])
+    def test_options_score_does_not_read_are_usage_errors(self, tmp_path, option):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [{"pred": "a", "gold": "a"}])
+        assert run(["score", "--pairs", str(pairs), *option, "--out", str(tmp_path / "out")]) == 1
+
+    def test_config_keys_of_other_subcommands_stay_valid(self, tmp_path):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [{"pred": "a", "gold": "a"}])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"backend = {PLANTED}\nseed = 7\nparallel = 2\n")
+        argv = ["score", "--pairs", str(pairs), "--config", str(config), "--out", str(tmp_path / "out")]
+        assert run(argv) == 0
 
 
 class TestSynthCommand:

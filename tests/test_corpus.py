@@ -165,6 +165,21 @@ class TestTokenIds:
         assert [s.next_token for s in rows] == [4]
         assert [e["line"] for e in errors] == [2]
 
+    @pytest.mark.parametrize(
+        "bad", ['[1.5, "7"]', "[true, 9, 10]", "[true, 9]", '["7", 8]', "[1, 2, 3]", "[1]", "[]", '"12"',
+                "[2147483648, 1]"]
+    )
+    def test_bucket_other_than_two_int32_integers_is_an_error_record(self, tmp_path, bad):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text(
+            '{"seq_id": "ok", "tokens": [3], "bucket": [1, 2]}\n'
+            '{"seq_id": "none", "tokens": [3], "bucket": null}\n'
+            f'{{"seq_id": "bad", "tokens": [3], "bucket": {bad}}}\n'
+        )
+        rows, errors = load_sequences_jsonl(path)
+        assert [s.bucket for s in rows] == [(1, 2), (1, 2)]
+        assert [e["line"] for e in errors] == [3]
+
     @pytest.mark.parametrize("id_key, load", [("id", load_jsonl), ("seq_id", load_sequences_jsonl)])
     def test_true_and_false_outside_tokens_still_load(self, tmp_path, id_key, load):
         path = tmp_path / "rows.jsonl"
@@ -365,10 +380,16 @@ class TestSyntheticSpec:
 class TestTokenDiskCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = TokenDiskCache(tmp_path / "tok")
-        assert cache.get("tok-1", "doc-1") is None
-        cache.put("tok-1", "doc-1", [1, 2, 3])
-        assert cache.get("tok-1", "doc-1") == [1, 2, 3]
-        assert cache.get("tok-2", "doc-1") is None
+        assert cache.get("tok-1", "alpha beta") is None
+        cache.put("tok-1", "alpha beta", [1, 2, 3])
+        assert cache.get("tok-1", "alpha beta") == [1, 2, 3]
+        assert cache.get("tok-2", "alpha beta") is None
+        assert cache.get("tok-1", "alpha beta gamma") is None
+
+    def test_changed_text_of_a_document_is_tokenized_afresh(self, tmp_path):
+        cache = TokenDiskCache(tmp_path / "tok")
+        for text in ("alpha beta", "gamma delta epsilon"):
+            assert cache.tokens_for(Document("d", text=text), TOKENIZER) == TOKENIZER.tokenize(text)
 
     def test_tokens_for_caches_text_documents(self, tmp_path):
         calls = []

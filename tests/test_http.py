@@ -18,7 +18,6 @@ from conftest import PROPERTY, FakeModelServer
 from ctxlens.backends import http as http_module
 from ctxlens.backends import (
     BackendEndpoint,
-    BackendRequest,
     HttpBackend,
     OpenAICompatBackend,
     complete_distribution,
@@ -160,7 +159,7 @@ class TestHttpBackend:
                 {"logprobs": full_logprobs([0.7, 0.2, 0.1]), "vocab_size": 3},
             )
             b = _backend(srv.url)
-            d = b.next_token_distribution(BackendRequest(tokens=(5, 6)))
+            d = b.next_token_distribution((5, 6))
             assert d.probs == pytest.approx([0.7, 0.2, 0.1], abs=1e-9)
             assert b.vocab_size == 3
             sent = srv.bodies["/v1/next_logprobs"][0]
@@ -173,7 +172,7 @@ class TestHttpBackend:
                 {"logprobs": [{"id": 1, "logprob": math.log(0.9)}], "vocab_size": 11},
             )
             b = _backend(srv.url, top=1)
-            d = b.next_token_distribution(BackendRequest(tokens=(1,)))
+            d = b.next_token_distribution((1,))
             assert srv.bodies["/v1/next_logprobs"][0]["top"] == 1
             assert d.entry(1) == pytest.approx(0.9, abs=1e-9)
             assert d.entry(0) == pytest.approx(0.01, abs=1e-9)
@@ -190,7 +189,7 @@ class TestHttpBackend:
                 {"logprobs": full_logprobs([1.0]), "vocab_size": 1, "eos_token_id": 0},
             )
             b = _backend(srv.url)
-            b.next_token_distribution(BackendRequest(tokens=(0,)))
+            b.next_token_distribution((0,))
             assert b.eos_token_id == 0
 
     def test_retries_transient_500s(self):
@@ -203,7 +202,7 @@ class TestHttpBackend:
             srv.routes["/v1/next_logprobs"] = route
             b = _backend(srv.url)
             start = time.perf_counter()
-            d = b.next_token_distribution(BackendRequest(tokens=(1,)))
+            d = b.next_token_distribution((1,))
             elapsed = time.perf_counter() - start
             assert d.entry(0) == 1.0
             assert srv.hits["/v1/next_logprobs"] == 3
@@ -218,7 +217,7 @@ class TestHttpBackend:
 
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = route
-            d = _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,)))
+            d = _backend(srv.url).next_token_distribution((1,))
             assert d.entry(0) == 1.0
             assert srv.hits["/v1/next_logprobs"] == 2
 
@@ -231,7 +230,7 @@ class TestHttpBackend:
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = route
             start = time.perf_counter()
-            d = _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,)))
+            d = _backend(srv.url).next_token_distribution((1,))
             elapsed = time.perf_counter() - start
             assert d.entry(0) == 1.0
             assert srv.hits["/v1/next_logprobs"] == 2
@@ -254,7 +253,7 @@ class TestHttpBackend:
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (status, {}, {"Retry-After": retry_after})
             with pytest.raises(BackendError) as err:
-                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,)))
+                _backend(srv.url).next_token_distribution((1,))
         assert err.value.attempts == 4
         assert slept == waits
 
@@ -263,7 +262,7 @@ class TestHttpBackend:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (503, {"error": "down"})
             b = _backend(srv.url)
             with pytest.raises(BackendError) as err:
-                b.next_token_distribution(BackendRequest(tokens=(1,)))
+                b.next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == 4
             assert err.value.attempts == 4
 
@@ -271,7 +270,7 @@ class TestHttpBackend:
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (307, b"moved", {"Location": "/elsewhere"})
             with pytest.raises(BackendError, match="returned 307: moved"):
-                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,)))
+                _backend(srv.url).next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == 1
 
     def test_request_body_is_json_dumps_bytes(self, monkeypatch):
@@ -300,7 +299,7 @@ class TestHttpBackend:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (400, {"error": "bad request"})
             b = _backend(srv.url)
             with pytest.raises(BackendError):
-                b.next_token_distribution(BackendRequest(tokens=(1,)))
+                b.next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == 1
 
     def test_broken_json_is_retried(self):
@@ -308,7 +307,7 @@ class TestHttpBackend:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (200, b"this is not json")
             b = _backend(srv.url)
             with pytest.raises(BackendError) as err:
-                b.next_token_distribution(BackendRequest(tokens=(1,)))
+                b.next_token_distribution((1,))
             assert err.value.attempts == 4
 
     @pytest.mark.parametrize(
@@ -328,7 +327,7 @@ class TestHttpBackend:
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw % logprob)
             with pytest.raises(BackendError):
-                _backend(srv.url).next_token_distribution(BackendRequest(tokens=(1,)))
+                _backend(srv.url).next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == hits
 
     def test_responses_are_parsed_one_at_a_time(self, monkeypatch):
@@ -357,7 +356,7 @@ class TestHttpBackend:
             threads = [
                 threading.Thread(
                     target=lambda i=i: results.append(
-                        b.next_token_distribution(BackendRequest(tokens=(i,)))
+                        b.next_token_distribution((i,))
                     )
                 )
                 for i in range(4)
@@ -373,7 +372,7 @@ class TestHttpBackend:
     def test_connection_refused_maps_to_backend_error(self):
         b = HttpBackend(BackendEndpoint(base_url="http://127.0.0.1:9", timeout_s=0.2))
         with pytest.raises(BackendError) as err:
-            b.next_token_distribution(BackendRequest(tokens=(1,)))
+            b.next_token_distribution((1,))
         assert err.value.attempts == 4
         assert err.value.cause is not None
 
@@ -403,7 +402,7 @@ class TestHttpBackend:
             threads = [
                 threading.Thread(
                     target=b.next_token_distribution,
-                    args=(BackendRequest(tokens=(i,)),),
+                    args=((i,),),
                 )
                 for i in range(8)
             ]
@@ -425,11 +424,11 @@ class TestConnectionPool:
         with FakeModelServer(keep_alive_s=0.2) as srv:
             srv.routes["/v1/next_logprobs"] = one_token
             b = _backend(srv.url)
-            b.next_token_distribution(BackendRequest(tokens=(1,)))
+            b.next_token_distribution((1,))
             time.sleep(0.5)  # the server drops the idle connection after 0.2 s
             slept = []
             monkeypatch.setattr(http_module.time, "sleep", slept.append)
-            d = b.next_token_distribution(BackendRequest(tokens=(2,)))
+            d = b.next_token_distribution((2,))
             b.close()
         assert d.entry(2) == 1.0
         assert slept == []
@@ -441,7 +440,7 @@ class TestConnectionPool:
             srv.routes["/v1/next_logprobs"] = one_token
             b = _backend(srv.url)
             for t in range(5):
-                b.next_token_distribution(BackendRequest(tokens=(t,)))
+                b.next_token_distribution((t,))
             b.close()
         assert srv.hits["/v1/next_logprobs"] == 5
         assert len(srv.peers) == 1
@@ -450,7 +449,7 @@ class TestConnectionPool:
         with FakeModelServer() as srv:
             srv.routes["/api/v1/next_logprobs"] = one_token
             b = _backend(srv.url + "/api/")
-            assert b.next_token_distribution(BackendRequest(tokens=(3,))).entry(3) == 1.0
+            assert b.next_token_distribution((3,)).entry(3) == 1.0
 
     def test_threads_never_share_a_connection(self):
         n_threads, n_calls = 8, 25
@@ -462,7 +461,7 @@ class TestConnectionPool:
             def worker(k):
                 for i in range(n_calls):
                     token = k * n_calls + i
-                    d = b.next_token_distribution(BackendRequest(tokens=(token,)))
+                    d = b.next_token_distribution((token,))
                     if d.entry(token) != 1.0:
                         mismatches.append(token)
 
@@ -505,7 +504,7 @@ class TestOpenAICompatBackend:
             b = OpenAICompatBackend(
                 BackendEndpoint(base_url=srv.url, timeout_s=5.0, top=2), model="m", vocab_size=4
             )
-            d = b.next_token_distribution(BackendRequest(tokens=(4, 2)))
+            d = b.next_token_distribution((4, 2))
             assert d.entry(0) == pytest.approx(0.6, abs=1e-9)
             assert d.entry(3) == pytest.approx(0.4, abs=1e-9)
             assert b.vocab_size == 4
@@ -517,4 +516,4 @@ class TestOpenAICompatBackend:
                 BackendEndpoint(base_url=srv.url, timeout_s=5.0), model="m", vocab_size=4
             )
             with pytest.raises(BackendError):
-                b.next_token_distribution(BackendRequest(tokens=(1,)))
+                b.next_token_distribution((1,))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import PROPERTY
 
 from ctxlens.backends import (
-    BackendRequest,
     ConstantBackend,
     FlakyBackend,
     PlantedDependencyBackend,
@@ -51,8 +50,6 @@ KEEP_ALL = DecodingStrategy.nucleus(1.0)
 class StagedBackend:
     """Distribution depends on which length band the presented context falls in."""
 
-    truncation = "suffix"
-
     def __init__(self, stages, eos_token_id=None):
         # stages: list of (min_len, dist), ascending by min_len; first stage
         # must start at 0 so every length is covered.
@@ -61,10 +58,10 @@ class StagedBackend:
         self.vocab_size = self.stages[0][1].vocab_size
         self.eos_token_id = eos_token_id
 
-    def next_token_distribution(self, request: BackendRequest) -> TokenDistribution:
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         chosen = self.stages[0][1]
         for min_len, dist in self.stages:
-            if len(request.tokens) >= min_len:
+            if len(tokens) >= min_len:
                 chosen = dist
         return chosen
 
