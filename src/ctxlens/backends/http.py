@@ -11,6 +11,13 @@ When the server returns only the top entries, the residual probability mass
 is spread uniformly over the ids it did not return, so the completed
 distribution sums to one.
 
+A ``next_logprobs`` body is decoded straight into its id and logprob columns
+when its entry list has one of the two layouts Python's ``json`` emits: the
+``json.dumps`` default, ``{"id": 0, "logprob": -1.2}`` entries joined by
+``", "``, or the compact form FastAPI and Starlette send,
+``{"id":0,"logprob":-1.2}`` joined by ``","``. Any other valid JSON is still
+accepted and parsed whole, with the same columns and the same errors.
+
 Responses must be RFC 8259 JSON, parsed with ``orjson``. The literals
 ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, so a response that
 carries them is retried like any other unparsable body and then ends in
@@ -129,10 +136,12 @@ class _HttpBase:
         self._idle: list[http.client.HTTPConnection] = []
         self._pool_lock = threading.Lock()
         self._gate = threading.Semaphore(endpoint.max_parallel)
-        # One response is parsed at a time. orjson builds about 16 MB of native
-        # document next to the 30 MB object tree of a 6 MB full-vocab body, so
-        # two overlapping parses raise peak memory by the size of one more.
-        # Serialising costs no throughput: orjson and np.fromiter hold the GIL.
+        # One response is parsed at a time. A 6 MB full-vocab body in a columnar
+        # layout no longer builds orjson's 30 MB object tree, but its decode still
+        # peaks near 18 MB (a blanked copy of the body and a flat list of 262k
+        # numbers), and a body in any other layout builds the whole tree. Two
+        # overlapping parses would raise peak memory by one more of these.
+        # Serialising costs no throughput: translate, orjson and np.fromiter hold the GIL.
         self._parse_lock = threading.Lock()
         self._vocab_size: int | None = None
 
@@ -177,13 +186,13 @@ class _HttpBase:
                     self._idle.append(conn)
         return resp, raw
 
-    def _post(self, route: str, payload: dict, read: Callable[[dict], _T]) -> _T:
-        """POST ``payload`` and return ``read`` of the parsed response.
+    def _post(self, route: str, payload: dict, read: Callable[[bytes], _T]) -> _T:
+        """POST ``payload`` and return ``read`` of the response body.
 
-        Transport errors, 429, 5xx and unparsable bodies are retried with
-        backoff, or after a longer numeric ``Retry-After`` of a 429 or 503
-        (at most ``timeout_s``); other statuses and errors raised by ``read``
-        are not.
+        Transport errors, 429, 5xx and bodies ``read`` cannot parse (it raises
+        ``orjson.JSONDecodeError``) are retried with backoff, or after a longer
+        numeric ``Retry-After`` of a 429 or 503 (at most ``timeout_s``); other
+        statuses and other errors raised by ``read`` are not.
         """
         url = self.endpoint.base_url.rstrip("/") + route
         body = json.dumps(payload, allow_nan=False).encode()
@@ -199,7 +208,7 @@ class _HttpBase:
                     text = raw.decode("utf-8", "replace")[:200]
                     raise BackendError(f"{url} returned {resp.status}: {text}", attempts=attempts)
                 with self._parse_lock:
-                    return read(orjson.loads(raw))
+                    return read(raw)
             except (OSError, http.client.HTTPException, orjson.JSONDecodeError) as exc:
                 last = exc
                 if attempt < self.endpoint.retries:
@@ -236,18 +245,20 @@ class HttpBackend(_HttpBase):
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         body = {"tokens": list(tokens), "top": self.endpoint.top}
-        vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _read_next_logprobs)
+        vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _decode_next_logprobs)
         self._vocab_size = vocab
         if eos is not None:
             self.eos_token_id = eos
         return complete_distribution(ids, logprobs, vocab)
 
     def tokenize(self, text: str) -> list[int]:
-        return self._post("/v1/tokenize", {"text": text}, lambda data: [int(t) for t in data["tokens"]])
+        return self._post(
+            "/v1/tokenize", {"text": text}, lambda raw: [int(t) for t in orjson.loads(raw)["tokens"]]
+        )
 
     def detokenize(self, tokens: Sequence[int]) -> str:
         body = {"tokens": [int(t) for t in tokens]}
-        return self._post("/v1/detokenize", body, lambda data: str(data["text"]))
+        return self._post("/v1/detokenize", body, lambda raw: str(orjson.loads(raw)["text"]))
 
 
 class OpenAICompatBackend(_HttpBase):
@@ -274,8 +285,92 @@ class OpenAICompatBackend(_HttpBase):
             "logprobs": self._vocab_size if top == "full" else int(top),
             "echo": False,
         }
-        ids, logprobs = self._post("/v1/completions", body, _read_top_logprobs)
+        ids, logprobs = self._post("/v1/completions", body, lambda raw: _read_top_logprobs(orjson.loads(raw)))
         return complete_distribution(ids, logprobs, self._vocab_size)
+
+
+# The two entry-list layouts that get the columnar decode: ``json.dumps``'s
+# default and its compact form, which FastAPI and Starlette send. Each is the
+# entry with its two numbers left out and the separator between entries.
+_LAYOUTS = ((b'{"id": , "logprob": }', b", "), (b'{"id":,"logprob":}', b","))
+_NUMBER_CHARS = b"0123456789.eE+-"
+# Blanking the layouts' bytes leaves a flat array of numbers. Each closing
+# brace becomes a newline and every other byte but the comma a space, so an
+# empty gap shows as a space right before a comma or a newline.
+_BLANK_LAYOUT = bytes.maketrans(b'{}":idlogprb ', b" \n" + b" " * 11)
+_GAP_CHUNK = 1 << 20
+
+
+def _decode_next_logprobs(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray]:
+    """``_read_next_logprobs(orjson.loads(raw))``, read column-wise when the body allows it."""
+    return _read_columns(raw) or _read_next_logprobs(orjson.loads(raw))
+
+
+def _read_columns(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray] | None:
+    """The next_logprobs fields of ``raw`` without an object per entry; None if it cannot.
+
+    It takes a body whose entry list, between its first ``[`` and last ``]``,
+    is one of ``_LAYOUTS`` with a number in every gap:
+
+    1. With the number characters deleted, the list is n entries of the
+       layout.
+    2. The body with the list emptied parses to an object whose ``logprobs``
+       is ``[]``.
+    3. With the layout's bytes blanked, no space comes right before a comma
+       or a newline, so no gap is empty.
+    4. The blanked list parses as a flat array of numbers: 2n of them, as
+       1 leaves it 2n - 1 commas.
+
+    Each run of number characters is one array element, so by 4 the list
+    holds 2n runs, and by 3 they are the ones in the 2n gaps. The body is
+    then valid JSON, and orjson reads the same numbers from it as from the
+    flat array; they go through the same ``np.fromiter`` as in
+    ``_read_next_logprobs``. Any other body, one with a malformed value
+    included, returns None and is left to that reference path.
+    """
+    start, end = raw.find(b"["), raw.rfind(b"]")
+    if not 0 <= start < end:
+        return None
+    skeleton = raw.translate(None, _NUMBER_CHARS)
+    first, last = skeleton.find(b"["), skeleton.rfind(b"]")
+    for entry, sep in _LAYOUTS:
+        n, rest = divmod(last - first - 1 + len(sep), len(entry) + len(sep))
+        if n and not rest and skeleton.startswith(entry + (sep + entry) * (n - 1), first + 1):
+            break
+    else:
+        return None
+    del skeleton
+    try:
+        head = orjson.loads(raw[: start + 1] + raw[end:])
+        if type(head) is not dict or head.get("logprobs") != []:
+            return None
+        vocab, eos, _, _ = _read_next_logprobs(head)
+        blank = raw.translate(_BLANK_LAYOUT)
+        if _has_empty_gap(np.frombuffer(blank, dtype=np.uint8, count=end - start - 1, offset=start + 1)):
+            return None
+        numbers = orjson.loads(memoryview(blank)[start : end + 1])
+        ids = np.fromiter(numbers[0::2], dtype=np.int64, count=n)
+        logprobs = np.fromiter(numbers[1::2], dtype=np.float64, count=n)
+    except (BackendError, ValueError, OverflowError):  # orjson.JSONDecodeError is a ValueError
+        return None
+    return vocab, eos, ids, logprobs
+
+
+def _has_empty_gap(listed: np.ndarray) -> bool:
+    """True if a space comes right before a comma or a newline in a blanked entry list.
+
+    It works a MiB at a time. Comparisons over a whole 6 MB list at once hold
+    up to three 6 MB boolean temporaries, which raised the peak RSS of an
+    ``mcl`` run at V=131072 from about 110 to 125 MB.
+    """
+    for i in range(0, len(listed), _GAP_CHUNK):
+        chunk = listed[i : i + _GAP_CHUNK + 1]
+        empty = chunk[1:] == ord(",")
+        empty |= chunk[1:] == ord("\n")
+        empty &= chunk[:-1] == ord(" ")
+        if empty.any():
+            return True
+    return False
 
 
 def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.ndarray]:

@@ -51,6 +51,7 @@ from .corpus import (
 from .decoding import DecodingStrategy, apply_strategy, derive_seed
 from .detection import (
     LONG,
+    LSD_LCL_SHORT_LEN,
     SHORT,
     LsdsConfig,
     lsd_lcl_oracle_label,
@@ -463,14 +464,17 @@ def cmd_damcl(args) -> int:
 
 
 def _oracle_label_fn(args):
-    """The oracle as a function of (sample, backend); the backend is the position's memo."""
+    """The oracle as a function of (sample, backend), and the fewest tokens a sequence needs for it.
+
+    The backend is the position's memo.
+    """
     if args.oracle == "planted":
         def planted(sample, backend):
             if sample.label is None:
                 raise DataError(f"sequence {sample.seq_id} has no planted label")
             return sample.label
 
-        return planted
+        return planted, 1
     if args.oracle == "mcl":
         grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
 
@@ -479,14 +483,14 @@ def _oracle_label_fn(args):
                 raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
             return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, backend).label
 
-        return from_mcl
+        return from_mcl, grid.start
 
     def from_lsd_lcl(sample, backend):
         if sample.next_token is None:
             raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
         return lsd_lcl_oracle_label(sample.tokens, sample.next_token, backend).label
 
-    return from_lsd_lcl
+    return from_lsd_lcl, LSD_LCL_SHORT_LEN + 1
 
 
 def cmd_detect(args) -> int:
@@ -500,7 +504,18 @@ def cmd_detect(args) -> int:
         strategy=DecodingStrategy.parse(args.strategy),
         tau=args.tau,
     )
-    label_of = _oracle_label_fn(args)
+    label_of, oracle_len = _oracle_label_fn(args)
+    # Check every sequence before the first backend call, so a short one writes no partial results.
+    too_short = [
+        s.seq_id
+        for s in samples
+        if len(s.tokens) < oracle_len or len(s.tokens) <= cfg.resolved_short_len(len(s.tokens))
+    ]
+    if too_short:
+        raise DataError(
+            f"sequences too short for --short-len {args.short_len:g} and the {args.oracle} oracle:"
+            f" {', '.join(too_short)}"
+        )
 
     def run_one(sample, memo):
         return lsds(sample.tokens, cfg, memo), label_of(sample, memo)

@@ -25,6 +25,9 @@ PROB_FLOOR = 1e-6
 SHORT = "short"
 LONG = "long"
 
+#: Suffix length the lsd_lcl oracle compares the full context against.
+LSD_LCL_SHORT_LEN = 32
+
 SCENARIOS = ("best", "bad", "worst", "neutral")
 
 
@@ -117,7 +120,7 @@ def lsd_lcl_oracle_label(
     s: Sequence[int],
     t: int,
     backend: Backend,
-    short_len: int = 32,
+    short_len: int = LSD_LCL_SHORT_LEN,
     lsd_threshold: float = 2.0,
     lcl_threshold: float = -1.0,
 ) -> ContextLabel:

@@ -389,6 +389,28 @@ class TestDetectCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "oracle, short_len, code",
+        [
+            ("planted", "32", 3),  # 20 tokens leave no context beyond the 32-token suffix
+            ("planted", "0.5", 0),
+            ("mcl", "0.5", 3),  # below the grid start
+            ("lsd_lcl", "0.5", 3),  # not longer than the oracle's 32-token suffix
+        ],
+    )
+    def test_short_sequence_stops_the_run_before_any_result(self, tmp_path, capsys, oracle, short_len, code):
+        records = planted_corpus_records(n_short=2, n_long=1, length=100, with_labels=True)
+        records.append({**records[0], "seq_id": "s99", "tokens": records[0]["tokens"][-20:]})
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        argv = ["detect", "--backend", PLANTED, "--corpus", str(corpus), "--oracle", oracle]
+        assert run([*argv, "--short-len", short_len, "--out", str(out)]) == code
+        if code:
+            assert "s99" in capsys.readouterr().err
+            assert not (out / "detect_results.jsonl").exists()
+        else:
+            assert len(read_jsonl(out / "detect_results.jsonl")) == 4
+
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_jsonl(
             tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True)

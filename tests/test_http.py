@@ -1,5 +1,6 @@
 """HTTP backend client against an in-process fake model server."""
 
+import json
 import math
 import os
 import subprocess
@@ -412,6 +413,190 @@ class TestHttpBackend:
                 t.join()
             assert srv.hits["/v1/next_logprobs"] == 8
             assert srv.max_inflight <= 2
+
+
+NUMBER_CHARS = "0123456789.eE+-"
+ID_TEXT = st.one_of(st.integers(0, 200), st.integers(0, 2**63 - 1)).map(str)
+LOGPROB_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # -0.0, 1e-300, 1.5e+300, ...
+    st.floats(-60.0, 0.0).map(lambda x: f"{x:.6e}"),
+    st.floats(-60.0, 0.0).map(lambda x: f"{x:.3E}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0.0", "-0", "0", "1E+2", "-1e-5", "-2.5E-3", "-0.5e0"]),
+)
+# Each one is invalid JSON, JSON that is not a number, or a number that is not an int64 integer.
+BAD_NUMBERS = [
+    "NaN", "Infinity", "-Infinity", "+1", "01", "-01", "5.0", "1e2", "1.", ".5", "-", "1e", "--1",
+    "", str(2**63), str(2**64), str(-(2**63) - 1), "1e400", "true", "null", '"5"', "[1]", "0x1",
+]
+STRUCTURES = [
+    ("entry", lambda e: e[:-1] + ', "x": 1}'),  # an extra key
+    ("entry", lambda e: '{"logprob": -1.5, "id": 7}'),  # keys reordered
+    ("entry", lambda e: e.replace('"id"', '"id" ', 1)),  # changed whitespace
+    ("entry", lambda e: e.replace("{", "{ ", 1)),
+    ("entry", lambda e: e + "\n"),
+    ("list", lambda items: "[]"),  # an empty list
+    ("list", lambda items: items + ', "extra": [1, 2]'),  # a second list after logprobs
+    ("list", lambda items: items + ', "logprobs": 5'),  # duplicate logprobs keys
+    ("list", lambda items: '5, "logprobs": ' + items),
+    ("list", lambda items: items + ', "logprobs": []'),
+    ("list", lambda items: '{}, "other": ' + items),  # the entries under another key
+    ("list", lambda items: '"", "other": ' + items),
+    ("body", lambda body: "[" + body + "]"),
+    ("body", lambda body: body + " "),
+    ("body", lambda body: body.replace('"vocab_size"', '"vocab"')),
+]
+
+
+@st.composite
+def next_logprobs_bodies(draw):
+    """A next_logprobs body in either layout, mutated or not, and whether it was left whole.
+
+    Mutations: a number swapped for a bad one, a run of number characters
+    inserted into an entry (after emptying one of its gaps, or not), the
+    structure changed, a byte deleted or replaced, or the body truncated.
+    """
+    compact = draw(st.booleans())
+    sep, colon = (",", ":") if compact else (", ", ": ")
+    n = draw(st.integers(1, 6))
+    numbers = [[draw(ID_TEXT), draw(LOGPROB_TEXT)] for _ in range(n)]
+    mutation = draw(st.sampled_from(["none", "number", "stray", "structure", "byte", "truncate"]))
+    i = draw(st.integers(0, n - 1))
+    if mutation == "number":
+        numbers[i][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif mutation == "stray" and draw(st.booleans()):
+        numbers[i][draw(st.integers(0, 1))] = ""
+    entries = [f'{{"id"{colon}{id_}{sep}"logprob"{colon}{lp}}}' for id_, lp in numbers]
+    if mutation == "stray":
+        at = draw(st.integers(0, len(entries[i])))
+        stray = draw(st.text(alphabet=NUMBER_CHARS, min_size=1, max_size=3))
+        entries[i] = entries[i][:at] + stray + entries[i][at:]
+    where, change = draw(st.sampled_from(STRUCTURES)) if mutation == "structure" else (None, None)
+    if where == "entry":
+        entries[i] = change(entries[i])
+    items = "[" + sep.join(entries) + "]"
+    if where == "list":
+        items = change(items)
+    fields = [f'"logprobs"{colon}{items}', f'"vocab_size"{colon}{draw(st.integers(1, 10**6))}']
+    if draw(st.booleans()):
+        fields.append(f'"eos_token_id"{colon}{draw(st.integers(0, 10))}')
+    if draw(st.booleans()):
+        fields.reverse()
+    body = "{" + sep.join(fields) + "}"
+    if where == "body":
+        body = change(body)
+    raw = body.encode()
+    if mutation == "byte":
+        at = draw(st.integers(0, len(raw) - 1))
+        swap = draw(st.sampled_from([b"", b" ", b"\n", b"{", b"}", b"[", b"]", b",", b":", b'"', b"0", b"-"]))
+        raw = raw[:at] + swap + raw[at + 1 :]
+    elif mutation == "truncate":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    return raw, mutation == "none"
+
+
+def decode_outcome(decode, raw):
+    """The fields ``decode`` returns, or the type of the exception it raises."""
+    try:
+        return decode(raw)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert got[:2] == want[:2]
+    for column, reference in zip(got[2:], want[2:]):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
+
+
+def reference_decode(raw):
+    return http_module._read_next_logprobs(orjson.loads(raw))
+
+
+def fp32_log_softmax(seed, vocab):
+    """Log-softmax of random float32 logits, computed in float32 as a model server would."""
+    logits = np.random.default_rng(seed).standard_normal(vocab).astype(np.float32)
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum(dtype=np.float32))
+
+
+class TestColumnarDecode:
+    """The columnar decode of next_logprobs bodies against ``_read_next_logprobs(orjson.loads(raw))``."""
+
+    @PROPERTY
+    @given(next_logprobs_bodies())
+    def test_matches_the_reference_on_any_body(self, case):
+        raw, whole = case
+        want = decode_outcome(reference_decode, raw)
+        assert_same_outcome(decode_outcome(http_module._decode_next_logprobs, raw), want)
+        if whole:
+            assert http_module._read_columns(raw) is not None
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            # One run of number characters per array slot, but not in the gap: not JSON.
+            b'[{"i5d": , "logprob": -0.5}]',
+            b'[{"id": 0, "lo1gprob": }]',
+            b'[{"id": 0, "logprob": }5]',
+            b'[{"id":0,"logprob":-0.5},5{"id":,"logprob":-0.5}]',
+        ],
+    )
+    def test_numbers_outside_the_gaps_are_not_json(self, items):
+        raw = b'{"logprobs": %s, "vocab_size": 8}' % items
+        with pytest.raises(orjson.JSONDecodeError):
+            reference_decode(raw)
+        assert http_module._read_columns(raw) is None
+        with pytest.raises(orjson.JSONDecodeError):
+            http_module._decode_next_logprobs(raw)
+
+    @pytest.mark.parametrize("at", [-2, -1, 0, 1])
+    def test_empty_gap_found_across_chunk_edges(self, at):
+        size = http_module._GAP_CHUNK
+        listed = bytearray(b"1" * (2 * size + 8))
+        assert not http_module._has_empty_gap(np.frombuffer(bytes(listed), dtype=np.uint8))
+        listed[size + at : size + at + 2] = b" ,"
+        assert http_module._has_empty_gap(np.frombuffer(bytes(listed), dtype=np.uint8))
+
+    @pytest.mark.parametrize("separators", [None, (",", ":")], ids=["default", "compact"])
+    def test_both_layouts_skip_the_object_tree(self, monkeypatch, separators):
+        probs = [0.5, 0.25, 0.125, 0.125]
+        payload = {"logprobs": full_logprobs(probs), "vocab_size": 4, "eos_token_id": 3}
+        raw = json.dumps(payload, separators=separators).encode()
+        parsed = []
+        loads = orjson.loads
+
+        def spy(data):
+            parsed.append(bytes(data))
+            return loads(data)
+
+        monkeypatch.setattr(http_module.orjson, "loads", spy)
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw)
+            b = _backend(srv.url)
+            d = b.next_token_distribution((1,))
+        assert d.probs == pytest.approx(probs, abs=1e-12)
+        assert b.eos_token_id == 3
+        # The body with its list emptied, then the flat array of numbers; never the whole body.
+        assert len(parsed) == 2
+        assert raw not in parsed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fp32_logprobs_at_128k(self, seed):
+        vocab = 131072
+        logprobs = fp32_log_softmax(seed, vocab)
+        entries = [{"id": i, "logprob": lp} for i, lp in enumerate(logprobs.tolist())]
+        raw = json.dumps({"logprobs": entries, "vocab_size": vocab}).encode()
+        got = http_module._read_columns(raw)
+        assert got is not None
+        assert_same_outcome(got, reference_decode(raw))
+        # Raises if the completed total strays from 1 by more than 1e-6.
+        assert complete_distribution(got[2], got[3], vocab).vocab_size == vocab
 
 
 def one_token(body, n):
