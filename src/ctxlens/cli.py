@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,36 +101,38 @@ def _common_options(parser: argparse.ArgumentParser, backend: bool = True, paral
     parser.add_argument("--config", help="key=value config file; flags override it")
 
 
+def _corpus_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--corpus", required=True, help="JSONL corpus (documents or sequences)")
+    parser.add_argument("--sample", type=int, help="treat corpus as documents, cut N sequences per bucket")
+    parser.add_argument("--buckets", help="length buckets lo-hi[,lo-hi...], default 32-100..900-1000")
+
+
+def _grid_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--grid-start", type=int, default=32)
+    parser.add_argument("--grid-step", type=int, default=16)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="ctxlens", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"ctxlens {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
-    table: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("mcl", help="minimal context length over a corpus")
     _common_options(p)
-    p.add_argument("--corpus", required=True, help="JSONL corpus (documents or sequences)")
-    p.add_argument("--sample", type=int, help="treat corpus as documents, cut N sequences per bucket")
-    p.add_argument("--buckets", help="length buckets lo-hi[,lo-hi...], default 32-100..900-1000")
+    _corpus_options(p)
     p.add_argument("--delta", type=float, default=0.2, help="confidence margin")
-    p.add_argument("--grid-start", type=int, default=32)
-    p.add_argument("--grid-step", type=int, default=16)
+    _grid_options(p)
     p.set_defaults(func=cmd_mcl)
-    table["mcl"] = p
 
     p = subs.add_parser("damcl", help="divergence-based minimal context length")
     _common_options(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--sample", type=int)
-    p.add_argument("--buckets")
+    _corpus_options(p)
     p.add_argument("--strategies", default="nucleus:0.9", help="comma-separated decoding strategies")
     p.add_argument("--metric", choices=METRIC_NAMES, default="jsd")
     p.add_argument("--epsilons", default="0.1,0.2", help="comma-separated thresholds")
     p.add_argument("--grid-mode", choices=GRID_MODES, default="percentile")
-    p.add_argument("--grid-start", type=int, default=32)
-    p.add_argument("--grid-step", type=int, default=16)
+    _grid_options(p)
     p.set_defaults(func=cmd_damcl)
-    table["damcl"] = p
 
     p = subs.add_parser("detect", help="long/short context detection")
     _common_options(p)
@@ -140,10 +143,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--strategy", default="nucleus:0.9")
     p.add_argument("--tau-sweep", help="comma-separated taus for a sweep table")
     p.add_argument("--delta", type=float, default=0.2, help="margin for the mcl oracle")
-    p.add_argument("--grid-start", type=int, default=32)
-    p.add_argument("--grid-step", type=int, default=16)
+    _grid_options(p)
     p.set_defaults(func=cmd_detect)
-    table["detect"] = p
 
     p = subs.add_parser("generate", help="sample continuations, optionally boosted")
     _common_options(p)
@@ -158,7 +159,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--boost-eps", type=float, default=0.05, help="probability-shift cutoff")
     p.add_argument("--short-len", type=int, default=32)
     p.set_defaults(func=cmd_generate)
-    table["generate"] = p
 
     p = subs.add_parser("bench", help="detection overhead vs context length")
     _common_options(p)
@@ -169,13 +169,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--short-len", type=int, default=32)
     p.add_argument("--strategy", default="nucleus:0.9")
     p.set_defaults(func=cmd_bench)
-    table["bench"] = p
 
     p = subs.add_parser("score", help="text metrics over prediction/gold pairs")
     _common_options(p, backend=False, parallel=False)
     p.add_argument("--pairs", required=True, help="JSONL rows: {id?, pred, gold}")
     p.set_defaults(func=cmd_score)
-    table["score"] = p
 
     p = subs.add_parser("synth", help="emit a synthetic labeled corpus")
     _common_options(p, parallel=False)
@@ -185,9 +183,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--window", type=int, default=32)
     p.add_argument("--digits", type=int, default=6)
     p.set_defaults(func=cmd_synth)
-    table["synth"] = p
 
-    return parser, table
+    return parser, subs.choices
 
 
 def load_config_file(path: str) -> dict:
@@ -295,15 +292,29 @@ def _short_len_arg(value: float):
     return float(value)
 
 
+def _setup(args):
+    """Build the command's backend and make its ``--out`` directory."""
+    backend = build_backend(args.backend, getattr(args, "parallel", 1))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return backend, out
+
+
+def _grid(args) -> PrefixGrid:
+    mode = getattr(args, "grid_mode", "fixed_step")
+    return PrefixGrid(start=args.grid_start, step=args.grid_step, mode=mode)
+
+
 def _load_input_sequences(args, backend):
-    """Corpus rows are documents when --sample is given, pre-cut sequences otherwise."""
-    if getattr(args, "sample", None):
-        docs, errors = load_jsonl(args.corpus)
+    """Corpus rows are documents when --sample is given, pre-cut sequences otherwise; sorted by seq_id."""
+    if not getattr(args, "sample", None):
+        samples, warnings = load_sequences_jsonl(args.corpus)
+    else:
+        docs, warnings = load_jsonl(args.corpus)
         tokenizer = _tokenizer_of(backend)
         cache = TokenDiskCache(Path(args.out) / "tokcache")
         buckets = _parse_buckets(getattr(args, "buckets", None))
         samples = []
-        warnings = list(errors)
         for i, doc in enumerate(docs):
             tokens = cache.tokens_for(doc, tokenizer)
             cut, warn = sample_sequences(
@@ -318,192 +329,196 @@ def _load_input_sequences(args, backend):
             warnings.extend({"doc_id": doc.doc_id, **w} for w in warn)
         if not samples:
             raise DataError("sampling produced no sequences (documents too short for every bucket)")
-        return samples, warnings
-    samples, errors = load_sequences_jsonl(args.corpus)
-    return samples, errors
+    return sorted(samples, key=lambda s: s.seq_id), warnings
 
 
-def _run_units(items, fn, backend, parallel: int):
-    """``fn(item, memo)`` for each unit of work, in input order; parallelism never reorders output.
+def _run_units(args, backend, items, unit, files, summarize, unit_id=lambda item: item.seq_id) -> dict:
+    """Run ``unit(item, memo)`` over ``items``, write each unit's records, then the summary.
 
-    A unit (a sequence, or a prompt's samples) gets its own ``CachedBackend``
-    in front of ``backend``, created on the thread that runs it, so a memo
-    never crosses threads and is dropped when its unit is done.
+    ``unit`` returns one list of records per entry of ``files`` (None: a stream no file holds).
+    They are appended as soon as the unit is done, after every earlier unit's, so at any
+    ``--parallel`` a file lists records in input order and a cut run leaves a prefix. Each unit
+    gets its own ``CachedBackend``, made on the thread that runs it and dropped with the unit.
+    ``summarize`` reads the units' records once, keeping none, and returns the other files'
+    contents (a report dict or text). A unit's ``BackendError`` writes
+    ``<command>_failure.json`` before it propagates.
     """
+    out = Path(args.out)
 
     def run(item):
-        return fn(item, CachedBackend(backend))
+        return unit(item, CachedBackend(backend))
 
-    if parallel <= 1:
-        yield from map(run, items)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def written(results):
+        for item in items:
+            try:
+                records = next(results)
+            except BackendError as err:
+                report = {"command": args.command, "seq_id": unit_id(item), "error": str(err),
+                          "attempts": err.attempts, "partial_trace": err.partial_trace}
+                write_report(out / f"{args.command}_failure.json", report)
+                raise
+            for fh, stream in zip(handles, records):
+                for record in stream if fh else ():
+                    append_jsonl(fh, record)
+            yield records
 
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            yield from pool.map(run, items)
+    with contextlib.ExitStack() as stack:
+        handles = [name and stack.enter_context((out / name).open("w", encoding="utf-8")) for name in files]
+        results = map(run, items)
+        if args.parallel > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-
-def _fit_payload(fit):
-    if fit is None:
-        return None
-    return {"a": fit.a, "b_hat": fit.b_hat, "b_hat_signed": fit.slope, "r_squared": fit.r_squared}
+            results = stack.enter_context(ThreadPoolExecutor(max_workers=args.parallel)).map(run, items)
+        artifacts = summarize(written(results))
+    for name, body in artifacts.items():
+        (write_report if isinstance(body, dict) else write_text)(out / name, body)
+    return artifacts
 
 
 def cmd_mcl(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    backend, _ = _setup(args)
     samples, warnings = _load_input_sequences(args, backend)
-    samples = sorted(samples, key=lambda s: s.seq_id)
-    grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
+    grid = _grid(args)
 
     def probe_one(sample, memo):
-        """The probe result, or why the sample was filtered out before the walk."""
+        """The sequence's record, or, in the stream no file holds, why it was filtered out."""
         if sample.next_token is None:
-            return "no ground-truth next token"
-        if len(sample.tokens) < grid.start:
-            return f"sequence length {len(sample.tokens)} below grid start {grid.start}"
-        full = prefix_distribution(sample.tokens, len(sample.tokens), memo)
-        if not accepts(full, sample.next_token, args.delta):
-            return "full-context prediction not confident-correct"
-        return mcl(sample.tokens, sample.next_token, args.delta, grid, memo)
+            reason = "no ground-truth next token"
+        elif len(sample.tokens) < grid.start:
+            reason = f"sequence length {len(sample.tokens)} below grid start {grid.start}"
+        elif not accepts(
+            prefix_distribution(sample.tokens, len(sample.tokens), memo), sample.next_token, args.delta
+        ):
+            reason = "full-context prediction not confident-correct"
+        else:
+            probe = mcl(sample.tokens, sample.next_token, args.delta, grid, memo)
+            return [probe.to_record(sample.seq_id)], []
+        return [], [{"seq_id": sample.seq_id, "reason": reason}]
 
-    results = []
-    filtered = []
-    with (out / "mcl_results.jsonl").open("w", encoding="utf-8") as fh:
-        for sample, res in zip(samples, _run_units(samples, probe_one, backend, args.parallel)):
-            if isinstance(res, str):
-                filtered.append({"seq_id": sample.seq_id, "reason": res})
-            else:
-                append_jsonl(fh, res.to_record(sample.seq_id))
-                results.append(res)
-
-    resolved = [r for r in results if r.resolved]
-    fit = None
-    share = {"32": None, "96": None}
-    if resolved:
-        bins, fit = mcl_histogram(resolved)
-        write_text(out / "mcl_hist.csv", Histogram.from_pairs(bins).to_csv())
-        share = {"32": aggregate_share(resolved, 32), "96": aggregate_share(resolved, 96)}
-    write_report(
-        out / "mcl_summary.json",
-        {
-            "command": "mcl",
-            "n_input": len(samples),
-            "n_kept": len(results),
-            "n_resolved": len(resolved),
-            "n_unresolved": len(results) - len(resolved),
-            "filtered": filtered,
-            "warnings": warnings,
-            "share_le": share,
-            "fit": _fit_payload(fit),
-            "delta": args.delta,
-            "grid": {"mode": grid.mode, "start": grid.start, "step": grid.step},
-            "truncation": "suffix",
-            "seed": args.seed,
-        },
+    _run_units(
+        args, backend, samples, probe_one, ["mcl_results.jsonl", None],
+        lambda units: _mcl_summary(args, units, warnings),
     )
     return EXIT_OK
 
 
-def cmd_damcl(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    samples, warnings = _load_input_sequences(args, backend)
-    samples = sorted(samples, key=lambda s: s.seq_id)
+def _mcl_summary(args, units, warnings) -> dict:
+    """``mcl_summary.json``, and ``mcl_hist.csv`` when a sequence resolved, from each unit's two streams."""
+    n_kept, lengths, filtered = 0, [], []
+    for records, dropped in units:
+        n_kept += len(records)
+        lengths.extend(r["length"] for r in records if r["resolved"])
+        filtered.extend(dropped)
+    artifacts, fit = {}, None
+    if lengths:
+        _, fit = mcl_histogram(lengths)
+        artifacts["mcl_hist.csv"] = Histogram.from_values(lengths).to_csv()
+    artifacts["mcl_summary.json"] = {
+        "command": "mcl",
+        "n_input": n_kept + len(filtered),
+        "n_kept": n_kept,
+        "n_resolved": len(lengths),
+        "n_unresolved": n_kept - len(lengths),
+        "filtered": filtered,
+        "warnings": warnings,
+        "share_le": {key: aggregate_share(lengths, int(key)) if lengths else None for key in ("32", "96")},
+        "fit": None if fit is None else {
+            "a": fit.a, "b_hat": fit.b_hat, "b_hat_signed": fit.slope, "r_squared": fit.r_squared
+        },
+        "delta": args.delta,
+        "grid": asdict(_grid(args)),
+        "truncation": "suffix",
+        "seed": args.seed,
+    }
+    return artifacts
+
+
+def _damcl_combos(args):
+    """The strategies, the epsilons, and each (strategy, epsilon, file slug) combination of them."""
     strategies = [DecodingStrategy.parse(tok) for tok in args.strategies.split(",") if tok]
     if not strategies:
         raise UsageError("--strategies needs at least one strategy")
     epsilons = _parse_float_list(args.epsilons, "--epsilons")
+    combos = [
+        (strategy, eps, f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}")
+        for strategy in strategies
+        for eps in epsilons
+    ]
+    return strategies, epsilons, combos
+
+
+def cmd_damcl(args) -> int:
+    backend, _ = _setup(args)
+    samples, warnings = _load_input_sequences(args, backend)
+    strategies, epsilons, combos = _damcl_combos(args)
     floor = min(epsilons)
-    grid = PrefixGrid(start=args.grid_start, step=args.grid_step, mode=args.grid_mode)
-    combos = [(strategy, eps) for strategy in strategies for eps in epsilons]
-    slugs = [f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}" for strategy, eps in combos]
+    grid = _grid(args)
 
     def probe_one(sample, memo):
         """Every combination of one sequence, cut from one walk per strategy at the smallest epsilon."""
         walks = [damcl(sample.tokens, strategy, args.metric, floor, grid, memo) for strategy in strategies]
-        return [walk.at_epsilon(eps) for walk in walks for eps in epsilons]
+        return [[walk.at_epsilon(eps).to_record(sample.seq_id)] for walk in walks for eps in epsilons]
 
-    results = [[] for _ in combos]
-    with contextlib.ExitStack() as stack:
-        files = [
-            stack.enter_context((out / f"damcl_{slug}.jsonl").open("w", encoding="utf-8")) for slug in slugs
-        ]
-        for sample, row in zip(samples, _run_units(samples, probe_one, backend, args.parallel)):
-            for fh, combo_results, res in zip(files, results, row):
-                append_jsonl(fh, res.to_record(sample.seq_id))
-                combo_results.append(res)
-
-    summaries = []
-    for (strategy, eps), slug, combo_results in zip(combos, slugs, results):
-        hist = Histogram.from_values(r.resolved_length for r in combo_results)
-        write_text(out / f"damcl_{slug}_hist.csv", hist.to_csv())
-        summaries.append(
-            {
-                "strategy": strategy.token(),
-                "metric": args.metric,
-                "epsilon": eps,
-                "n": len(combo_results),
-                "mean_length": sum(r.resolved_length for r in combo_results) / len(combo_results),
-            }
-        )
-    write_report(
-        out / "damcl_summary.json",
-        {
-            "command": "damcl",
-            "combos": summaries,
-            "warnings": warnings,
-            "grid": {"mode": grid.mode, "start": grid.start, "step": grid.step},
-            "truncation": "suffix",
-            "seed": args.seed,
-        },
+    files = [f"damcl_{slug}.jsonl" for _, _, slug in combos]
+    _run_units(
+        args, backend, samples, probe_one, files, lambda units: _damcl_summary(args, units, warnings)
     )
     return EXIT_OK
 
 
-def _oracle_label_fn(args):
-    """The oracle as a function of (sample, backend), and the fewest tokens a sequence needs for it.
+def _damcl_summary(args, units, warnings) -> dict:
+    """A histogram per combination and ``damcl_summary.json``, from each unit's records per combination."""
+    _, _, combos = _damcl_combos(args)
+    lengths = [[] for _ in combos]
+    for row in units:
+        for combo_lengths, records in zip(lengths, row):
+            combo_lengths.extend(r["length"] for r in records)
+    artifacts = {
+        f"damcl_{slug}_hist.csv": Histogram.from_values(ells).to_csv()
+        for (_, _, slug), ells in zip(combos, lengths)
+    }
+    artifacts["damcl_summary.json"] = {
+        "command": "damcl",
+        "combos": [
+            {"strategy": strategy.token(), "metric": args.metric, "epsilon": eps, "n": len(ells),
+             "mean_length": sum(ells) / len(ells)}
+            for (strategy, eps, _), ells in zip(combos, lengths)
+        ],
+        "warnings": warnings,
+        "grid": asdict(_grid(args)),
+        "truncation": "suffix",
+        "seed": args.seed,
+    }
+    return artifacts
 
-    The backend is the position's memo.
-    """
-    if args.oracle == "planted":
-        def planted(sample, backend):
+
+def _oracle_label_fn(args):
+    """The oracle as a function of (sample, memo), and the fewest tokens a sequence needs for it."""
+    grid = _grid(args)
+
+    def label_of(sample, memo):
+        if args.oracle == "planted":
             if sample.label is None:
                 raise DataError(f"sequence {sample.seq_id} has no planted label")
             return sample.label
-
-        return planted, 1
-    if args.oracle == "mcl":
-        grid = PrefixGrid(start=args.grid_start, step=args.grid_step)
-
-        def from_mcl(sample, backend):
-            if sample.next_token is None:
-                raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
-            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, backend).label
-
-        return from_mcl, grid.start
-
-    def from_lsd_lcl(sample, backend):
         if sample.next_token is None:
             raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
-        return lsd_lcl_oracle_label(sample.tokens, sample.next_token, backend).label
+        if args.oracle == "mcl":
+            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, memo).label
+        return lsd_lcl_oracle_label(sample.tokens, sample.next_token, memo).label
 
-    return from_lsd_lcl, LSD_LCL_SHORT_LEN + 1
+    return label_of, {"planted": 1, "mcl": grid.start, "lsd_lcl": LSD_LCL_SHORT_LEN + 1}[args.oracle]
+
+
+def _lsds_config(args) -> LsdsConfig:
+    strategy = DecodingStrategy.parse(args.strategy)
+    return LsdsConfig(short_len=_short_len_arg(args.short_len), strategy=strategy, tau=args.tau)
 
 
 def cmd_detect(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    samples, _ = load_sequences_jsonl(args.corpus)
-    samples = sorted(samples, key=lambda s: s.seq_id)
-    cfg = LsdsConfig(
-        short_len=_short_len_arg(args.short_len),
-        strategy=DecodingStrategy.parse(args.strategy),
-        tau=args.tau,
-    )
+    backend, _ = _setup(args)
+    samples, warnings = _load_input_sequences(args, backend)
+    cfg = _lsds_config(args)
     label_of, oracle_len = _oracle_label_fn(args)
     # Check every sequence before the first backend call, so a short one writes no partial results.
     too_short = [
@@ -517,65 +532,58 @@ def cmd_detect(args) -> int:
             f" {', '.join(too_short)}"
         )
 
-    def run_one(sample, memo):
-        return lsds(sample.tokens, cfg, memo), label_of(sample, memo)
+    def score_one(sample, memo):
+        score = lsds(sample.tokens, cfg, memo)
+        pred = LONG if score >= cfg.tau else SHORT
+        label = label_of(sample, memo)
+        return ([{"seq_id": sample.seq_id, "lsds": score, "label_pred": pred, "label_oracle": label,
+                  "oracle_kind": args.oracle}],)
 
-    scored = []
-    with (out / "detect_results.jsonl").open("w", encoding="utf-8") as fh:
-        for sample, (score, oracle_label) in zip(
-            samples, _run_units(samples, run_one, backend, args.parallel)
-        ):
-            pred = LONG if score >= cfg.tau else SHORT
-            append_jsonl(
-                fh,
-                {
-                    "seq_id": sample.seq_id,
-                    "lsds": score,
-                    "label_pred": pred,
-                    "label_oracle": oracle_label,
-                    "oracle_kind": args.oracle,
-                },
-            )
-            scored.append((score, oracle_label == LONG, pred == LONG))
-
-    pairs = [(score, truth) for score, truth, _ in scored]
-    auc = roc_auc(pairs)
-    best = youden_threshold(pairs)
-    confusion = ConfusionMatrix.from_labels((pred, truth) for _, truth, pred in scored)
-    if args.tau_sweep:
-        rows = tau_sweep(pairs, _parse_float_list(args.tau_sweep, "--tau-sweep"))
-        lines = ["tau,tpr,fpr,j,accuracy"]
-        lines.extend(
-            f"{r['tau']:g},{r['tpr']:.6f},{r['fpr']:.6f},{r['j']:.6f},{r['accuracy']:.6f}"
-            for r in rows
-        )
-        write_text(out / "detect_tau_sweep.csv", "\n".join(lines) + "\n")
-    write_report(
-        out / "detect_summary.json",
-        {
-            "command": "detect",
-            "n": len(scored),
-            "auc": auc,
-            "youden": {"theta": best.theta, "j": best.j, "tpr": best.tpr, "fpr": best.fpr},
-            "confusion": confusion.to_dict(),
-            "accuracy": confusion.accuracy,
-            "tau": cfg.tau,
-            "short_len": cfg.short_len,
-            "strategy": cfg.strategy.token(),
-            "oracle": args.oracle,
-            "truncation": "suffix",
-            "seed": args.seed,
-        },
+    _run_units(
+        args, backend, samples, score_one, ["detect_results.jsonl"],
+        lambda units: _detect_summary(args, units, warnings),
     )
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.method == "taboo" and args.lam is None:
-        raise UsageError("--method taboo requires --lam (no published default)")
+def _detect_summary(args, units, warnings) -> dict:
+    """``detect_summary.json``, and ``detect_tau_sweep.csv`` for ``--tau-sweep``, from the records."""
+    pairs, labels = [], []
+    for (records,) in units:
+        for r in records:
+            truth = r["label_oracle"] == LONG
+            pairs.append((r["lsds"], truth))
+            labels.append((r["label_pred"] == LONG, truth))
+    cfg = _lsds_config(args)
+    auc = roc_auc(pairs)
+    best = youden_threshold(pairs)
+    confusion = ConfusionMatrix.from_labels(labels)
+    artifacts = {}
+    if args.tau_sweep:
+        rows = tau_sweep(pairs, _parse_float_list(args.tau_sweep, "--tau-sweep"))
+        artifacts["detect_tau_sweep.csv"] = "tau,tpr,fpr,j,accuracy\n" + "".join(
+            f"{r['tau']:g},{r['tpr']:.6f},{r['fpr']:.6f},{r['j']:.6f},{r['accuracy']:.6f}\n" for r in rows
+        )
+    artifacts["detect_summary.json"] = {
+        "command": "detect",
+        "n": len(pairs),
+        "auc": auc,
+        "youden": {"theta": best.theta, "j": best.j, "tpr": best.tpr, "fpr": best.fpr},
+        "confusion": confusion.to_dict(),
+        "accuracy": confusion.accuracy,
+        "tau": cfg.tau,
+        "short_len": cfg.short_len,
+        "strategy": cfg.strategy.token(),
+        "oracle": args.oracle,
+        "warnings": warnings,
+        "truncation": "suffix",
+        "seed": args.seed,
+    }
+    return artifacts
+
+
+def _boost_config(args) -> tuple[BoostConfig, dict]:
+    """The boost settings, and the ``config`` that each generation record and the summary carry."""
     cfg = BoostConfig(
         lam=args.lam if args.lam is not None else 1.0,
         gamma=args.gamma,
@@ -583,17 +591,7 @@ def cmd_generate(args) -> int:
         strategy=DecodingStrategy.parse(args.strategy),
         short_len=args.short_len,
     )
-    tokenizer = _tokenizer_of(backend)
-    rows, errors = load_jsonl(args.prompts)
-    prompts = []
-    for doc in rows:
-        tokens = doc.tokens if doc.tokens is not None else tokenizer.tokenize(doc.text)
-        prompts.append((doc.doc_id, tokens, doc.gold))
-    prompts.sort(key=lambda prompt: prompt[0])
-
-    had_error = False
-    per_prompt_scores: dict[str, list[dict[str, float]]] = {}
-    config_payload = {
+    return cfg, {
         "method": args.method,
         "strategy": cfg.strategy.token(),
         "lam": cfg.lam,
@@ -604,74 +602,75 @@ def cmd_generate(args) -> int:
         "max_new": args.max_new,
     }
 
-    def generate_prompt(item, memo):
-        """All samples of one prompt, on one memo."""
-        p_idx, (_, tokens, _) = item
-        return [
-            generate(
-                tokens,
-                args.max_new,
-                args.method,
-                cfg,
-                derive_seed(args.seed, p_idx, k),
-                memo,
-                alpha=args.alpha,
-            )
-            for k in range(args.n_samples)
-        ]
 
-    with (out / "generations.jsonl").open("w", encoding="utf-8") as fh:
-        runner = _run_units(enumerate(prompts), generate_prompt, backend, args.parallel)
-        for (prompt_id, _, gold), results in zip(prompts, runner):
-            for k, result in enumerate(results):
-                text = tokenizer.detokenize(result.tokens)
-                record = {
-                    "prompt_id": prompt_id,
-                    "sample": k,
-                    "config": config_payload,
-                    "text": text,
-                    **result.to_record(),
-                }
-                append_jsonl(fh, record)
-                if result.error is not None:
-                    had_error = True
-                if gold is not None:
-                    per_prompt_scores.setdefault(prompt_id, []).append(score_all(text, gold))
-
-    if per_prompt_scores:
-        metrics_summary = {}
-        for metric in ("token_f1", "bleu", "rouge_l"):
-            per_prompt = [
-                summarize([s[metric] for s in samples_scores])
-                for samples_scores in per_prompt_scores.values()
-            ]
-            metrics_summary[metric] = {
-                "mean": sum(p["mean"] for p in per_prompt) / len(per_prompt),
-                "best": sum(p["best"] for p in per_prompt) / len(per_prompt),
-            }
-        write_report(
-            out / "generate_scores.json",
-            {"command": "generate", "n_prompts": len(per_prompt_scores), "metrics": metrics_summary},
-        )
-    write_report(
-        out / "generate_summary.json",
-        {
-            "command": "generate",
-            "n_prompts": len(prompts),
-            "n_samples": args.n_samples,
-            "config": config_payload,
-            "prompt_errors": errors,
-            "had_backend_error": had_error,
-            "seed": args.seed,
-        },
+def cmd_generate(args) -> int:
+    backend, _ = _setup(args)
+    if args.method == "taboo" and args.lam is None:
+        raise UsageError("--method taboo requires --lam (no published default)")
+    cfg, config = _boost_config(args)
+    tokenizer = _tokenizer_of(backend)
+    docs, warnings = load_jsonl(args.prompts)
+    prompts = sorted(
+        (replace(doc, tokens=tokenizer.tokenize(doc.text)) if doc.tokens is None else doc for doc in docs),
+        key=lambda doc: doc.doc_id,
     )
-    return EXIT_BACKEND if had_error else EXIT_OK
+
+    def generate_prompt(item, memo):
+        """The records of all samples of one prompt, generated on one memo."""
+        p_idx, prompt = item
+        records = []
+        for k in range(args.n_samples):
+            seed = derive_seed(args.seed, p_idx, k)
+            result = generate(prompt.tokens, args.max_new, args.method, cfg, seed, memo, alpha=args.alpha)
+            text = tokenizer.detokenize(result.tokens)
+            records.append({"prompt_id": prompt.doc_id, "sample": k, "config": config, "text": text,
+                            **result.to_record()})
+        return (records,)
+
+    artifacts = _run_units(
+        args, backend, list(enumerate(prompts)), generate_prompt, ["generations.jsonl"],
+        lambda units: _generate_summary(args, units, prompts, warnings),
+        unit_id=lambda item: item[1].doc_id,
+    )
+    return EXIT_BACKEND if artifacts["generate_summary.json"]["had_backend_error"] else EXIT_OK
+
+
+def _generate_summary(args, units, prompts, warnings) -> dict:
+    """``generate_summary.json``, and ``generate_scores.json`` when a prompt has a gold answer.
+
+    Besides the records, it reads the prompts' number and gold answers, which no record holds.
+    """
+    gold = {prompt.doc_id: prompt.gold for prompt in prompts}
+    scores: dict[str, list[dict[str, float]]] = {}
+    had_error = False
+    for (records,) in units:
+        for r in records:
+            had_error = had_error or r["error"] is not None
+            if gold[r["prompt_id"]] is not None:
+                scores.setdefault(r["prompt_id"], []).append(score_all(r["text"], gold[r["prompt_id"]]))
+    artifacts = {}
+    if scores:
+        metrics = {}
+        for metric in ("token_f1", "bleu", "rouge_l"):
+            per_prompt = [summarize([s[metric] for s in samples]) for samples in scores.values()]
+            metrics[metric] = {k: sum(p[k] for p in per_prompt) / len(per_prompt) for k in ("mean", "best")}
+        artifacts["generate_scores.json"] = {
+            "command": "generate", "n_prompts": len(scores), "metrics": metrics
+        }
+    artifacts["generate_summary.json"] = {
+        "command": "generate",
+        "n_prompts": len(prompts),
+        "n_samples": args.n_samples,
+        "config": _boost_config(args)[1],
+        "prompt_errors": warnings,
+        "had_backend_error": had_error,
+        "seed": args.seed,
+    }
+    return artifacts
 
 
 def cmd_bench(args) -> int:
-    backend = build_backend(args.backend, args.parallel)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    backend, out = _setup(args)
     lengths = [int(x) for x in args.lengths.split(",") if x]
     if not lengths or any(n <= args.short_len for n in lengths):
         raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
@@ -757,9 +756,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    backend = build_backend(args.backend, 1)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    backend, out = _setup(args)
     tokenizer = _tokenizer_of(backend)
     records = []
     for i in range(args.n):

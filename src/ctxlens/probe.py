@@ -189,20 +189,20 @@ def damcl(
     return _walk("damcl", s, grid, backend, measure, lambda v: v <= epsilon, epsilon)
 
 
-def mcl_histogram(results: Sequence[ProbeResult]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:
+def mcl_histogram(lengths: Sequence[int]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:
     """Counts of resolved lengths, plus a power-law fit when enough bins exist.
 
     The fit's reported exponent follows the negative sign convention (see
     ``PowerLawFit.slope``); bins with zero count carry no information and
-    are never created here.
+    are never created here. An unresolved (None) length is an error.
     """
-    if not results:
-        raise InsufficientData("no probe results to aggregate")
+    if not lengths:
+        raise InsufficientData("no resolved lengths to aggregate")
     counts: dict[int, int] = {}
-    for res in results:
-        if not res.resolved:
-            raise InsufficientData("histogram input must be resolved probe results")
-        counts[res.resolved_length] = counts.get(res.resolved_length, 0) + 1
+    for ell in lengths:
+        if ell is None:
+            raise InsufficientData("histogram input must be resolved lengths")
+        counts[ell] = counts.get(ell, 0) + 1
     bins = sorted(counts.items())
     try:
         fit = fit_power_law([(float(ell), float(c)) for ell, c in bins])

@@ -39,11 +39,6 @@ class Histogram:
         items = sorted(counts.items())
         return cls(points=tuple(k for k, _ in items), counts=tuple(v for _, v in items))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Histogram":
-        items = sorted((int(p), int(c)) for p, c in pairs)
-        return cls(points=tuple(k for k, _ in items), counts=tuple(v for _, v in items))
-
     @property
     def total(self) -> int:
         return sum(self.counts)
@@ -104,21 +99,17 @@ class ConfusionMatrix:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
-def aggregate_share(results: Sequence, cutoff: int) -> float:
+def aggregate_share(lengths: Sequence[int], cutoff: int) -> float:
     """Fraction of resolved lengths at or below ``cutoff``.
 
-    Accepts probe results or plain integers; unresolved results and empty
-    input are errors rather than silent zeros.
+    An unresolved (None) length and empty input are errors rather than
+    silent zeros.
     """
-    lengths: list[int] = []
-    for r in results:
-        length = r if isinstance(r, int) else getattr(r, "resolved_length", None)
-        if length is None:
-            raise InsufficientData("aggregate_share needs resolved lengths only")
-        lengths.append(int(length))
     if not lengths:
         raise InsufficientData("aggregate_share of empty input")
-    return sum(1 for x in lengths if x <= cutoff) / len(lengths)
+    if any(length is None for length in lengths):
+        raise InsufficientData("aggregate_share needs resolved lengths only")
+    return sum(1 for length in lengths if length <= cutoff) / len(lengths)
 
 
 def write_report(path: str | Path, payload: dict) -> Path:

@@ -16,6 +16,7 @@ import pytest
 import ctxlens.cli as cli
 from conftest import FakeModelServer, write_jsonl
 from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
+from ctxlens.corpus import load_jsonl
 from ctxlens.decoding import apply_strategy
 from ctxlens.dist import TokenDistribution
 from ctxlens.reporting import read_report
@@ -206,6 +207,18 @@ class TestMclCommand:
         assert len(results) == 9
         assert [r["seq_id"] for r in results] == [f"s{i:02d}" for i in range(9)]
         assert not (out / "mcl_summary.json").exists()
+        failure = read_report(out / "mcl_failure.json")
+        assert (failure["seq_id"], failure["attempts"]) == ("s09", 1)
+        assert failure["error"] == "injected outage after 30 calls"
+        assert failure["partial_trace"] == []  # the first grid point of s09 failed
+        # Five calls earlier, the outage hits s08's walk after eight of its grid points.
+        flaky.fail_after, flaky.attempts = 25, 0
+        assert run(["mcl", "--backend", "unused", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert len(read_jsonl(out / "mcl_results.jsonl")) == 8
+        failure = read_report(out / "mcl_failure.json")
+        assert failure["seq_id"] == "s08"
+        # Before s08's dependency the mock is uniform: top-1 id 0 at confidence 0.
+        assert failure["partial_trace"] == [[ell, [0, 0.0]] for ell in range(32, 160, 16)]
 
     def test_empty_corpus_is_a_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -410,6 +423,17 @@ class TestDetectCommand:
             assert not (out / "detect_results.jsonl").exists()
         else:
             assert len(read_jsonl(out / "detect_results.jsonl")) == 4
+
+    def test_malformed_lines_are_reported_as_warnings(self, tmp_path):
+        records = planted_corpus_records(n_short=2, n_long=1, with_labels=True)
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write('{"seq_id": "bad", "tokens": [1, 2.5], "label": "short"}\n')
+        out = tmp_path / "out"
+        assert run(["detect", "--backend", PLANTED, "--corpus", str(corpus), "--out", str(out)]) == 0
+        summary = read_report(out / "detect_summary.json")
+        assert summary["n"] == 3
+        assert [w["line"] for w in summary["warnings"]] == [4]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_jsonl(
@@ -697,6 +721,134 @@ class TestBackendContract:
         monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: minimal)
         assert run([*argv, "--backend", "unused", "--out", str(tmp_path / "minimal")]) == 0
         assert tree_bytes(tmp_path / "minimal") == tree_bytes(tmp_path / "spec")
+
+
+RUNNER_COMMANDS = {
+    "mcl": ["mcl"],
+    "damcl": ["damcl", "--strategies", "nucleus:0.9,topk:50", "--epsilons", "0.1,0.2"],
+    "detect": ["detect", "--tau-sweep", "0.2,0.6"],
+    "generate": ["generate", "--method", "taboo", "--lam", "2", "--max-new", "4", "--n-samples", "2"],
+}
+
+
+class TestRunner:
+    """The one runner behind mcl, damcl, detect and generate: records per unit, in input order."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        records = planted_corpus_records(n_short=4, n_long=2, with_labels=True)
+        records[1]["next_token"] = 7  # filtered out by mcl's gate
+        prompts = [
+            {"id": f"p{i}", "tokens": [1] * (30 + i) + [20], "gold": "t5 t5" if i % 2 else None}
+            for i in range(3)
+        ]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        return corpus, write_jsonl(tmp_path / "prompts.jsonl", prompts)
+
+    @staticmethod
+    def argv(command, inputs):
+        corpus, prompts = inputs
+        source = ["--prompts", str(prompts)] if command == "generate" else ["--corpus", str(corpus)]
+        return [*RUNNER_COMMANDS[command], *source, "--backend", PLANTED]
+
+    @pytest.mark.parametrize("command", RUNNER_COMMANDS)
+    def test_outputs_do_not_depend_on_parallel(self, tmp_path, inputs, command):
+        trees = []
+        for parallel in ("1", "2", "3"):
+            out = tmp_path / f"p{parallel}"
+            assert run([*self.argv(command, inputs), "--parallel", parallel, "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
+
+    @pytest.mark.parametrize("fail_after", [3, 9, 20])
+    def test_outage_at_parallel_2_leaves_a_prefix(self, tmp_path, monkeypatch, inputs, fail_after):
+        argv = self.argv("damcl", inputs)
+        assert run([*argv, "--out", str(tmp_path / "full")]) == 0
+        flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=fail_after)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        out = tmp_path / "cut"
+        assert run([*argv, "--parallel", "2", "--out", str(out)]) == 2
+        files = sorted(out.glob("damcl_*.jsonl"))
+        assert len(files) == 4
+        for path in files:
+            cut, full = path.read_bytes(), (tmp_path / "full" / path.name).read_bytes()
+            assert full.startswith(cut)
+            assert cut.count(b"\n") == len(read_jsonl(files[0]))  # every combination stops at one unit
+        failure = read_report(out / "damcl_failure.json")
+        assert failure["seq_id"] == f"s{len(read_jsonl(files[0])):02d}"
+        assert not (out / "damcl_summary.json").exists()
+
+    @pytest.mark.parametrize("command", RUNNER_COMMANDS)
+    def test_summary_is_rebuilt_from_the_written_records(self, tmp_path, inputs, command):
+        out = tmp_path / "out"
+        argv = [*self.argv(command, inputs), "--parallel", "2", "--out", str(out)]
+        assert run(argv) == 0
+        args = cli.build_parser()[0].parse_args(argv)
+        _, prompts = inputs
+        if command == "mcl":
+            summary = read_report(out / "mcl_summary.json")
+            assert summary["filtered"]
+            units = [(read_jsonl(out / "mcl_results.jsonl"), summary["filtered"])]
+            artifacts = cli._mcl_summary(args, units, summary["warnings"])
+        elif command == "damcl":
+            _, _, combos = cli._damcl_combos(args)
+            units = [tuple(read_jsonl(out / f"damcl_{slug}.jsonl") for _, _, slug in combos)]
+            artifacts = cli._damcl_summary(args, units, [])
+        elif command == "detect":
+            artifacts = cli._detect_summary(args, [(read_jsonl(out / "detect_results.jsonl"),)], [])
+        else:
+            docs, warnings = load_jsonl(prompts)
+            units = [(read_jsonl(out / "generations.jsonl"),)]
+            artifacts = cli._generate_summary(args, units, docs, warnings)
+        written = {path.name for path in out.iterdir() if path.suffix != ".jsonl"}
+        assert set(artifacts) == written
+        for name, body in artifacts.items():
+            if isinstance(body, dict):
+                assert {**body, "schema": "ctxlens/1"} == read_report(out / name)
+            else:
+                assert body == (out / name).read_text()
+
+
+def _documented_fields():
+    """The README's "Output records" list: each entry's label mapped to its field names."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Output records", 1)[1]
+    entries = {}
+    for line in section.splitlines():
+        if line.startswith("- ") and ": `" in line:
+            label, fields = line[2:].split(": ", 1)
+            entries[label] = [field.strip("`") for field in fields.split(", ")]
+    return entries
+
+
+def test_readme_lists_the_fields_of_every_output_record(tmp_path, monkeypatch):
+    records = planted_corpus_records(n_short=2, n_long=1, with_labels=True)
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+    prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": [1] * 39 + [20]}])
+    for command in RUNNER_COMMANDS:
+        source = ["--prompts", str(prompts)] if command == "generate" else ["--corpus", str(corpus)]
+        argv = [*RUNNER_COMMANDS[command], *source, "--backend", PLANTED]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=0)
+    monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+    argv = ["detect", "--corpus", str(corpus), "--backend", "unused"]
+    assert run([*argv, "--out", str(tmp_path / "cut")]) == 2
+    out = tmp_path / "out"
+    generations = read_jsonl(out / "generations.jsonl")
+    written = {
+        "`mcl_results.jsonl`": read_jsonl(out / "mcl_results.jsonl"),
+        "`damcl_*.jsonl`": [r for path in out.glob("damcl_*.jsonl") for r in read_jsonl(path)],
+        "`detect_results.jsonl`": read_jsonl(out / "detect_results.jsonl"),
+        "`generations.jsonl`": generations,
+        "a step in `steps`": [step for r in generations for step in r["steps"]],
+        "`<command>_failure.json`": [read_report(tmp_path / "cut" / "detect_failure.json")],
+    }
+    documented = _documented_fields()
+    assert set(documented) == set(written)
+    for label, records in written.items():
+        assert records
+        for record in records:
+            assert sorted(record) == sorted(documented[label]), label
 
 
 class TestBenchCommand:

@@ -391,27 +391,20 @@ class TestAtEpsilon:
 
 
 class TestMclHistogram:
-    def _resolved(self, length):
-        return ProbeResult(
-            kind="mcl", resolved_length=length, trace=(), grid_points=(32,), threshold=0.2
-        )
-
     def test_counts_by_length(self):
-        results = [self._resolved(32)] * 3 + [self._resolved(48)] * 2 + [self._resolved(32)]
-        bins, fit = mcl_histogram(results)
+        bins, fit = mcl_histogram([32, 32, 32, 48, 48, 32])
         assert bins == [(32, 4), (48, 2)]
         assert fit is not None
         assert fit.b_hat > 0
 
     def test_single_bin_has_no_fit(self):
-        bins, fit = mcl_histogram([self._resolved(32)] * 5)
+        bins, fit = mcl_histogram([32] * 5)
         assert bins == [(32, 5)]
         assert fit is None
 
     def test_unresolved_input_rejected(self):
-        bad = ProbeResult(kind="mcl", resolved_length=None, trace=(), grid_points=(32,), threshold=0.2)
         with pytest.raises(InsufficientData):
-            mcl_histogram([bad])
+            mcl_histogram([32, None])
 
     def test_empty_input_rejected(self):
         with pytest.raises(InsufficientData):

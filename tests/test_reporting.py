@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from ctxlens.errors import InsufficientData
-from ctxlens.probe import ProbeResult
 from ctxlens.reporting import (
     REPORT_SCHEMA,
     ConfusionMatrix,
@@ -20,21 +19,12 @@ from ctxlens.reporting import (
 )
 
 
-def resolved(length):
-    return ProbeResult(kind="mcl", resolved_length=length, trace=(), grid_points=(32,), threshold=0.2)
-
-
 class TestHistogram:
     def test_from_values(self):
         h = Histogram.from_values([48, 32, 32, 96, 32])
         assert h.points == (32, 48, 96)
         assert h.counts == (3, 1, 1)
         assert h.total == 5
-
-    def test_from_pairs_sorts(self):
-        h = Histogram.from_pairs([(96, 2), (32, 5)])
-        assert h.points == (32, 96)
-        assert h.counts == (5, 2)
 
     def test_csv_format(self):
         h = Histogram.from_values([32, 32, 48])
@@ -70,7 +60,7 @@ class TestConfusionMatrix:
 
 class TestAggregateShare:
     def test_exact_ratio(self):
-        results = [resolved(32)] * 8 + [resolved(200)] * 2
+        results = [32] * 8 + [200] * 2
         assert aggregate_share(results, 32) == 0.8
         assert aggregate_share(results, 96) == 0.8
         assert aggregate_share(results, 200) == 1.0
@@ -85,9 +75,8 @@ class TestAggregateShare:
         assert shares == sorted(shares)
 
     def test_unresolved_rejected(self):
-        bad = ProbeResult(kind="mcl", resolved_length=None, trace=(), grid_points=(32,), threshold=0.2)
         with pytest.raises(InsufficientData):
-            aggregate_share([resolved(32), bad], 32)
+            aggregate_share([32, None], 32)
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientData):
