@@ -11,7 +11,6 @@ from .dist import JSD_MAX, PowerLawFit, SupportSet, TokenDistribution, fit_power
 from .decoding import DecodingStrategy, apply_strategy, confidence, derive_seed, sample, top1
 from .probe import PrefixGrid, ProbeResult, damcl, mcl, mcl_histogram
 from .detection import (
-    ContextLabel,
     LsdsConfig,
     YoudenPoint,
     classify,
@@ -49,7 +48,6 @@ __all__ = [
     "damcl",
     "mcl",
     "mcl_histogram",
-    "ContextLabel",
     "LsdsConfig",
     "YoudenPoint",
     "classify",

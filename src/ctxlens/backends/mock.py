@@ -204,18 +204,28 @@ class MockTokenizer:
         return " ".join(f"t{int(t)}" for t in tokens)
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def parse_kv(text: str) -> dict[str, str]:
+    """The comma-separated ``key=value`` parameters of a backend spec."""
     out: dict[str, str] = {}
-    if not text:
-        return out
     for part in text.split(","):
         if not part:
             continue
         key, sep, value = part.partition("=")
         if not sep:
-            raise UsageError(f"bad mock parameter {part!r}, expected key=value")
+            raise UsageError(f"bad backend parameter {part!r}, expected key=value")
         out[key.strip()] = value.strip()
     return out
+
+
+def pop_number(kv: dict[str, str], key: str, kind: type, default):
+    """Remove ``key`` from ``kv`` and convert its value with ``kind`` (int or float); ``default`` if absent."""
+    if key not in kv:
+        return default
+    value = kv.pop(key)
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"backend parameter {key!r} must be {kind.__name__}, got {value!r}") from None
 
 
 def parse_mock_spec(spec: str):
@@ -226,26 +236,25 @@ def parse_mock_spec(spec: str):
     ``token_latency_us`` (wraps the mock in a delay).
     """
     kind, _, rest = spec.partition(":")
-    kv = _parse_kv(rest)
-    vocab = int(kv.pop("vocab", 64))
-    eos = int(kv["eos"]) if "eos" in kv else None
-    kv.pop("eos", None)
-    latency_ms = float(kv.pop("latency_ms", 0.0))
-    token_latency_us = float(kv.pop("token_latency_us", 0.0))
+    kv = parse_kv(rest)
+    vocab = pop_number(kv, "vocab", int, 64)
+    eos = pop_number(kv, "eos", int, None)
+    latency_ms = pop_number(kv, "latency_ms", float, 0.0)
+    token_latency_us = pop_number(kv, "token_latency_us", float, 0.0)
 
     if kind == "planted":
         backend = PlantedDependencyBackend(
             vocab_size=vocab,
-            dependency_length=int(kv.pop("d", 40)),
-            answer_token=int(kv.pop("answer", 1)),
-            confident_prob=float(kv.pop("conf", 0.9)),
+            dependency_length=pop_number(kv, "d", int, 40),
+            answer_token=pop_number(kv, "answer", int, 1),
+            confident_prob=pop_number(kv, "conf", float, 0.9),
             eos_token_id=eos,
         )
     elif kind == "planted_last":
         backend = PlantedLastTokenBackend(
             vocab_size=vocab,
-            answer_token=int(kv.pop("answer", 1)),
-            confident_prob=float(kv.pop("conf", 0.9)),
+            answer_token=pop_number(kv, "answer", int, 1),
+            confident_prob=pop_number(kv, "conf", float, 0.9),
             eos_token_id=eos,
         )
     elif kind == "uniform":

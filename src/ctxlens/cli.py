@@ -37,6 +37,7 @@ from .backends import (
     parse_mock_spec,
     prefix_distribution,
 )
+from .backends.mock import parse_kv, pop_number
 from .boosting import GENERATION_METHODS, BoostConfig, generate
 from .corpus import (
     DEFAULT_BUCKETS,
@@ -73,7 +74,7 @@ from .errors import (
     UsageError,
 )
 from .probe import GRID_MODES, METRIC_NAMES, PrefixGrid, accepts, damcl, mcl, mcl_histogram
-from .reporting import ConfusionMatrix, Histogram, aggregate_share, append_jsonl, write_report, write_text
+from .reporting import aggregate_share, append_jsonl, histogram_csv, write_report, write_text
 from .textmetrics import score_all, summarize
 
 ENV_BACKEND_URL = "CTXLENS_BACKEND_URL"
@@ -241,14 +242,12 @@ def build_backend(spec: str | None, parallel: int):
     elif spec.startswith("openai:"):
         rest = spec[len("openai:") :]
         url, _, params = rest.partition(",")
-        kv = dict(part.split("=", 1) for part in params.split(",") if part)
-        if "vocab" not in kv:
+        kv = parse_kv(params)
+        vocab = pop_number(kv, "vocab", int, None)
+        if vocab is None:
             raise UsageError("openai backend needs vocab=N (vocab size is not discoverable)")
-        backend = OpenAICompatBackend(
-            endpoint(url, top=int(kv.get("top", 50))),
-            model=kv.get("model", "default"),
-            vocab_size=int(kv["vocab"]),
-        )
+        top, model = pop_number(kv, "top", int, 50), kv.get("model", "default")
+        backend = OpenAICompatBackend(endpoint(url, top=top), model=model, vocab_size=vocab)
     else:
         raise UsageError(f"unrecognized backend spec {spec!r}")
     return backend
@@ -412,7 +411,7 @@ def _mcl_summary(args, units, warnings) -> dict:
     artifacts, fit = {}, None
     if lengths:
         _, fit = mcl_histogram(lengths)
-        artifacts["mcl_hist.csv"] = Histogram.from_values(lengths).to_csv()
+        artifacts["mcl_hist.csv"] = histogram_csv(lengths)
     artifacts["mcl_summary.json"] = {
         "command": "mcl",
         "n_input": n_kept + len(filtered),
@@ -474,8 +473,7 @@ def _damcl_summary(args, units, warnings) -> dict:
         for combo_lengths, records in zip(lengths, row):
             combo_lengths.extend(r["length"] for r in records)
     artifacts = {
-        f"damcl_{slug}_hist.csv": Histogram.from_values(ells).to_csv()
-        for (_, _, slug), ells in zip(combos, lengths)
+        f"damcl_{slug}_hist.csv": histogram_csv(ells) for (_, _, slug), ells in zip(combos, lengths)
     }
     artifacts["damcl_summary.json"] = {
         "command": "damcl",
@@ -504,8 +502,8 @@ def _oracle_label_fn(args):
         if sample.next_token is None:
             raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
         if args.oracle == "mcl":
-            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, memo).label
-        return lsd_lcl_oracle_label(sample.tokens, sample.next_token, memo).label
+            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, memo)
+        return lsd_lcl_oracle_label(sample.tokens, sample.next_token, memo)
 
     return label_of, {"planted": 1, "mcl": grid.start, "lsd_lcl": LSD_LCL_SHORT_LEN + 1}[args.oracle]
 
@@ -533,31 +531,33 @@ def cmd_detect(args) -> int:
         )
 
     def score_one(sample, memo):
+        """The position's record, or, in the stream no file holds, why the oracle could not label it."""
+        try:
+            label = label_of(sample, memo)
+        except NotLabelable as err:
+            return [], [{"seq_id": sample.seq_id, "reason": str(err)}]
         score = lsds(sample.tokens, cfg, memo)
         pred = LONG if score >= cfg.tau else SHORT
-        label = label_of(sample, memo)
-        return ([{"seq_id": sample.seq_id, "lsds": score, "label_pred": pred, "label_oracle": label,
-                  "oracle_kind": args.oracle}],)
+        return [{"seq_id": sample.seq_id, "lsds": score, "label_pred": pred, "label_oracle": label,
+                 "oracle_kind": args.oracle}], []
 
     _run_units(
-        args, backend, samples, score_one, ["detect_results.jsonl"],
+        args, backend, samples, score_one, ["detect_results.jsonl", None],
         lambda units: _detect_summary(args, units, warnings),
     )
     return EXIT_OK
 
 
 def _detect_summary(args, units, warnings) -> dict:
-    """``detect_summary.json``, and ``detect_tau_sweep.csv`` for ``--tau-sweep``, from the records."""
-    pairs, labels = [], []
-    for (records,) in units:
-        for r in records:
-            truth = r["label_oracle"] == LONG
-            pairs.append((r["lsds"], truth))
-            labels.append((r["label_pred"] == LONG, truth))
+    """``detect_summary.json``, and ``detect_tau_sweep.csv`` for ``--tau-sweep``, from the two streams."""
+    pairs, filtered = [], []
+    for records, dropped in units:
+        pairs.extend((r["lsds"], r["label_oracle"] == LONG) for r in records)
+        filtered.extend(dropped)
     cfg = _lsds_config(args)
     auc = roc_auc(pairs)
     best = youden_threshold(pairs)
-    confusion = ConfusionMatrix.from_labels(labels)
+    at_tau = tau_sweep(pairs, [cfg.tau])[0]
     artifacts = {}
     if args.tau_sweep:
         rows = tau_sweep(pairs, _parse_float_list(args.tau_sweep, "--tau-sweep"))
@@ -569,8 +569,9 @@ def _detect_summary(args, units, warnings) -> dict:
         "n": len(pairs),
         "auc": auc,
         "youden": {"theta": best.theta, "j": best.j, "tpr": best.tpr, "fpr": best.fpr},
-        "confusion": confusion.to_dict(),
-        "accuracy": confusion.accuracy,
+        "confusion": {key: at_tau[key] for key in ("tp", "fp", "tn", "fn")},
+        "accuracy": at_tau["accuracy"],
+        "filtered": filtered,
         "tau": cfg.tau,
         "short_len": cfg.short_len,
         "strategy": cfg.strategy.token(),
@@ -777,7 +778,7 @@ def cmd_synth(args) -> int:
                 window=args.window,
             )
             filler = default_filler_tokens(tokenizer, args.total_len, rng_seed=derive_seed(seed_i, 1))
-            sample, label = gen_niah(spec, filler, tokenizer, rng_seed=seed_i)
+            sample = gen_niah(spec, filler, tokenizer, rng_seed=seed_i)
         else:
             probe_line = tokenizer.tokenize("line 00000 REGISTER_CONTENT is 00000")
             est_lines = max(2, (args.total_len - 12) // max(1, len(probe_line)))
@@ -787,7 +788,7 @@ def cmd_synth(args) -> int:
                 answer_line_distance=int(rng.integers(1, est_lines + 1)),
                 window=args.window,
             )
-            sample, label = gen_longeval(spec, tokenizer, rng_seed=seed_i)
+            sample = gen_longeval(spec, tokenizer, rng_seed=seed_i)
         record = sample.to_record()
         record["seq_id"] = f"{args.kind}/{i:04d}"
         record["kind"] = spec.kind

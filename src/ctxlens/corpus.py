@@ -20,7 +20,7 @@ import numpy as np
 import orjson
 
 from .backends import Tokenizer
-from .detection import LONG, SHORT, ContextLabel
+from .detection import LONG, SHORT
 from .errors import DataError
 
 #: Length buckets for natural-corpus sampling: [32,100), [100,200), ..., [900,1000).
@@ -269,7 +269,7 @@ def gen_niah(
     filler_tokens: Sequence[int],
     tokenizer: Tokenizer,
     rng_seed: int = 0,
-) -> tuple[SequenceSample, ContextLabel]:
+) -> SequenceSample:
     """Magic-number retrieval prompt with the statement planted at ``needle_pos``.
 
     The prompt is filler + needle + filler + query, ``total_len`` tokens in
@@ -293,23 +293,21 @@ def gen_niah(
     if len(filler) < need:
         raise DataError(f"need {need} filler tokens, got {len(filler)}")
     tokens = filler[: spec.needle_pos] + needle + filler[spec.needle_pos : need] + query
-    label = SHORT if spec.total_len - spec.needle_pos <= spec.window else LONG
-    sample = SequenceSample(
+    return SequenceSample(
         seq_id=f"niah/{rng_seed}",
         tokens=tokens,
         next_token=answer[0],
         doc_id="niah",
         bucket=(len(tokens), len(tokens) + 1),
-        label=label,
+        label=SHORT if spec.total_len - spec.needle_pos <= spec.window else LONG,
     )
-    return sample, ContextLabel(label, oracle="planted")
 
 
 def gen_longeval(
     spec: SyntheticSpec,
     tokenizer: Tokenizer,
     rng_seed: int = 0,
-) -> tuple[SequenceSample, ContextLabel]:
+) -> SequenceSample:
     """Register-lookup prompt: numbered lines, query about one of them.
 
     The queried line sits ``answer_line_distance`` lines from the end
@@ -349,16 +347,14 @@ def gen_longeval(
         starts.append(len(tokens))
         tokens.extend(toks)
     tokens.extend(query)
-    label = SHORT if len(tokens) - starts[target] <= spec.window else LONG
-    sample = SequenceSample(
+    return SequenceSample(
         seq_id=f"longeval/{rng_seed}",
         tokens=tokens,
         next_token=answer[0],
         doc_id="longeval",
         bucket=(len(tokens), len(tokens) + 1),
-        label=label,
+        label=SHORT if len(tokens) - starts[target] <= spec.window else LONG,
     )
-    return sample, ContextLabel(label, oracle="planted")
 
 
 class TokenDiskCache:

@@ -60,22 +60,6 @@ class LsdsConfig:
         return int(self.short_len)
 
 
-@dataclass(frozen=True)
-class ContextLabel:
-    """A short/long verdict; ``oracle`` names the labeling source, None for predictions."""
-
-    label: str
-    oracle: str | None = None
-
-    def __post_init__(self):
-        if self.label not in (SHORT, LONG):
-            raise StrategyError(f"label must be {SHORT!r} or {LONG!r}")
-
-    @property
-    def is_long(self) -> bool:
-        return self.label == LONG
-
-
 def _decoded_pair(
     s: Sequence[int], cfg: LsdsConfig, backend: Backend
 ) -> tuple[TokenDistribution, TokenDistribution]:
@@ -93,9 +77,9 @@ def lsds(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
     return jsd(short, full)
 
 
-def classify(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> ContextLabel:
-    """Long iff the score reaches ``tau``; the boundary counts as long."""
-    return ContextLabel(LONG if lsds(s, cfg, backend) >= cfg.tau else SHORT)
+def classify(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> str:
+    """``"long"`` iff the score reaches ``tau``, else ``"short"``; the boundary counts as long."""
+    return LONG if lsds(s, cfg, backend) >= cfg.tau else SHORT
 
 
 def mcl_oracle_label(
@@ -104,16 +88,15 @@ def mcl_oracle_label(
     delta: float,
     grid: PrefixGrid,
     backend: Backend,
-) -> ContextLabel:
-    """Long iff the minimal context length exceeds the grid start.
+) -> str:
+    """``"long"`` iff the minimal context length exceeds the grid start, else ``"short"``.
 
     An unresolved probe cannot be labeled and raises.
     """
     result = mcl(s, t, delta, grid, backend)
     if not result.resolved:
         raise NotLabelable("probe never resolved, sequence is not labelable")
-    label = LONG if result.resolved_length > grid.start else SHORT
-    return ContextLabel(label, oracle="mcl")
+    return LONG if result.resolved_length > grid.start else SHORT
 
 
 def lsd_lcl_oracle_label(
@@ -123,8 +106,8 @@ def lsd_lcl_oracle_label(
     short_len: int = LSD_LCL_SHORT_LEN,
     lsd_threshold: float = 2.0,
     lcl_threshold: float = -1.0,
-) -> ContextLabel:
-    """Label from raw (pre-decoding) log-probabilities of the true token.
+) -> str:
+    """``"short"`` or ``"long"`` from raw (pre-decoding) log-probabilities of the true token.
 
     Long iff the full context lifts the token's log-probability by more than
     ``lsd_threshold`` nats over the short suffix AND the full-context
@@ -137,8 +120,7 @@ def lsd_lcl_oracle_label(
     p_short = prefix_distribution(s, short_len, backend).entry(t)
     lsd = math.log(max(p_full, PROB_FLOOR)) - math.log(max(p_short, PROB_FLOOR))
     lcl = math.log(max(p_full, PROB_FLOOR))
-    label = LONG if (lsd > lsd_threshold and lcl >= lcl_threshold) else SHORT
-    return ContextLabel(label, oracle="lsd_lcl")
+    return LONG if (lsd > lsd_threshold and lcl >= lcl_threshold) else SHORT
 
 
 def lsps(t: int, s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
@@ -218,13 +200,18 @@ def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
 
 
 def tau_sweep(scored: Sequence[tuple[float, bool]], taus: Sequence[float]) -> list[dict]:
-    """TPR/FPR/J and accuracy of the ``score >= tau`` rule at each requested tau."""
+    """Confusion counts, TPR/FPR/J and accuracy of the ``score >= tau`` rule at each tau.
+
+    Long is the positive class: ``tp``/``fn`` count the long examples at or
+    above / below ``tau``, ``fp``/``tn`` the short ones.
+    """
     pos, neg = _by_class(scored, "tau sweep")
     rows = []
     for tau in taus:
         tp = len(pos) - bisect_left(pos, tau)
         fp = len(neg) - bisect_left(neg, tau)
+        tn, fn = len(neg) - fp, len(pos) - tp
         tpr, fpr = tp / len(pos), fp / len(neg)
-        accuracy = (tp + len(neg) - fp) / len(scored)
-        rows.append({"tau": tau, "tpr": tpr, "fpr": fpr, "j": tpr - fpr, "accuracy": accuracy})
+        rows.append({"tau": tau, "tp": tp, "fp": fp, "tn": tn, "fn": fn, "tpr": tpr, "fpr": fpr,
+                     "j": tpr - fpr, "accuracy": (tp + tn) / len(scored)})
     return rows

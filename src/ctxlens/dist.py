@@ -1,8 +1,7 @@
 """Distributions over a token vocabulary and the divergences between them.
 
-All divergences use the natural logarithm by default; pass ``base=2.0`` to
-switch. Under natural log the Jensen-Shannon distance is bounded by
-sqrt(ln 2) ~= 0.832555.
+All divergences use the natural logarithm, so the Jensen-Shannon distance is
+bounded by sqrt(ln 2) ~= 0.832555.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def _check_same_vocab(p1: TokenDistribution, p2: TokenDistribution) -> None:
         raise VocabMismatch(f"vocab sizes differ: {p1.vocab_size} vs {p2.vocab_size}")
 
 
-def kl(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> float:
+def kl(p1: TokenDistribution, p2: TokenDistribution) -> float:
     """KL divergence sum_t p1_t log(p1_t / p2_t), with 0 * log 0 := 0.
 
     Returns ``inf`` when p1 puts mass where p2 has none.
@@ -133,11 +132,7 @@ def kl(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> fl
     pos = a > 0.0
     if np.any(b[pos] == 0.0):
         return math.inf
-    terms = a[pos] * np.log(a[pos] / b[pos])
-    val = float(terms.sum())
-    if base != math.e:
-        val /= math.log(base)
-    return val
+    return float((a[pos] * np.log(a[pos] / b[pos])).sum())
 
 
 def _kl_to_midpoint(a: np.ndarray, b: np.ndarray) -> float:
@@ -147,7 +142,7 @@ def _kl_to_midpoint(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * np.log(a / ((a + b[pos]) / 2.0))).sum())
 
 
-def jsd(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> float:
+def jsd(p1: TokenDistribution, p2: TokenDistribution) -> float:
     """Jensen-Shannon distance sqrt(KL(p1||q)/2 + KL(p2||q)/2), q the midpoint.
 
     Symmetric in its arguments by construction; bounded by sqrt(log 2).
@@ -156,8 +151,6 @@ def jsd(p1: TokenDistribution, p2: TokenDistribution, base: float = math.e) -> f
     kl_a = _kl_to_midpoint(p1.probs, p2.probs)
     kl_b = _kl_to_midpoint(p2.probs, p1.probs)
     sq = 0.5 * kl_a + 0.5 * kl_b
-    if base != math.e:
-        sq /= math.log(base)
     # Rounding can push the squared distance a hair below zero.
     return math.sqrt(max(sq, 0.0))
 
@@ -202,9 +195,6 @@ class PowerLawFit:
     @property
     def slope(self) -> float:
         return -self.b_hat
-
-    def predict(self, x: float) -> float:
-        return self.a * x**-self.b_hat
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:

@@ -1,4 +1,4 @@
-"""Run artifacts: histograms, confusion matrices, shares, and atomic JSON reports.
+"""Run artifacts: histogram CSVs, shares, and atomic JSON reports.
 
 Every JSON report embeds the schema version so downstream readers can check
 compatibility; file formats are documented under "File formats" in README.md.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,85 +18,10 @@ from .errors import InsufficientData
 REPORT_SCHEMA = "ctxlens/1"
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Counts over integer bins (typically resolved probe lengths)."""
-
-    points: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.counts):
-            raise InsufficientData("points and counts must align")
-        if any(c < 0 for c in self.counts):
-            raise InsufficientData("counts must be non-negative")
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "Histogram":
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        items = sorted(counts.items())
-        return cls(points=tuple(k for k, _ in items), counts=tuple(v for _, v in items))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def to_csv(self) -> str:
-        lines = ["ell,count"]
-        lines.extend(f"{p},{c}" for p, c in zip(self.points, self.counts))
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Binary confusion counts with long as the positive class."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @classmethod
-    def from_labels(cls, pairs: Iterable[tuple[bool, bool]]) -> "ConfusionMatrix":
-        """Build from (predicted_long, oracle_long) pairs."""
-        tp = fp = tn = fn = 0
-        for pred, truth in pairs:
-            if pred and truth:
-                tp += 1
-            elif pred and not truth:
-                fp += 1
-            elif not pred and not truth:
-                tn += 1
-            else:
-                fn += 1
-        return cls(tp=tp, fp=fp, tn=tn, fn=fn)
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def accuracy(self) -> float:
-        if self.total == 0:
-            raise InsufficientData("empty confusion matrix")
-        return (self.tp + self.tn) / self.total
-
-    @property
-    def tpr(self) -> float:
-        if self.tp + self.fn == 0:
-            raise InsufficientData("no positive examples")
-        return self.tp / (self.tp + self.fn)
-
-    @property
-    def fpr(self) -> float:
-        if self.fp + self.tn == 0:
-            raise InsufficientData("no negative examples")
-        return self.fp / (self.fp + self.tn)
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+def histogram_csv(values: Iterable[int]) -> str:
+    """``ell,count`` CSV text: one row per distinct value, in ascending order."""
+    counts = Counter(int(v) for v in values)
+    return "ell,count\n" + "".join(f"{ell},{counts[ell]}\n" for ell in sorted(counts))
 
 
 def aggregate_share(lengths: Sequence[int], cutoff: int) -> float:

@@ -225,7 +225,7 @@ def test_criterion_05_detection():
         backend = ConstantBackend(random_dist(rng, 16))
         score = lsds([1] * 40, cfg, backend)
         assert score == 0.0
-        assert classify([1] * 40, cfg, backend).label == "short"
+        assert classify([1] * 40, cfg, backend) == "short"
         scored.append((score, False))
     sqrt_ln2 = math.sqrt(math.log(2.0))
     for _ in range(100):
@@ -237,7 +237,7 @@ def test_criterion_05_detection():
         )
         score = lsds([1] * 40, cfg, backend)
         assert score == sqrt_ln2
-        assert classify([1] * 40, cfg, backend).label == "long"
+        assert classify([1] * 40, cfg, backend) == "long"
         scored.append((score, True))
 
     assert roc_auc(scored) == 1.0

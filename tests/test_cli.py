@@ -387,6 +387,36 @@ class TestDetectCommand:
             assert rec["label_oracle"] == raw["label"]
             assert rec["oracle_kind"] == "mcl"
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_unlabelable_position_is_filtered_not_fatal(self, tmp_path, parallel):
+        records = planted_corpus_records(n_short=4, n_long=2)
+        records[3]["next_token"] = 7  # the mock predicts 5, so the mcl probe never resolves
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        argv = ["detect", "--backend", PLANTED, "--corpus", str(corpus), "--oracle", "mcl"]
+        assert run([*argv, "--parallel", parallel, "--out", str(out)]) == 0
+        kept = [r["seq_id"] for r in read_jsonl(out / "detect_results.jsonl")]
+        assert kept == ["s00", "s01", "s02", "s04", "s05"]
+        summary = read_report(out / "detect_summary.json")
+        assert summary["n"] == 5
+        reason = "probe never resolved, sequence is not labelable"
+        assert summary["filtered"] == [{"seq_id": "s03", "reason": reason}]
+
+    @pytest.mark.parametrize("tau", ["0", "0.6", "0.83"])
+    def test_confusion_and_accuracy_recount_from_the_results(self, tmp_path, tau):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True))
+        out = tmp_path / "out"
+        argv = ["detect", "--backend", PLANTED, "--corpus", str(corpus), "--tau", tau]
+        assert run([*argv, "--out", str(out)]) == 0
+        results = read_jsonl(out / "detect_results.jsonl")
+        counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for r in results:
+            pred, truth = r["label_pred"] == "long", r["label_oracle"] == "long"
+            counts[("t" if pred == truth else "f") + ("p" if pred else "n")] += 1
+        summary = read_report(out / "detect_summary.json")
+        assert summary["confusion"] == counts
+        assert summary["accuracy"] == (counts["tp"] + counts["tn"]) / len(results)
+
     def test_missing_labels_is_a_data_error(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records())
         code = run(
@@ -795,7 +825,8 @@ class TestRunner:
             units = [tuple(read_jsonl(out / f"damcl_{slug}.jsonl") for _, _, slug in combos)]
             artifacts = cli._damcl_summary(args, units, [])
         elif command == "detect":
-            artifacts = cli._detect_summary(args, [(read_jsonl(out / "detect_results.jsonl"),)], [])
+            filtered = read_report(out / "detect_summary.json")["filtered"]
+            artifacts = cli._detect_summary(args, [(read_jsonl(out / "detect_results.jsonl"), filtered)], [])
         else:
             docs, warnings = load_jsonl(prompts)
             units = [(read_jsonl(out / "generations.jsonl"),)]
@@ -839,6 +870,7 @@ def test_readme_lists_the_fields_of_every_output_record(tmp_path, monkeypatch):
         "`mcl_results.jsonl`": read_jsonl(out / "mcl_results.jsonl"),
         "`damcl_*.jsonl`": [r for path in out.glob("damcl_*.jsonl") for r in read_jsonl(path)],
         "`detect_results.jsonl`": read_jsonl(out / "detect_results.jsonl"),
+        "`detect_summary.json`": [read_report(out / "detect_summary.json")],
         "`generations.jsonl`": generations,
         "a step in `steps`": [step for r in generations for step in r["steps"]],
         "`<command>_failure.json`": [read_report(tmp_path / "cut" / "detect_failure.json")],
@@ -1188,6 +1220,22 @@ class TestTopLevelInterface:
             )
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("mock:planted:d=abc", "'d'"),
+            ("mock:planted:latency_ms=x", "'latency_ms'"),
+            ("openai:http://127.0.0.1:9,vocab=abc", "'vocab'"),
+            ("openai:http://127.0.0.1:9,vocab", "'vocab'"),
+        ],
+    )
+    def test_malformed_backend_parameter_is_usage_error(self, tmp_path, capsys, spec, key):
+        corpus = write_jsonl(tmp_path / "c.jsonl", planted_corpus_records(n_short=1, n_long=0))
+        assert run(["mcl", "--backend", spec, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert key in err
 
     def test_unrecognized_backend_spec(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", planted_corpus_records(n_short=1, n_long=0))

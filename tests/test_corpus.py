@@ -197,7 +197,7 @@ class TestTokenIds:
             Document(doc_id="d", tokens=[1, 2]).tokens,
             SequenceSample(seq_id="s", tokens=(1, 2), next_token=None, doc_id="d", bucket=(2, 3)).tokens,
             sample_sequences(list(range(200)), n_per_bucket=1, rng_seed=0)[0][0].tokens,
-            gen_niah(spec, default_filler_tokens(TOKENIZER, 300), TOKENIZER)[0].tokens,
+            gen_niah(spec, default_filler_tokens(TOKENIZER, 300), TOKENIZER).tokens,
         ]
         for tokens in held:
             assert type(tokens) is array
@@ -278,7 +278,7 @@ class TestGenNiah:
     def test_structure_and_ground_truth(self):
         spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=50)
         filler = default_filler_tokens(TOKENIZER, 300)
-        sample, label = gen_niah(spec, filler, TOKENIZER, rng_seed=5)
+        sample = gen_niah(spec, filler, TOKENIZER, rng_seed=5)
         assert len(sample.tokens) == 300
         # The needle statement sits exactly at needle_pos.
         digits = [t for t in sample.tokens[50 : 50 + 10]][4:]
@@ -288,32 +288,28 @@ class TestGenNiah:
         # The query closes the prompt.
         query = TOKENIZER.tokenize("The magic number mentioned in the provided text is")
         assert tuple(sample.tokens[-len(query) :]) == tuple(query)
-        assert label.label == LONG
         assert sample.label == LONG
 
     def test_needle_near_end_is_short(self):
         spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=270, window=32)
         filler = default_filler_tokens(TOKENIZER, 300)
-        sample, label = gen_niah(spec, filler, TOKENIZER, rng_seed=5)
-        assert label.label == SHORT
-        assert sample.label == SHORT
+        assert gen_niah(spec, filler, TOKENIZER, rng_seed=5).label == SHORT
 
     def test_label_matches_distance_rule(self):
         filler = default_filler_tokens(TOKENIZER, 400)
         for pos in (10, 150, 250, 280):
             for window in (32, 64):
                 spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=pos, window=window)
-                _, label = gen_niah(spec, filler, TOKENIZER, rng_seed=1)
                 expected = SHORT if 300 - pos <= window else LONG
-                assert label.label == expected
+                assert gen_niah(spec, filler, TOKENIZER, rng_seed=1).label == expected
 
     def test_deterministic_for_seed(self):
         spec = SyntheticSpec(kind="niah_magic", total_len=200, needle_pos=20)
         filler = default_filler_tokens(TOKENIZER, 200)
-        a, _ = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
-        b, _ = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
+        a = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
+        b = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
         assert a == b
-        c, _ = gen_niah(spec, filler, TOKENIZER, rng_seed=10)
+        c = gen_niah(spec, filler, TOKENIZER, rng_seed=10)
         assert a.tokens != c.tokens
 
     def test_needle_query_collision_rejected(self):
@@ -331,27 +327,25 @@ class TestGenNiah:
 class TestGenLongeval:
     def test_structure_and_ground_truth(self):
         spec = SyntheticSpec(kind="longeval_registers", total_len=300, answer_line_distance=3)
-        sample, label = gen_longeval(spec, TOKENIZER, rng_seed=4)
+        sample = gen_longeval(spec, TOKENIZER, rng_seed=4)
         assert len(sample.tokens) <= 300
         assert sample.next_token is not None
         assert 0 <= sample.next_token <= 9
-        assert label.label in (SHORT, LONG)
+        assert sample.label in (SHORT, LONG)
 
     def test_last_line_is_short_far_line_is_long(self):
         spec_near = SyntheticSpec(kind="longeval_registers", total_len=400, answer_line_distance=1, window=32)
-        _, near = gen_longeval(spec_near, TOKENIZER, rng_seed=2)
-        assert near.label == SHORT
+        assert gen_longeval(spec_near, TOKENIZER, rng_seed=2).label == SHORT
 
         spec_far = SyntheticSpec(
             kind="longeval_registers", total_len=400, answer_line_distance=20, window=32
         )
-        _, far = gen_longeval(spec_far, TOKENIZER, rng_seed=2)
-        assert far.label == LONG
+        assert gen_longeval(spec_far, TOKENIZER, rng_seed=2).label == LONG
 
     def test_deterministic_for_seed(self):
         spec = SyntheticSpec(kind="longeval_registers", total_len=200, answer_line_distance=2)
-        a, _ = gen_longeval(spec, TOKENIZER, rng_seed=8)
-        b, _ = gen_longeval(spec, TOKENIZER, rng_seed=8)
+        a = gen_longeval(spec, TOKENIZER, rng_seed=8)
+        b = gen_longeval(spec, TOKENIZER, rng_seed=8)
         assert a == b
 
     def test_too_small_total_rejected(self):

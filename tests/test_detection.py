@@ -14,7 +14,6 @@ from ctxlens.detection import (
     LONG,
     YoudenPoint,
     SHORT,
-    ContextLabel,
     LsdsConfig,
     classify,
     lsd_lcl_oracle_label,
@@ -113,12 +112,14 @@ def recount_tau_sweep(scored, taus):
     n_neg = len(scored) - n_pos
     rows = []
     for tau in taus:
-        tpr = sum(1 for s, is_long in scored if is_long and s >= tau) / n_pos
-        fpr = sum(1 for s, is_long in scored if not is_long and s >= tau) / n_neg
+        tp = sum(1 for s, is_long in scored if is_long and s >= tau)
+        fp = sum(1 for s, is_long in scored if not is_long and s >= tau)
+        tn = sum(1 for s, is_long in scored if not is_long and s < tau)
+        fn = sum(1 for s, is_long in scored if is_long and s < tau)
+        tpr, fpr = tp / n_pos, fp / n_neg
         correct = sum(1 for s, is_long in scored if (s >= tau) == is_long)
-        rows.append(
-            {"tau": tau, "tpr": tpr, "fpr": fpr, "j": tpr - fpr, "accuracy": correct / len(scored)}
-        )
+        rows.append({"tau": tau, "tp": tp, "fp": fp, "tn": tn, "fn": fn, "tpr": tpr, "fpr": fpr,
+                     "j": tpr - fpr, "accuracy": correct / len(scored)})
     return rows
 
 
@@ -179,39 +180,30 @@ class TestLsds:
 class TestClassify:
     def test_boundary_counts_as_long(self):
         b = disjoint_backend()
-        label = classify([1] * 100, LsdsConfig(tau=JSD_MAX), b)
-        assert label.label == LONG
-        assert label.is_long
+        assert classify([1] * 100, LsdsConfig(tau=JSD_MAX), b) == LONG
 
     def test_low_scores_are_short(self):
         b = ConstantBackend(TokenDistribution.uniform(4))
-        assert classify([1] * 100, LsdsConfig(tau=0.6), b).label == SHORT
+        assert classify([1] * 100, LsdsConfig(tau=0.6), b) == SHORT
 
     def test_long_set_shrinks_as_tau_grows(self):
         b = pair_backend([0.9, 0.1, 0.0], [0.2, 0.5, 0.3])
         s = [1] * 100
         verdicts = [
-            classify(s, LsdsConfig(tau=tau), b).is_long for tau in (0.1, 0.3, 0.5, 0.7)
+            classify(s, LsdsConfig(tau=tau), b) == LONG for tau in (0.1, 0.3, 0.5, 0.7)
         ]
         # Once a tau stops classifying long, no larger tau may flip it back.
         assert verdicts == sorted(verdicts, reverse=True)
-
-    def test_label_validation(self):
-        with pytest.raises(StrategyError):
-            ContextLabel("maybe")
 
 
 class TestMclOracle:
     def test_deep_dependency_is_long(self):
         b = PlantedDependencyBackend(vocab_size=50, dependency_length=40, answer_token=5)
-        label = mcl_oracle_label([1] * 100, 5, 0.2, PrefixGrid(), b)
-        assert label.label == LONG
-        assert label.oracle == "mcl"
+        assert mcl_oracle_label([1] * 100, 5, 0.2, PrefixGrid(), b) == LONG
 
     def test_dependency_within_grid_start_is_short(self):
         b = PlantedDependencyBackend(vocab_size=50, dependency_length=10, answer_token=5)
-        label = mcl_oracle_label([1] * 100, 5, 0.2, PrefixGrid(), b)
-        assert label.label == SHORT
+        assert mcl_oracle_label([1] * 100, 5, 0.2, PrefixGrid(), b) == SHORT
 
     def test_unresolved_probe_is_not_labelable(self):
         b = PlantedDependencyBackend(vocab_size=50, dependency_length=40, answer_token=5)
@@ -222,22 +214,20 @@ class TestMclOracle:
 class TestLsdLclOracle:
     def test_lifted_and_confident_is_long(self):
         b = pair_backend([0.001, 0.999], [0.5, 0.5])
-        label = lsd_lcl_oracle_label([1] * 100, 0, b)
-        assert label.label == LONG
-        assert label.oracle == "lsd_lcl"
+        assert lsd_lcl_oracle_label([1] * 100, 0, b) == LONG
 
     def test_lift_without_confidence_is_short(self):
         # Log-probability rises by ln(200) but only reaches ln(0.2) < -1.
         b = pair_backend([0.001, 0.999], [0.2, 0.8])
-        assert lsd_lcl_oracle_label([1] * 100, 0, b).label == SHORT
+        assert lsd_lcl_oracle_label([1] * 100, 0, b) == SHORT
 
     def test_confident_without_lift_is_short(self):
         b = ConstantBackend(TokenDistribution.from_probs([0.9, 0.1]))
-        assert lsd_lcl_oracle_label([1] * 100, 0, b).label == SHORT
+        assert lsd_lcl_oracle_label([1] * 100, 0, b) == SHORT
 
     def test_zero_short_probability_is_floored(self):
         b = pair_backend([0.0, 1.0], [0.9, 0.1])
-        assert lsd_lcl_oracle_label([1] * 100, 0, b).label == LONG
+        assert lsd_lcl_oracle_label([1] * 100, 0, b) == LONG
 
     def test_short_sequence_rejected(self):
         b = ConstantBackend(TokenDistribution.uniform(4))
@@ -391,7 +381,10 @@ class TestTauSweep:
     def test_rates_per_tau(self):
         scored = [(0.9, True), (0.7, True), (0.4, False), (0.1, False)]
         rows = tau_sweep(scored, [0.5, 0.8])
-        assert rows[0] == {"tau": 0.5, "tpr": 1.0, "fpr": 0.0, "j": 1.0, "accuracy": 1.0}
+        assert rows[0] == {
+            "tau": 0.5, "tp": 2, "fp": 0, "tn": 2, "fn": 0, "tpr": 1.0, "fpr": 0.0, "j": 1.0, "accuracy": 1.0
+        }
+        assert (rows[1]["tp"], rows[1]["fn"]) == (1, 1)
         assert rows[1]["tpr"] == 0.5
         assert rows[1]["fpr"] == 0.0
         assert rows[1]["accuracy"] == 0.75
@@ -400,6 +393,15 @@ class TestTauSweep:
     @given(_SCORED, st.lists(st.one_of(_SCORES, st.sampled_from([-math.inf, math.inf])), max_size=8))
     def test_identical_to_recount_reference(self, scored, taus):
         assert tau_sweep(scored, taus) == recount_tau_sweep(scored, taus)
+
+    def test_confusion_counts_from_labels(self):
+        # Scores 1/0 stand for predicted long/short, so tau 0.5 counts the (predicted, oracle) pairs.
+        pairs = [(True, True), (True, False), (False, False), (False, True), (True, True)]
+        (row,) = tau_sweep([(float(pred), truth) for pred, truth in pairs], [0.5])
+        assert (row["tp"], row["fp"], row["tn"], row["fn"]) == (2, 1, 1, 1)
+        assert row["accuracy"] == pytest.approx(0.6, abs=1e-12)
+        assert row["tpr"] == pytest.approx(2 / 3, abs=1e-12)
+        assert row["fpr"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientData):

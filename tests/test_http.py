@@ -140,8 +140,7 @@ class TestProbesOnFreshBackend:
     def test_lsd_lcl_oracle(self):
         with FakeModelServer() as srv:
             srv.routes["/v1/next_logprobs"] = self.route
-            label = lsd_lcl_oracle_label([0] * 8, 2, _backend(srv.url), short_len=2)
-            assert label.label == LONG
+            assert lsd_lcl_oracle_label([0] * 8, 2, _backend(srv.url), short_len=2) == LONG
             assert srv.hits["/v1/next_logprobs"] == 2
 
     def test_lsd_lcl_oracle_checks_target_against_first_response(self):

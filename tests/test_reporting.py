@@ -1,4 +1,4 @@
-"""Histograms, confusion matrices, shares, and the report file envelope."""
+"""Histogram CSVs, shares, and the report file envelope."""
 
 import io
 import json
@@ -9,10 +9,9 @@ import pytest
 from ctxlens.errors import InsufficientData
 from ctxlens.reporting import (
     REPORT_SCHEMA,
-    ConfusionMatrix,
-    Histogram,
     aggregate_share,
     append_jsonl,
+    histogram_csv,
     read_report,
     write_report,
     write_text,
@@ -21,41 +20,11 @@ from ctxlens.reporting import (
 
 class TestHistogram:
     def test_from_values(self):
-        h = Histogram.from_values([48, 32, 32, 96, 32])
-        assert h.points == (32, 48, 96)
-        assert h.counts == (3, 1, 1)
-        assert h.total == 5
+        assert histogram_csv([48, 32, 32, 96, 32]) == "ell,count\n32,3\n48,1\n96,1\n"
 
     def test_csv_format(self):
-        h = Histogram.from_values([32, 32, 48])
-        assert h.to_csv() == "ell,count\n32,2\n48,1\n"
-
-    def test_validation(self):
-        with pytest.raises(InsufficientData):
-            Histogram(points=(1, 2), counts=(1,))
-        with pytest.raises(InsufficientData):
-            Histogram(points=(1,), counts=(-1,))
-
-
-class TestConfusionMatrix:
-    def test_from_labels(self):
-        pairs = [(True, True), (True, False), (False, False), (False, True), (True, True)]
-        cm = ConfusionMatrix.from_labels(pairs)
-        assert cm.to_dict() == {"tp": 2, "fp": 1, "tn": 1, "fn": 1}
-        assert cm.total == 5
-        assert cm.accuracy == pytest.approx(0.6, abs=1e-12)
-        assert cm.tpr == pytest.approx(2 / 3, abs=1e-12)
-        assert cm.fpr == pytest.approx(0.5, abs=1e-12)
-
-    def test_degenerate_rates_raise(self):
-        cm = ConfusionMatrix.from_labels([(True, True)])
-        with pytest.raises(InsufficientData):
-            cm.fpr
-        cm2 = ConfusionMatrix.from_labels([(False, False)])
-        with pytest.raises(InsufficientData):
-            cm2.tpr
-        with pytest.raises(InsufficientData):
-            ConfusionMatrix.from_labels([]).accuracy
+        assert histogram_csv([32, 32, 48]) == "ell,count\n32,2\n48,1\n"
+        assert histogram_csv([]) == "ell,count\n"
 
 
 class TestAggregateShare:
