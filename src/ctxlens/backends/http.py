@@ -70,6 +70,8 @@ class BackendEndpoint:
     def __post_init__(self):
         if isinstance(self.top, str) and self.top != "full":
             raise ValueError("top must be an integer or 'full'")
+        if isinstance(self.top, int) and self.top < 1:
+            raise ValueError("top must be >= 1")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         url = urlsplit(self.base_url)

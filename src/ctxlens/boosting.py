@@ -10,7 +10,7 @@ contrast-based baseline (``cad_step``) and the sampling loop live here too.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .backends import Backend, prefix_distribution
 from .decoding import DecodingStrategy, apply_strategy, derive_seed, sample
 from .detection import PROB_FLOOR
-from .dist import JSD_MAX, SupportSet, TokenDistribution, jsd
+from .dist import JSD_MAX, TokenDistribution, jsd
 from .errors import BackendError, StrategyError
 
 GENERATION_METHODS = ("vanilla", "cad", "taboo")
@@ -47,27 +47,22 @@ class BoostConfig:
 
 @dataclass(frozen=True)
 class BoostReport:
-    """Observability record for one decoding step."""
+    """What one decoding step decided; the generation loop adds the step number and the chosen token."""
 
-    step: int
-    lsds: float | None  # None when the method never scored the context
-    boosted_set: SupportSet
     pre: TokenDistribution
     post: TokenDistribution
-    chosen: int | None = None
-    scenario: str | None = None
+    lsds: float | None = None  # None when the method never scored the context
+    boosted_set: frozenset[int] = frozenset()
     short_fallback: bool = False
 
     def to_record(self) -> dict:
         def sparse(dist: TokenDistribution) -> dict:
-            return {str(t): dist.entry(t) for t in dist.support()}
+            ids = np.flatnonzero(dist.probs)
+            return dict(zip(map(str, ids.tolist()), dist.probs[ids].tolist()))
 
         return {
-            "step": self.step,
             "lsds": self.lsds,
             "boosted": sorted(self.boosted_set),
-            "chosen": self.chosen,
-            "scenario": self.scenario,
             "short_fallback": self.short_fallback,
             "pre": sparse(self.pre),
             "post": sparse(self.post),
@@ -87,31 +82,17 @@ def taboo_step(
     raw_full = prefix_distribution(s, len(s), backend)
     pre = apply_strategy(raw_full, cfg.strategy)
     if len(s) <= cfg.short_len:
-        report = BoostReport(
-            step=0, lsds=None, boosted_set=SupportSet.of(()), pre=pre, post=pre, short_fallback=True
-        )
-        return pre, report
+        return pre, BoostReport(pre, pre, short_fallback=True)
     short = apply_strategy(prefix_distribution(s, cfg.short_len, backend), cfg.strategy)
     score = jsd(short, pre)
-    if score <= cfg.gamma:
-        report = BoostReport(step=0, lsds=score, boosted_set=SupportSet.of(()), pre=pre, post=pre)
-        return pre, report
-    shifts = pre.probs - short.probs
-    boosted_ids = np.nonzero(shifts > cfg.epsilon)[0]
-    if boosted_ids.size == 0:
-        report = BoostReport(step=0, lsds=score, boosted_set=SupportSet.of(()), pre=pre, post=pre)
-        return pre, report
-    weights = raw_full.probs.copy()
-    weights[boosted_ids] *= cfg.lam
-    post = apply_strategy(TokenDistribution.from_weights(weights), cfg.strategy)
-    report = BoostReport(
-        step=0,
-        lsds=score,
-        boosted_set=SupportSet.of(int(t) for t in boosted_ids),
-        pre=pre,
-        post=post,
-    )
-    return post, report
+    gate_open = score > cfg.gamma
+    boosted_ids = np.flatnonzero(pre.probs - short.probs > cfg.epsilon) if gate_open else np.empty(0, int)
+    post = pre
+    if boosted_ids.size:
+        weights = raw_full.probs.copy()
+        weights[boosted_ids] *= cfg.lam
+        post = apply_strategy(TokenDistribution.from_weights(weights), cfg.strategy)
+    return post, BoostReport(pre, post, lsds=score, boosted_set=frozenset(boosted_ids.tolist()))
 
 
 def cad_step(
@@ -143,7 +124,8 @@ def cad_step(
 class GenerationResult:
     """Sampled tokens plus one step record each; ``error`` is set on mid-run backend failure.
 
-    ``steps`` holds ``BoostReport.to_record()`` dicts, built as each step is
+    ``steps`` holds each step's number, chosen token, ``scenario`` (null in
+    this version) and ``BoostReport.to_record()`` fields, built as the step is
     taken, so no vocab-sized distribution outlives its step.
     """
 
@@ -183,22 +165,17 @@ def generate(
         try:
             if method == "taboo":
                 post, report = taboo_step(ctx, cfg, backend)
-            elif method == "cad":
-                raw_full = prefix_distribution(ctx, len(ctx), backend)
-                pre = apply_strategy(raw_full, cfg.strategy)
-                post = cad_step(
-                    ctx, alpha, cfg.strategy, backend, short_len=cfg.short_len, raw_full=raw_full
-                )
-                report = BoostReport(step=0, lsds=None, boosted_set=SupportSet.of(()), pre=pre, post=post)
             else:
                 raw_full = prefix_distribution(ctx, len(ctx), backend)
-                post = apply_strategy(raw_full, cfg.strategy)
-                report = BoostReport(step=0, lsds=None, boosted_set=SupportSet.of(()), pre=post, post=post)
+                pre = post = apply_strategy(raw_full, cfg.strategy)
+                if method == "cad":
+                    post = cad_step(ctx, alpha, cfg.strategy, backend, cfg.short_len, raw_full)
+                report = BoostReport(pre, post)
         except BackendError as err:
             result.error = str(err)
             break
         token = sample(post, derive_seed(seed, step))
-        result.steps.append(replace(report, step=step, chosen=token).to_record())
+        result.steps.append({"step": step, "chosen": token, "scenario": None, **report.to_record()})
         result.tokens.append(token)
         ctx.append(token)
         if backend.eos_token_id is not None and token == backend.eos_token_id:

@@ -41,14 +41,12 @@ from .backends.mock import parse_kv, pop_number
 from .boosting import GENERATION_METHODS, BoostConfig, generate
 from .corpus import (
     DEFAULT_BUCKETS,
-    SyntheticSpec,
+    SYNTH_KINDS,
     TokenDiskCache,
-    default_filler_tokens,
-    gen_longeval,
-    gen_niah,
     load_jsonl,
     load_sequences_jsonl,
     sample_sequences,
+    synth_sample,
 )
 from .decoding import DecodingStrategy, apply_strategy, derive_seed
 from .detection import (
@@ -178,7 +176,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("synth", help="emit a synthetic labeled corpus")
     _common_options(p, parallel=False)
-    p.add_argument("--kind", choices=("niah", "longeval"), default="niah")
+    p.add_argument("--kind", choices=tuple(SYNTH_KINDS), default="niah")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--total-len", type=int, default=200)
     p.add_argument("--window", type=int, default=32)
@@ -240,13 +238,16 @@ def build_backend(spec: str | None, parallel: int):
     elif spec.startswith("http:"):
         backend = HttpBackend(endpoint(spec[len("http:") :]))
     elif spec.startswith("openai:"):
-        rest = spec[len("openai:") :]
-        url, _, params = rest.partition(",")
+        url, _, params = spec[len("openai:") :].partition(",")
         kv = parse_kv(params)
         vocab = pop_number(kv, "vocab", int, None)
         if vocab is None:
             raise UsageError("openai backend needs vocab=N (vocab size is not discoverable)")
-        top, model = pop_number(kv, "top", int, 50), kv.get("model", "default")
+        if vocab < 1:
+            raise UsageError(f"openai backend vocab must be >= 1, got {vocab}")
+        top, model = pop_number(kv, "top", int, 50), kv.pop("model", "default")
+        if kv:
+            raise UsageError(f"unknown openai parameters: {', '.join(sorted(kv))}")
         backend = OpenAICompatBackend(endpoint(url, top=top), model=model, vocab_size=vocab)
     else:
         raise UsageError(f"unrecognized backend spec {spec!r}")
@@ -262,16 +263,17 @@ def _parse_buckets(text: str | None):
         return DEFAULT_BUCKETS
     buckets = []
     for part in text.split(","):
-        lo, sep, hi = part.partition("-")
-        if not sep:
+        bounds = _parse_numbers(part, "--buckets", int, sep="-") if part.count("-") == 1 else []
+        if len(bounds) != 2:
             raise UsageError(f"bad bucket {part!r}, expected lo-hi")
-        buckets.append((int(lo), int(hi)))
+        buckets.append(tuple(bounds))
     return tuple(buckets)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_numbers(text: str, flag: str, kind: type = float, sep: str = ",") -> list:
+    """The ``kind`` values of ``text`` split at ``sep``; empty items are skipped."""
     try:
-        values = [float(x) for x in text.split(",") if x]
+        values = [kind(x) for x in text.split(sep) if x]
     except ValueError:
         raise UsageError(f"bad {flag} value {text!r}") from None
     if not values:
@@ -437,7 +439,7 @@ def _damcl_combos(args):
     strategies = [DecodingStrategy.parse(tok) for tok in args.strategies.split(",") if tok]
     if not strategies:
         raise UsageError("--strategies needs at least one strategy")
-    epsilons = _parse_float_list(args.epsilons, "--epsilons")
+    epsilons = _parse_numbers(args.epsilons, "--epsilons")
     combos = [
         (strategy, eps, f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}")
         for strategy in strategies
@@ -560,7 +562,7 @@ def _detect_summary(args, units, warnings) -> dict:
     at_tau = tau_sweep(pairs, [cfg.tau])[0]
     artifacts = {}
     if args.tau_sweep:
-        rows = tau_sweep(pairs, _parse_float_list(args.tau_sweep, "--tau-sweep"))
+        rows = tau_sweep(pairs, _parse_numbers(args.tau_sweep, "--tau-sweep"))
         artifacts["detect_tau_sweep.csv"] = "tau,tpr,fpr,j,accuracy\n" + "".join(
             f"{r['tau']:g},{r['tpr']:.6f},{r['fpr']:.6f},{r['j']:.6f},{r['accuracy']:.6f}\n" for r in rows
         )
@@ -672,8 +674,8 @@ def _generate_summary(args, units, prompts, warnings) -> dict:
 
 def cmd_bench(args) -> int:
     backend, out = _setup(args)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
-    if not lengths or any(n <= args.short_len for n in lengths):
+    lengths = _parse_numbers(args.lengths, "--lengths", int)
+    if any(n <= args.short_len for n in lengths):
         raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
@@ -761,38 +763,9 @@ def cmd_synth(args) -> int:
     tokenizer = _tokenizer_of(backend)
     records = []
     for i in range(args.n):
-        seed_i = derive_seed(args.seed, i)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_i)))
-        if args.kind == "niah":
-            probe_needle = tokenizer.tokenize(f"The magic number is {'0' * args.digits}")
-            query_len = len(tokenizer.tokenize("The magic number mentioned in the provided text is"))
-            body = args.total_len - query_len
-            max_pos = body - len(probe_needle)
-            if max_pos < 0:
-                raise DataError("--total-len too small for the needle and query")
-            spec = SyntheticSpec(
-                kind="niah_magic",
-                total_len=args.total_len,
-                needle_pos=int(rng.integers(0, max_pos + 1)),
-                digits=args.digits,
-                window=args.window,
-            )
-            filler = default_filler_tokens(tokenizer, args.total_len, rng_seed=derive_seed(seed_i, 1))
-            sample = gen_niah(spec, filler, tokenizer, rng_seed=seed_i)
-        else:
-            probe_line = tokenizer.tokenize("line 00000 REGISTER_CONTENT is 00000")
-            est_lines = max(2, (args.total_len - 12) // max(1, len(probe_line)))
-            spec = SyntheticSpec(
-                kind="longeval_registers",
-                total_len=args.total_len,
-                answer_line_distance=int(rng.integers(1, est_lines + 1)),
-                window=args.window,
-            )
-            sample = gen_longeval(spec, tokenizer, rng_seed=seed_i)
-        record = sample.to_record()
-        record["seq_id"] = f"{args.kind}/{i:04d}"
-        record["kind"] = spec.kind
-        records.append(record)
+        seed = derive_seed(args.seed, i)
+        sample = synth_sample(args.kind, args.total_len, args.window, args.digits, tokenizer, seed)
+        records.append({**sample.to_record(), "seq_id": f"{args.kind}/{i:04d}", "kind": SYNTH_KINDS[args.kind]})
     records.sort(key=lambda r: r["seq_id"])
     with (out / "synth.jsonl").open("w", encoding="utf-8") as fh:
         for record in records:

@@ -20,6 +20,7 @@ import numpy as np
 import orjson
 
 from .backends import Tokenizer
+from .decoding import derive_seed
 from .detection import LONG, SHORT
 from .errors import DataError
 
@@ -30,6 +31,10 @@ DEFAULT_BUCKETS: tuple[tuple[int, int], ...] = ((32, 100),) + tuple(
 
 NEEDLE_PREFIX = "The magic number is"
 NEEDLE_QUERY = "The magic number mentioned in the provided text is"
+REGISTER_LINE = "line {} REGISTER_CONTENT is {}"
+REGISTER_QUERY = "What is the REGISTER_CONTENT of line {}"
+#: ``synth --kind`` values and the ``kind`` each writes on its records.
+SYNTH_KINDS = {"niah": "niah_magic", "longeval": "longeval_registers"}
 
 
 @dataclass(frozen=True)
@@ -222,32 +227,6 @@ def sample_sequences(
     return samples, warnings
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Shape of one synthetic retrieval example.
-
-    ``needle_pos`` (token offset of the planted statement) drives the magic
-    number task; ``answer_line_distance`` (lines from the end, 1 = last)
-    drives the register task. ``window`` is the suffix size that defines the
-    short label.
-    """
-
-    kind: str  # "niah_magic" | "longeval_registers"
-    total_len: int
-    needle_pos: int | None = None
-    answer_line_distance: int | None = None
-    digits: int = 6
-    window: int = 32
-
-    def __post_init__(self):
-        if self.kind not in ("niah_magic", "longeval_registers"):
-            raise DataError(f"unknown synthetic kind {self.kind!r}")
-        if self.total_len < 1:
-            raise DataError("total_len must be >= 1")
-        if self.window < 1:
-            raise DataError("window must be >= 1")
-
-
 _FILLER_WORDS = (
     "the quick brown fox jumps over a lazy dog while distant hills "
     "gather morning light and rivers carry small boats toward the sea"
@@ -264,49 +243,60 @@ def default_filler_tokens(tokenizer: Tokenizer, n: int, rng_seed: int = 0) -> li
     return out[:n]
 
 
+def _check_layout(total_len: int, window: int) -> None:
+    if total_len < 1:
+        raise DataError("total_len must be >= 1")
+    if window < 1:
+        raise DataError("window must be >= 1")
+
+
 def gen_niah(
-    spec: SyntheticSpec,
     filler_tokens: Sequence[int],
     tokenizer: Tokenizer,
     rng_seed: int = 0,
+    *,
+    total_len: int,
+    needle_pos: int,
+    digits: int = 6,
+    window: int = 32,
 ) -> SequenceSample:
-    """Magic-number retrieval prompt with the statement planted at ``needle_pos``.
+    """Magic-number retrieval prompt with the statement planted at token offset ``needle_pos``.
 
     The prompt is filler + needle + filler + query, ``total_len`` tokens in
     all; ground truth is the number's first token. Short iff the statement
     starts within the final ``window`` tokens.
     """
-    if spec.kind != "niah_magic" or spec.needle_pos is None:
-        raise DataError("niah generator needs kind='niah_magic' and needle_pos")
+    _check_layout(total_len, window)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    number = f"{int(rng.integers(0, 10 ** spec.digits)):0{spec.digits}d}"
+    number = f"{int(rng.integers(0, 10 ** digits)):0{digits}d}"
     needle = tokenizer.tokenize(f"{NEEDLE_PREFIX} {number}")
     query = tokenizer.tokenize(NEEDLE_QUERY)
     answer = tokenizer.tokenize(number)
-    body = spec.total_len - len(query)
-    if spec.needle_pos < 0 or spec.needle_pos + len(needle) > body:
-        raise DataError(
-            f"needle at {spec.needle_pos} (length {len(needle)}) collides with the query region"
-        )
+    body = total_len - len(query)
+    if needle_pos < 0 or needle_pos + len(needle) > body:
+        raise DataError(f"needle at {needle_pos} (length {len(needle)}) collides with the query region")
     filler = list(filler_tokens)
     need = body - len(needle)
     if len(filler) < need:
         raise DataError(f"need {need} filler tokens, got {len(filler)}")
-    tokens = filler[: spec.needle_pos] + needle + filler[spec.needle_pos : need] + query
+    tokens = filler[:needle_pos] + needle + filler[needle_pos:need] + query
     return SequenceSample(
         seq_id=f"niah/{rng_seed}",
         tokens=tokens,
         next_token=answer[0],
         doc_id="niah",
         bucket=(len(tokens), len(tokens) + 1),
-        label=SHORT if spec.total_len - spec.needle_pos <= spec.window else LONG,
+        label=SHORT if total_len - needle_pos <= window else LONG,
     )
 
 
 def gen_longeval(
-    spec: SyntheticSpec,
     tokenizer: Tokenizer,
     rng_seed: int = 0,
+    *,
+    total_len: int,
+    answer_line_distance: int,
+    window: int = 32,
 ) -> SequenceSample:
     """Register-lookup prompt: numbered lines, query about one of them.
 
@@ -314,32 +304,31 @@ def gen_longeval(
     (1 = last line). Short iff that line starts within the final ``window``
     tokens of the prompt.
     """
-    if spec.kind != "longeval_registers" or spec.answer_line_distance is None:
-        raise DataError("longeval generator needs kind='longeval_registers' and answer_line_distance")
+    _check_layout(total_len, window)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     lines: list[list[int]] = []
     line_ids: list[str] = []
     values: list[str] = []
     total = 0
-    probe = tokenizer.tokenize("What is the REGISTER_CONTENT of line 00000")
+    probe = tokenizer.tokenize(REGISTER_QUERY.format("00000"))
     while True:
         line_id = f"{int(rng.integers(0, 100000)):05d}"
         value = f"{int(rng.integers(0, 100000)):05d}"
-        toks = tokenizer.tokenize(f"line {line_id} REGISTER_CONTENT is {value}")
-        if lines and total + len(toks) + len(probe) > spec.total_len:
+        toks = tokenizer.tokenize(REGISTER_LINE.format(line_id, value))
+        if lines and total + len(toks) + len(probe) > total_len:
             break
         lines.append(toks)
         line_ids.append(line_id)
         values.append(value)
         total += len(toks)
-        if total + len(probe) >= spec.total_len:
+        if total + len(probe) >= total_len:
             break
     if len(lines) < 2:
         raise DataError("total_len too small for at least two register lines")
-    if not 1 <= spec.answer_line_distance <= len(lines):
-        raise DataError(f"answer_line_distance {spec.answer_line_distance} outside 1..{len(lines)}")
-    target = len(lines) - spec.answer_line_distance
-    query = tokenizer.tokenize(f"What is the REGISTER_CONTENT of line {line_ids[target]}")
+    if not 1 <= answer_line_distance <= len(lines):
+        raise DataError(f"answer_line_distance {answer_line_distance} outside 1..{len(lines)}")
+    target = len(lines) - answer_line_distance
+    query = tokenizer.tokenize(REGISTER_QUERY.format(line_ids[target]))
     answer = tokenizer.tokenize(values[target])
     tokens: list[int] = []
     starts: list[int] = []
@@ -353,8 +342,35 @@ def gen_longeval(
         next_token=answer[0],
         doc_id="longeval",
         bucket=(len(tokens), len(tokens) + 1),
-        label=SHORT if len(tokens) - starts[target] <= spec.window else LONG,
+        label=SHORT if len(tokens) - starts[target] <= window else LONG,
     )
+
+
+def synth_sample(
+    kind: str, total_len: int, window: int, digits: int, tokenizer: Tokenizer, seed: int
+) -> SequenceSample:
+    """One example of a ``SYNTH_KINDS`` task, with the needle position or line distance drawn from ``seed``.
+
+    The draw is the first of a fresh generator on ``seed``, and so is the
+    magic number inside ``gen_niah``; the filler comes from ``derive_seed(seed, 1)``.
+    """
+    if kind not in SYNTH_KINDS:
+        raise DataError(f"unknown synthetic kind {kind!r}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    if kind == "niah":
+        needle_len = len(tokenizer.tokenize(f"{NEEDLE_PREFIX} {'0' * digits}"))
+        max_pos = total_len - len(tokenizer.tokenize(NEEDLE_QUERY)) - needle_len
+        if max_pos < 0:
+            raise DataError("--total-len too small for the needle and query")
+        needle_pos = int(rng.integers(0, max_pos + 1))
+        filler = default_filler_tokens(tokenizer, total_len, rng_seed=derive_seed(seed, 1))
+        return gen_niah(
+            filler, tokenizer, seed, total_len=total_len, needle_pos=needle_pos, digits=digits, window=window
+        )
+    line_len = len(tokenizer.tokenize(REGISTER_LINE.format("00000", "00000")))
+    est_lines = max(2, (total_len - 12) // max(1, line_len))
+    distance = int(rng.integers(1, est_lines + 1))
+    return gen_longeval(tokenizer, seed, total_len=total_len, answer_line_distance=distance, window=window)
 
 
 class TokenDiskCache:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .backends import Backend, prefix_distribution
 from .decoding import DecodingStrategy, apply_strategy
-from .dist import JSD_MAX, SupportSet, TokenDistribution, jsd
+from .dist import JSD_MAX, TokenDistribution, jsd
 from .errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
 from .probe import PrefixGrid, mcl
 
@@ -135,7 +135,7 @@ def lspr(t: int, s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
     return math.log(max(full.entry(t), PROB_FLOOR)) - math.log(max(short.entry(t), PROB_FLOOR))
 
 
-def scenario(t_hat: int, boosted: SupportSet, full_dist: TokenDistribution) -> str:
+def scenario(t_hat: int, boosted: AbstractSet[int], full_dist: TokenDistribution) -> str:
     """Classify where the realized next token fell relative to the boosted set.
 
     ``best``: in the set and the most probable member under the full-context

@@ -86,20 +86,12 @@ class TokenDistribution:
             raise VocabMismatch(f"token {token} outside vocab of size {self.vocab_size}")
         return float(self.probs[token])
 
-    def support(self) -> "SupportSet":
-        return SupportSet.of(np.nonzero(self.probs)[0])
+    def support(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.probs).tolist())
 
     def same_values(self, other: "TokenDistribution") -> bool:
         """Bitwise equality of the probability arrays."""
         return self.vocab_size == other.vocab_size and bool(np.array_equal(self.probs, other.probs))
-
-
-class SupportSet(frozenset):
-    """A set of token ids, typically the support of a decoded distribution."""
-
-    @classmethod
-    def of(cls, tokens: Iterable[int]) -> "SupportSet":
-        return cls(int(t) for t in tokens)
 
 
 @dataclass(frozen=True)

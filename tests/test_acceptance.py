@@ -30,7 +30,6 @@ from ctxlens.detection import (
 )
 from ctxlens.dist import (
     JSD_MAX,
-    SupportSet,
     TokenDistribution,
     fit_power_law,
     jsd,
@@ -340,7 +339,7 @@ def test_criterion_07_scenario_enumeration():
         for members in itertools.chain.from_iterable(
             itertools.combinations(range(4), k) for k in range(5)
         ):
-            boosted = SupportSet.of(members)
+            boosted = frozenset(members)
             for t_hat in range(4):
                 got = scenario(t_hat, boosted, dist)
                 if not members:

@@ -1,18 +1,21 @@
 """Boosted decoding steps, the contrast baseline, and the generation loop."""
 
 import gc
+import json
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import rand_dist
+from conftest import PROPERTY, dists, rand_dist
 from ctxlens.backends import ConstantBackend, FlakyBackend, SwitchBackend
 from ctxlens.decoding import DecodingStrategy, apply_strategy
 from ctxlens.dist import JSD_MAX, TokenDistribution, jsd
 from ctxlens.boosting import (
     BoostConfig,
+    BoostReport,
     GenerationResult,
     cad_step,
     generate,
@@ -174,6 +177,18 @@ class TestTabooStep:
                 assert top == 0
         assert promoted_at is not None
         assert promoted_at > 1.0
+
+
+class TestBoostReport:
+    @PROPERTY
+    @given(dists(), dists())
+    def test_sparse_maps_match_the_per_id_reference(self, pre, post):
+        record = BoostReport(pre, post).to_record()
+        for key, dist in (("pre", pre), ("post", post)):
+            p = dist.probs
+            want = {str(t): float(p[t]) for t in range(dist.vocab_size) if p[t] != 0}
+            assert json.dumps(record[key], sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert (record["lsds"], record["boosted"], record["short_fallback"]) == (None, [], False)
 
 
 class TestCadStep:

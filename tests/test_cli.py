@@ -1,5 +1,6 @@
 """End-to-end command line runs against mock backends in temp directories."""
 
+import hashlib
 import json
 import math
 import os
@@ -928,6 +929,11 @@ class TestBenchCommand:
         argv = ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "100", "--repeat", "0"]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
 
+    def test_malformed_lengths_are_usage_error(self, tmp_path, capsys):
+        argv = ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "100,x"]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "usage error: bad --lengths value '100,x'\n"
+
 
 class TestScoreCommand:
     def test_scores_and_summary(self, tmp_path):
@@ -1067,6 +1073,29 @@ class TestSynthCommand:
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    # Digests of synth.jsonl: moving, adding or reordering a draw changes them.
+    @pytest.mark.parametrize(
+        "kind, extra, digest",
+        [
+            ("niah", ["--seed", "3"], "e9bd765c9818916dee307006c4b6cd532383011b7131ec94c3857f312226429a"),
+            ("longeval", ["--seed", "3"], "479740e3a26db035c7013e8671fca2c58eda9e7d4504eecae4391193c9d28b75"),
+            (
+                "niah",
+                ["--seed", "11", "--total-len", "400", "--window", "64", "--digits", "4"],
+                "5d8ddfbbffb7fe11d7d03808f186447401a57a9686d2916bc6447ce20c6060b9",
+            ),
+            (
+                "longeval",
+                ["--seed", "11", "--total-len", "400", "--window", "64", "--digits", "4"],
+                "c565d9b649a13c2d21d4c31715f3a13eb80d7d4439b93943f18af94bc4ab3cf1",
+            ),
+        ],
+    )
+    def test_draws_are_pinned(self, tmp_path, kind, extra, digest):
+        argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", kind, "--n", "6", *extra]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "synth.jsonl").read_bytes()).hexdigest() == digest
 
     def test_total_len_too_small(self, tmp_path):
         code = run(
@@ -1236,6 +1265,32 @@ class TestTopLevelInterface:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert key in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("openai:http://127.0.0.1:9,vocab=50,modle=gpt,tpo=5", "unknown openai parameters: modle, tpo"),
+            ("openai:http://127.0.0.1:9,vocab=-3", "vocab must be >= 1"),
+            ("openai:http://127.0.0.1:9,vocab=50,top=0", "top must be >= 1"),
+            ("openai:http://127.0.0.1:9,vocab=50,top=-4", "top must be >= 1"),
+        ],
+    )
+    def test_openai_spec_is_as_strict_as_mock(self, tmp_path, capsys, spec, message):
+        corpus = write_jsonl(tmp_path / "c.jsonl", planted_corpus_records(n_short=1, n_long=0))
+        assert run(["mcl", "--backend", spec, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert message in err
+
+    def test_openai_spec_reads_model(self):
+        backend = cli.build_backend("openai:http://127.0.0.1:9,vocab=50,model=gpt,top=5", 1)
+        assert (backend.model, backend.vocab_size, backend.endpoint.top) == ("gpt", 50, 5)
+
+    def test_malformed_bucket_bound_is_usage_error(self, tmp_path, capsys):
+        docs = write_jsonl(tmp_path / "docs.jsonl", [{"id": "d", "tokens": list(range(300))}])
+        argv = ["mcl", "--backend", "mock:uniform:vocab=512", "--corpus", str(docs), "--sample", "1"]
+        assert run([*argv, "--buckets", "a-b", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "usage error: bad --buckets value 'a-b'\n"
 
     def test_unrecognized_backend_spec(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", planted_corpus_records(n_short=1, n_long=0))

@@ -11,7 +11,6 @@ from ctxlens.corpus import (
     DEFAULT_BUCKETS,
     Document,
     SequenceSample,
-    SyntheticSpec,
     TokenDiskCache,
     default_filler_tokens,
     gen_longeval,
@@ -19,6 +18,7 @@ from ctxlens.corpus import (
     load_jsonl,
     load_sequences_jsonl,
     sample_sequences,
+    synth_sample,
 )
 from ctxlens.detection import LONG, SHORT
 from ctxlens.errors import DataError
@@ -190,14 +190,13 @@ class TestTokenIds:
 
     def test_loaded_and_constructed_tokens_are_int32_arrays(self, tmp_path):
         path = write_jsonl(tmp_path / "rows.jsonl", [{"id": "a", "seq_id": "a", "tokens": [1, 2, 3]}])
-        spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=50)
         held = [
             load_jsonl(path)[0][0].tokens,
             load_sequences_jsonl(path)[0][0].tokens,
             Document(doc_id="d", tokens=[1, 2]).tokens,
             SequenceSample(seq_id="s", tokens=(1, 2), next_token=None, doc_id="d", bucket=(2, 3)).tokens,
             sample_sequences(list(range(200)), n_per_bucket=1, rng_seed=0)[0][0].tokens,
-            gen_niah(spec, default_filler_tokens(TOKENIZER, 300), TOKENIZER).tokens,
+            gen_niah(default_filler_tokens(TOKENIZER, 300), TOKENIZER, total_len=300, needle_pos=50).tokens,
         ]
         for tokens in held:
             assert type(tokens) is array
@@ -276,9 +275,8 @@ class TestSampleSequences:
 
 class TestGenNiah:
     def test_structure_and_ground_truth(self):
-        spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=50)
         filler = default_filler_tokens(TOKENIZER, 300)
-        sample = gen_niah(spec, filler, TOKENIZER, rng_seed=5)
+        sample = gen_niah(filler, TOKENIZER, rng_seed=5, total_len=300, needle_pos=50)
         assert len(sample.tokens) == 300
         # The needle statement sits exactly at needle_pos.
         digits = [t for t in sample.tokens[50 : 50 + 10]][4:]
@@ -291,84 +289,91 @@ class TestGenNiah:
         assert sample.label == LONG
 
     def test_needle_near_end_is_short(self):
-        spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=270, window=32)
         filler = default_filler_tokens(TOKENIZER, 300)
-        assert gen_niah(spec, filler, TOKENIZER, rng_seed=5).label == SHORT
+        assert gen_niah(filler, TOKENIZER, rng_seed=5, total_len=300, needle_pos=270, window=32).label == SHORT
 
     def test_label_matches_distance_rule(self):
         filler = default_filler_tokens(TOKENIZER, 400)
         for pos in (10, 150, 250, 280):
             for window in (32, 64):
-                spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=pos, window=window)
                 expected = SHORT if 300 - pos <= window else LONG
-                assert gen_niah(spec, filler, TOKENIZER, rng_seed=1).label == expected
+                sample = gen_niah(filler, TOKENIZER, rng_seed=1, total_len=300, needle_pos=pos, window=window)
+                assert sample.label == expected
 
     def test_deterministic_for_seed(self):
-        spec = SyntheticSpec(kind="niah_magic", total_len=200, needle_pos=20)
+        spec = dict(total_len=200, needle_pos=20)
         filler = default_filler_tokens(TOKENIZER, 200)
-        a = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
-        b = gen_niah(spec, filler, TOKENIZER, rng_seed=9)
+        a = gen_niah(filler, TOKENIZER, rng_seed=9, **spec)
+        b = gen_niah(filler, TOKENIZER, rng_seed=9, **spec)
         assert a == b
-        c = gen_niah(spec, filler, TOKENIZER, rng_seed=10)
+        c = gen_niah(filler, TOKENIZER, rng_seed=10, **spec)
         assert a.tokens != c.tokens
 
     def test_needle_query_collision_rejected(self):
-        spec = SyntheticSpec(kind="niah_magic", total_len=60, needle_pos=55)
         filler = default_filler_tokens(TOKENIZER, 60)
         with pytest.raises(DataError):
-            gen_niah(spec, filler, TOKENIZER)
+            gen_niah(filler, TOKENIZER, total_len=60, needle_pos=55)
 
     def test_insufficient_filler_rejected(self):
-        spec = SyntheticSpec(kind="niah_magic", total_len=300, needle_pos=50)
         with pytest.raises(DataError):
-            gen_niah(spec, [1, 2, 3], TOKENIZER)
+            gen_niah([1, 2, 3], TOKENIZER, total_len=300, needle_pos=50)
 
 
 class TestGenLongeval:
     def test_structure_and_ground_truth(self):
-        spec = SyntheticSpec(kind="longeval_registers", total_len=300, answer_line_distance=3)
-        sample = gen_longeval(spec, TOKENIZER, rng_seed=4)
+        sample = gen_longeval(TOKENIZER, rng_seed=4, total_len=300, answer_line_distance=3)
         assert len(sample.tokens) <= 300
         assert sample.next_token is not None
         assert 0 <= sample.next_token <= 9
         assert sample.label in (SHORT, LONG)
 
     def test_last_line_is_short_far_line_is_long(self):
-        spec_near = SyntheticSpec(kind="longeval_registers", total_len=400, answer_line_distance=1, window=32)
-        assert gen_longeval(spec_near, TOKENIZER, rng_seed=2).label == SHORT
+        near = gen_longeval(TOKENIZER, rng_seed=2, total_len=400, answer_line_distance=1, window=32)
+        assert near.label == SHORT
 
-        spec_far = SyntheticSpec(
-            kind="longeval_registers", total_len=400, answer_line_distance=20, window=32
-        )
-        assert gen_longeval(spec_far, TOKENIZER, rng_seed=2).label == LONG
+        far = gen_longeval(TOKENIZER, rng_seed=2, total_len=400, answer_line_distance=20, window=32)
+        assert far.label == LONG
 
     def test_deterministic_for_seed(self):
-        spec = SyntheticSpec(kind="longeval_registers", total_len=200, answer_line_distance=2)
-        a = gen_longeval(spec, TOKENIZER, rng_seed=8)
-        b = gen_longeval(spec, TOKENIZER, rng_seed=8)
+        a = gen_longeval(TOKENIZER, rng_seed=8, total_len=200, answer_line_distance=2)
+        b = gen_longeval(TOKENIZER, rng_seed=8, total_len=200, answer_line_distance=2)
         assert a == b
 
     def test_too_small_total_rejected(self):
-        spec = SyntheticSpec(kind="longeval_registers", total_len=10, answer_line_distance=1)
         with pytest.raises(DataError):
-            gen_longeval(spec, TOKENIZER)
+            gen_longeval(TOKENIZER, total_len=10, answer_line_distance=1)
 
     def test_distance_beyond_line_count_rejected(self):
-        spec = SyntheticSpec(kind="longeval_registers", total_len=100, answer_line_distance=99)
         with pytest.raises(DataError):
-            gen_longeval(spec, TOKENIZER)
+            gen_longeval(TOKENIZER, total_len=100, answer_line_distance=99)
 
 
-class TestSyntheticSpec:
+class TestSynthSample:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(kind="sorting", total_len=10)
+        with pytest.raises(DataError, match="unknown synthetic kind 'sorting'"):
+            synth_sample("sorting", 10, 32, 6, TOKENIZER, seed=0)
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(kind="niah_magic", total_len=0)
-        with pytest.raises(DataError):
-            SyntheticSpec(kind="niah_magic", total_len=10, window=0)
+        filler = default_filler_tokens(TOKENIZER, 10)
+        with pytest.raises(DataError, match="total_len must be >= 1"):
+            gen_niah(filler, TOKENIZER, total_len=0, needle_pos=0)
+        with pytest.raises(DataError, match="window must be >= 1"):
+            gen_niah(filler, TOKENIZER, total_len=10, needle_pos=0, window=0)
+        with pytest.raises(DataError, match="total_len must be >= 1"):
+            gen_longeval(TOKENIZER, total_len=0, answer_line_distance=1)
+        with pytest.raises(DataError, match="window must be >= 1"):
+            gen_longeval(TOKENIZER, total_len=10, answer_line_distance=1, window=0)
+        with pytest.raises(DataError, match="window must be >= 1"):
+            synth_sample("longeval", 300, 0, 6, TOKENIZER, seed=0)
+
+    @pytest.mark.parametrize("kind, doc_id", [("niah", "niah"), ("longeval", "longeval")])
+    def test_sample_has_the_drawn_layout(self, kind, doc_id):
+        sample = synth_sample(kind, 300, 64, 4, TOKENIZER, seed=21)
+        assert sample.doc_id == doc_id
+        assert sample.label in (SHORT, LONG)
+        assert sample == synth_sample(kind, 300, 64, 4, TOKENIZER, seed=21)
+        if kind == "niah":
+            assert len(sample.tokens) == 300
 
 
 class TestTokenDiskCache:

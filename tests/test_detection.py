@@ -26,7 +26,7 @@ from ctxlens.detection import (
     tau_sweep,
     youden_threshold,
 )
-from ctxlens.dist import JSD_MAX, SupportSet, TokenDistribution
+from ctxlens.dist import JSD_MAX, TokenDistribution
 from ctxlens.errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
 from ctxlens.probe import PrefixGrid
 
@@ -263,21 +263,21 @@ class TestScenario:
     FULL = TokenDistribution.from_probs([0.2, 0.5, 0.3])
 
     def test_empty_set_is_neutral(self):
-        assert scenario(1, SupportSet.of(()), self.FULL) == "neutral"
+        assert scenario(1, frozenset(), self.FULL) == "neutral"
 
     def test_most_probable_member_is_best(self):
-        assert scenario(1, SupportSet.of((1, 2)), self.FULL) == "best"
+        assert scenario(1, frozenset((1, 2)), self.FULL) == "best"
 
     def test_other_member_is_bad(self):
-        assert scenario(2, SupportSet.of((1, 2)), self.FULL) == "bad"
+        assert scenario(2, frozenset((1, 2)), self.FULL) == "bad"
 
     def test_outside_nonempty_set_is_worst(self):
-        assert scenario(0, SupportSet.of((1, 2)), self.FULL) == "worst"
+        assert scenario(0, frozenset((1, 2)), self.FULL) == "worst"
 
     def test_tied_members_both_count_as_best(self):
         full = TokenDistribution.from_probs([0.4, 0.3, 0.3])
-        assert scenario(1, SupportSet.of((1, 2)), full) == "best"
-        assert scenario(2, SupportSet.of((1, 2)), full) == "best"
+        assert scenario(1, frozenset((1, 2)), full) == "best"
+        assert scenario(2, frozenset((1, 2)), full) == "best"
 
 
 class TestRocAuc:
