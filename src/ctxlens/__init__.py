@@ -12,12 +12,8 @@ from .decoding import DecodingStrategy, apply_strategy, confidence, derive_seed,
 from .probe import PrefixGrid, ProbeResult, damcl, mcl, mcl_histogram
 from .detection import (
     LsdsConfig,
-    YoudenPoint,
-    classify,
     lsd_lcl_oracle_label,
     lsds,
-    lspr,
-    lsps,
     mcl_oracle_label,
     roc_auc,
     scenario,
@@ -48,12 +44,8 @@ __all__ = [
     "mcl",
     "mcl_histogram",
     "LsdsConfig",
-    "YoudenPoint",
-    "classify",
     "lsd_lcl_oracle_label",
     "lsds",
-    "lspr",
-    "lsps",
     "mcl_oracle_label",
     "roc_auc",
     "scenario",

@@ -45,8 +45,10 @@ from .corpus import (
     TokenDiskCache,
     load_jsonl,
     load_sequences_jsonl,
+    parse_jsonl,
     sample_sequences,
     synth_sample,
+    text_field,
 )
 from .decoding import DecodingStrategy, apply_strategy, derive_seed
 from .detection import (
@@ -558,7 +560,6 @@ def _detect_summary(args, units, warnings) -> dict:
         filtered.extend(dropped)
     cfg = _lsds_config(args)
     auc = roc_auc(pairs)
-    best = youden_threshold(pairs)
     at_tau = tau_sweep(pairs, [cfg.tau])[0]
     artifacts = {}
     if args.tau_sweep:
@@ -570,7 +571,7 @@ def _detect_summary(args, units, warnings) -> dict:
         "command": "detect",
         "n": len(pairs),
         "auc": auc,
-        "youden": {"theta": best.theta, "j": best.j, "tpr": best.tpr, "fpr": best.fpr},
+        "youden": youden_threshold(pairs),
         "confusion": {key: at_tau[key] for key in ("tp", "fp", "tn", "fn")},
         "accuracy": at_tau["accuracy"],
         "filtered": filtered,
@@ -720,25 +721,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _score_pair(rec: dict, line: bytes, lineno: int) -> tuple[str, str, str]:
+    return str(rec.get("id", f"line{lineno}")), text_field(rec, "pred", True), text_field(rec, "gold", True)
+
+
 def cmd_score(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = Path(args.pairs)
-    if not path.exists():
-        raise DataError(f"pairs file not found: {path}")
-    rows = []
-    bad = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                rows.append((str(rec.get("id", f"line{lineno}")), str(rec["pred"]), str(rec["gold"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                bad.append({"line": lineno, "error": str(exc)})
-    if not rows:
-        raise DataError(f"no scoreable rows in {path}")
+    rows, bad = parse_jsonl(args.pairs, _score_pair, "pairs", "scoreable rows")
     per_metric: dict[str, list[float]] = {"token_f1": [], "bleu": [], "rouge_l": []}
     with (out / "scores.jsonl").open("w", encoding="utf-8") as fh:
         for row_id, pred, gold in rows:
@@ -766,7 +756,6 @@ def cmd_synth(args) -> int:
         seed = derive_seed(args.seed, i)
         sample = synth_sample(args.kind, args.total_len, args.window, args.digits, tokenizer, seed)
         records.append({**sample.to_record(), "seq_id": f"{args.kind}/{i:04d}", "kind": SYNTH_KINDS[args.kind]})
-    records.sort(key=lambda r: r["seq_id"])
     with (out / "synth.jsonl").open("w", encoding="utf-8") as fh:
         for record in records:
             append_jsonl(fh, record)

@@ -108,17 +108,31 @@ def _bucket(value, n: int) -> tuple[int, int]:
     return _int32(value[0], "bucket"), _int32(value[1], "bucket")
 
 
-def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
-    """Read documents ({"id", "text"} or {"id", "tokens"}, optional "gold") in file order.
+def text_field(rec: dict, field: str, required: bool = False) -> str | None:
+    """A JSON text field: a string, or a number (not true or false) kept as its text.
 
-    Lines are parsed as strict JSON. Malformed lines, and token ids that are
-    not int32 integers, are returned as error records, not dropped silently.
-    A file with no valid documents is an error.
+    Null or absent gives None unless ``required``; any other value raises TypeError naming ``field``.
+    """
+    value = rec[field] if required else rec.get(field)
+    if value is None and not required:
+        return None
+    if type(value) not in (str, int, float):
+        raise TypeError(f"{field} must be a string or a number, not {value!r}")
+    return str(value)
+
+
+def parse_jsonl(path: str | Path, build, file_kind: str, items: str) -> tuple[list, list[dict]]:
+    """``build(rec, line, lineno)`` of each non-blank line of a JSONL file, in file order.
+
+    Lines are parsed as strict JSON. A line that is not a JSON object, or that
+    ``build`` rejects with ValueError, KeyError, TypeError or OverflowError,
+    becomes an error record ``{"line", "error"}``. A missing file, or one
+    with nothing built, is a DataError naming ``file_kind`` or ``items``.
     """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-    docs: list[Document] = []
+        raise DataError(f"{file_kind} file not found: {path}")
+    built: list = []
     errors: list[dict] = []
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -126,18 +140,51 @@ def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
                 continue
             try:
                 rec = orjson.loads(line)
-                doc_id = str(rec["id"])
-                tokens = _token_ids(rec["tokens"], line) if "tokens" in rec else None
-                text = rec.get("text")
-                if tokens is None and text is None:
-                    raise KeyError("need 'text' or 'tokens'")
-                gold = None if rec.get("gold") is None else str(rec["gold"])
-                docs.append(Document(doc_id=doc_id, text=text, tokens=tokens, gold=gold))
+                if type(rec) is not dict:
+                    raise TypeError(f"expected a JSON object, not {type(rec).__name__}")
+                built.append(build(rec, line, lineno))
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 errors.append({"line": lineno, "error": str(exc)})
-    if not docs:
-        raise DataError(f"no valid documents in {path}")
-    return docs, errors
+    if not built:
+        raise DataError(f"no {items} in {path}")
+    return built, errors
+
+
+def _document(rec: dict, line: bytes, lineno: int) -> Document:
+    doc_id = str(rec["id"])
+    tokens = _token_ids(rec["tokens"], line) if "tokens" in rec else None
+    text = text_field(rec, "text")
+    if tokens is None and text is None:
+        raise KeyError("need 'text' or 'tokens'")
+    return Document(doc_id=doc_id, text=text, tokens=tokens, gold=text_field(rec, "gold"))
+
+
+def load_jsonl(path: str | Path) -> tuple[list[Document], list[dict]]:
+    """Read documents ({"id", "text"} or {"id", "tokens"}, optional "gold") in file order.
+
+    Malformed lines, token ids that are not int32 integers, and text fields
+    that are not strings or numbers are returned as error records, not
+    dropped silently. A file with no valid documents is an error.
+    """
+    return parse_jsonl(path, _document, "corpus", "valid documents")
+
+
+def _sequence(rec: dict, line: bytes, lineno: int) -> SequenceSample:
+    tokens = _token_ids(rec["tokens"], line)
+    if not tokens:
+        raise ValueError("empty token sequence")
+    label = rec.get("label")
+    if label not in (None, SHORT, LONG):
+        raise ValueError(f"label must be {SHORT!r}, {LONG!r} or null, not {label!r}")
+    next_token = rec.get("next_token")
+    return SequenceSample(
+        seq_id=str(rec.get("seq_id", rec.get("id", f"line{lineno}"))),
+        tokens=tokens,
+        next_token=None if next_token is None else _int32(next_token, "next_token"),
+        doc_id=str(rec.get("doc_id", "")),
+        bucket=_bucket(rec.get("bucket"), len(tokens)),
+        label=label,
+    )
 
 
 def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[dict]]:
@@ -147,39 +194,7 @@ def load_sequences_jsonl(path: str | Path) -> tuple[list[SequenceSample], list[d
     two int32 integers, and ``label`` is null, "short" or "long"; any other
     value makes the line an error record.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"sequence file not found: {path}")
-    samples: list[SequenceSample] = []
-    errors: list[dict] = []
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = orjson.loads(line)
-                tokens = _token_ids(rec["tokens"], line)
-                if not tokens:
-                    raise ValueError("empty token sequence")
-                label = rec.get("label")
-                if label not in (None, SHORT, LONG):
-                    raise ValueError(f"label must be {SHORT!r}, {LONG!r} or null, not {label!r}")
-                next_token = rec.get("next_token")
-                samples.append(
-                    SequenceSample(
-                        seq_id=str(rec.get("seq_id", rec.get("id", f"line{lineno}"))),
-                        tokens=tokens,
-                        next_token=None if next_token is None else _int32(next_token, "next_token"),
-                        doc_id=str(rec.get("doc_id", "")),
-                        bucket=_bucket(rec.get("bucket"), len(tokens)),
-                        label=label,
-                    )
-                )
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                errors.append({"line": lineno, "error": str(exc)})
-    if not samples:
-        raise DataError(f"no valid sequences in {path}")
-    return samples, errors
+    return parse_jsonl(path, _sequence, "sequence", "valid sequences")
 
 
 def sample_sequences(
@@ -267,6 +282,8 @@ def gen_niah(
     starts within the final ``window`` tokens.
     """
     _check_layout(total_len, window)
+    if digits < 1:
+        raise DataError("digits must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     number = f"{int(rng.integers(0, 10 ** digits)):0{digits}d}"
     needle = tokenizer.tokenize(f"{NEEDLE_PREFIX} {number}")

@@ -2,8 +2,8 @@
 
 The score compares the decoded next-token distribution of a short suffix
 against the full context; a large divergence means the model's prediction
-still depends on far-away tokens. Labeling oracles, probability-shift
-diagnostics, and threshold selection (ROC, Youden) live here too.
+still depends on far-away tokens. Labeling oracles and threshold
+selection (ROC, Youden) live here too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ LONG = "long"
 
 #: Suffix length the lsd_lcl oracle compares the full context against.
 LSD_LCL_SHORT_LEN = 32
-
-SCENARIOS = ("best", "bad", "worst", "neutral")
+#: Nats by which the full context must lift the true token's log-probability for lsd_lcl to say long.
+LSD_LCL_LIFT = 2.0
+#: Least full-context log-probability of the true token for lsd_lcl to say long.
+LSD_LCL_FLOOR = -1.0
 
 
 @dataclass(frozen=True)
@@ -60,26 +62,14 @@ class LsdsConfig:
         return int(self.short_len)
 
 
-def _decoded_pair(
-    s: Sequence[int], cfg: LsdsConfig, backend: Backend
-) -> tuple[TokenDistribution, TokenDistribution]:
+def lsds(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
+    """Divergence between the decoded short-suffix and full-context distributions."""
     ell = cfg.resolved_short_len(len(s))
     if len(s) <= ell:
         raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {ell}")
     short = apply_strategy(prefix_distribution(s, ell, backend), cfg.strategy)
     full = apply_strategy(prefix_distribution(s, len(s), backend), cfg.strategy)
-    return short, full
-
-
-def lsds(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
-    """Divergence between the decoded short-suffix and full-context distributions."""
-    short, full = _decoded_pair(s, cfg, backend)
     return jsd(short, full)
-
-
-def classify(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> str:
-    """``"long"`` iff the score reaches ``tau``, else ``"short"``; the boundary counts as long."""
-    return LONG if lsds(s, cfg, backend) >= cfg.tau else SHORT
 
 
 def mcl_oracle_label(
@@ -99,40 +89,21 @@ def mcl_oracle_label(
     return LONG if result.resolved_length > grid.start else SHORT
 
 
-def lsd_lcl_oracle_label(
-    s: Sequence[int],
-    t: int,
-    backend: Backend,
-    short_len: int = LSD_LCL_SHORT_LEN,
-    lsd_threshold: float = 2.0,
-    lcl_threshold: float = -1.0,
-) -> str:
+def lsd_lcl_oracle_label(s: Sequence[int], t: int, backend: Backend) -> str:
     """``"short"`` or ``"long"`` from raw (pre-decoding) log-probabilities of the true token.
 
     Long iff the full context lifts the token's log-probability by more than
-    ``lsd_threshold`` nats over the short suffix AND the full-context
-    log-probability itself is at least ``lcl_threshold``.
+    ``LSD_LCL_LIFT`` nats over the last ``LSD_LCL_SHORT_LEN`` tokens AND the
+    full-context log-probability itself is at least ``LSD_LCL_FLOOR``.
     """
-    if len(s) <= short_len:
-        raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {short_len}")
+    if len(s) <= LSD_LCL_SHORT_LEN:
+        raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {LSD_LCL_SHORT_LEN}")
     # entry() checks t against the fetched distribution's vocab.
     p_full = prefix_distribution(s, len(s), backend).entry(t)
-    p_short = prefix_distribution(s, short_len, backend).entry(t)
+    p_short = prefix_distribution(s, LSD_LCL_SHORT_LEN, backend).entry(t)
     lsd = math.log(max(p_full, PROB_FLOOR)) - math.log(max(p_short, PROB_FLOOR))
     lcl = math.log(max(p_full, PROB_FLOOR))
-    return LONG if (lsd > lsd_threshold and lcl >= lcl_threshold) else SHORT
-
-
-def lsps(t: int, s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
-    """Shift of the token's decoded probability when the full context is revealed."""
-    short, full = _decoded_pair(s, cfg, backend)
-    return full.entry(t) - short.entry(t)
-
-
-def lspr(t: int, s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
-    """Log-ratio form of the shift, with both operands floored at PROB_FLOOR."""
-    short, full = _decoded_pair(s, cfg, backend)
-    return math.log(max(full.entry(t), PROB_FLOOR)) - math.log(max(short.entry(t), PROB_FLOOR))
+    return LONG if (lsd > LSD_LCL_LIFT and lcl >= LSD_LCL_FLOOR) else SHORT
 
 
 def scenario(t_hat: int, boosted: AbstractSet[int], full_dist: TokenDistribution) -> str:
@@ -167,35 +138,26 @@ def roc_auc(scored: Sequence[tuple[float, bool]]) -> float:
     return (twice_wins / 2.0) / (len(pos) * len(neg))
 
 
-@dataclass(frozen=True)
-class YoudenPoint:
-    """Threshold maximizing TPR - FPR, with the rates achieved there."""
+def youden_threshold(scored: Sequence[tuple[float, bool]]) -> dict:
+    """The threshold maximizing TPR - FPR, as ``{"theta", "j", "tpr", "fpr"}``.
 
-    theta: float
-    j: float
-    tpr: float
-    fpr: float
-
-
-def youden_threshold(scored: Sequence[tuple[float, bool]]) -> YoudenPoint:
-    """Best threshold over midpoints of adjacent distinct scores plus open ends.
-
-    Ties on J resolve to the smallest threshold. Each class is sorted once,
-    and the count at or above each candidate is found by bisection, so the
-    sweep is O(n log n).
+    Candidates are the midpoints of adjacent distinct scores plus the open
+    ends; ties on J resolve to the smallest threshold. Each class is sorted
+    once, and the count at or above each candidate is found by bisection, so
+    the sweep is O(n log n).
     """
     pos, neg = _by_class(scored, "youden threshold")
     distinct = sorted({score for score, _ in scored})
     candidates = [-math.inf]
     candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
     candidates.append(math.inf)
-    best: YoudenPoint | None = None
+    best: dict | None = None
     for theta in candidates:
         tpr = (len(pos) - bisect_left(pos, theta)) / len(pos)
         fpr = (len(neg) - bisect_left(neg, theta)) / len(neg)
         j = tpr - fpr
-        if best is None or j > best.j:
-            best = YoudenPoint(theta=theta, j=j, tpr=tpr, fpr=fpr)
+        if best is None or j > best["j"]:
+            best = {"theta": theta, "j": j, "tpr": tpr, "fpr": fpr}
     return best
 
 

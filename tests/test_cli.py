@@ -139,6 +139,17 @@ class TestMclCommand:
         assert summary["fit"] is None  # single histogram bin
         assert (out / "tokcache").is_dir()
 
+    def test_document_text_that_is_not_text_is_an_error_record(self, tmp_path):
+        corpus = write_jsonl(
+            tmp_path / "docs.jsonl", [{"id": "d0", "tokens": [5] * 300}, {"id": "d1", "text": ["a", "b"]}]
+        )
+        out = tmp_path / "out"
+        argv = ["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--sample", "1", "--buckets", "32-100"]
+        assert run([*argv, "--out", str(out)]) == 0
+        summary = read_report(out / "mcl_summary.json")
+        assert summary["n_input"] == 1
+        assert summary["warnings"] == [{"line": 2, "error": "text must be a string or a number, not ['a', 'b']"}]
+
     def test_unconfident_sequences_are_reported_not_probed(self, tmp_path):
         records = planted_corpus_records(n_short=2, n_long=0)
         records[0]["next_token"] = 7  # planted answer is 5, so this fails the gate
@@ -363,6 +374,19 @@ class TestDetectCommand:
         assert sweep[0] == "tau,tpr,fpr,j,accuracy"
         assert len(sweep) == 3
 
+    def test_score_equal_to_tau_counts_as_long(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True))
+        argv = ["detect", "--backend", PLANTED, "--corpus", str(corpus)]
+        assert run([*argv, "--out", str(tmp_path / "first")]) == 0
+        tau = max(r["lsds"] for r in read_jsonl(tmp_path / "first" / "detect_results.jsonl"))
+        assert tau > 0.0
+        out = tmp_path / "at_tau"
+        assert run([*argv, "--tau", repr(tau), "--out", str(out)]) == 0
+        at_tau = [r for r in read_jsonl(out / "detect_results.jsonl") if r["lsds"] == tau]
+        assert at_tau and all(r["label_pred"] == "long" for r in at_tau)
+        confusion = read_report(out / "detect_summary.json")["confusion"]
+        assert confusion["tp"] + confusion["fp"] == len(at_tau)
+
     def test_mcl_oracle_agrees_with_planted_labels(self, tmp_path):
         corpus = write_jsonl(
             tmp_path / "corpus.jsonl",
@@ -520,6 +544,15 @@ class TestGenerateCommand:
         summary = read_report(out / "generate_summary.json")
         assert summary["had_backend_error"] is False
         assert summary["config"]["method"] == "vanilla"
+
+    def test_prompt_text_is_a_string_or_a_number(self, tmp_path):
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "text": 5}, {"id": "q", "text": ["a"]}])
+        out = tmp_path / "out"
+        argv = ["generate", "--backend", "mock:planted:d=2,answer=1,vocab=8", "--prompts", str(prompts)]
+        assert run([*argv, "--max-new", "2", "--out", str(out)]) == 0
+        assert {r["prompt_id"] for r in read_jsonl(out / "generations.jsonl")} == {"p"}
+        errors = read_report(out / "generate_summary.json")["prompt_errors"]
+        assert errors == [{"line": 2, "error": "text must be a string or a number, not ['a']"}]
 
     def test_taboo_requires_lam(self, tmp_path, capsys):
         prompts = write_jsonl(tmp_path / "prompts.jsonl", self.PROMPTS)
@@ -958,6 +991,31 @@ class TestScoreCommand:
         # rouge_l keeps articles: row "a" scores 2*(1*2/3)/(1+2/3) = 0.8.
         assert summary["metrics"]["rouge_l"]["mean"] == pytest.approx(0.9, abs=1e-12)
 
+    def test_line_that_is_not_an_object_is_an_error_record(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('[1, 2]\n{"id": "a", "pred": "x", "gold": "x"}\n')
+        out = tmp_path / "out"
+        assert run(["score", "--pairs", str(pairs), "--out", str(out)]) == 0
+        summary = read_report(out / "score_summary.json")
+        assert summary["n"] == 1
+        assert summary["errors"] == [{"line": 1, "error": "expected a JSON object, not list"}]
+
+    def test_pred_and_gold_are_strict_json_strings_or_numbers(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(
+            '{"id": "null", "pred": null, "gold": "None"}\n'
+            '{"id": "nan", "pred": NaN, "gold": "nan"}\n'
+            '{"id": "bool", "pred": "True", "gold": true}\n'
+            '{"id": "num", "pred": 42, "gold": "42"}\n'
+        )
+        out = tmp_path / "out"
+        assert run(["score", "--pairs", str(pairs), "--out", str(out)]) == 0
+        assert [r["id"] for r in read_jsonl(out / "scores.jsonl")] == ["num"]
+        errors = read_report(out / "score_summary.json")["errors"]
+        assert [e["line"] for e in errors] == [1, 2, 3]
+        assert errors[0]["error"] == "pred must be a string or a number, not None"
+        assert errors[2]["error"] == "gold must be a string or a number, not True"
+
     def test_no_rows_is_a_data_error(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("junk\n")
@@ -1096,6 +1154,19 @@ class TestSynthCommand:
         argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", kind, "--n", "6", *extra]
         assert run([*argv, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "synth.jsonl").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("digits", ["-1", "0"])
+    def test_digits_below_one_is_a_data_error(self, tmp_path, capsys, digits):
+        argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", "niah", "--n", "2", "--digits", digits]
+        assert run([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "data error: digits must be >= 1\n"
+        assert not (tmp_path / "synth.jsonl").exists()
+
+    def test_records_stay_in_example_order_past_four_digit_ids(self, tmp_path):
+        argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", "longeval", "--n", "10002"]
+        assert run([*argv, "--total-len", "60", "--out", str(tmp_path)]) == 0
+        ids = [json.loads(line)["seq_id"] for line in (tmp_path / "synth.jsonl").read_text().splitlines()]
+        assert ids == [f"longeval/{i:04d}" for i in range(10002)]
 
     def test_total_len_too_small(self, tmp_path):
         code = run(

@@ -61,6 +61,25 @@ class TestLoadJsonl:
         docs, _ = load_jsonl(path)
         assert [d.gold for d in docs] == ["the answer", "42", None, None]
 
+    def test_text_fields_are_strings_or_numbers(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(
+            '{"id": "a", "text": 5, "gold": 1.5}\n'
+            '{"id": "b", "tokens": [1], "text": null}\n'
+            '{"id": "c", "text": ["x"]}\n'
+            '{"id": "d", "text": "x", "gold": false}\n'
+            '{"id": "e", "text": {"x": 1}}\n'
+            '5\n'
+        )
+        docs, errors = load_jsonl(path)
+        assert [(d.doc_id, d.text, d.gold) for d in docs] == [("a", "5", "1.5"), ("b", None, None)]
+        assert errors == [
+            {"line": 3, "error": "text must be a string or a number, not ['x']"},
+            {"line": 4, "error": "gold must be a string or a number, not False"},
+            {"line": 5, "error": "text must be a string or a number, not {'x': 1}"},
+            {"line": 6, "error": "expected a JSON object, not int"},
+        ]
+
     def test_malformed_lines_become_error_records(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(

@@ -12,14 +12,10 @@ from ctxlens.backends import ConstantBackend, PlantedDependencyBackend, SwitchBa
 from ctxlens.decoding import DecodingStrategy
 from ctxlens.detection import (
     LONG,
-    YoudenPoint,
     SHORT,
     LsdsConfig,
-    classify,
     lsd_lcl_oracle_label,
     lsds,
-    lspr,
-    lsps,
     mcl_oracle_label,
     roc_auc,
     scenario,
@@ -29,8 +25,6 @@ from ctxlens.detection import (
 from ctxlens.dist import JSD_MAX, TokenDistribution
 from ctxlens.errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
 from ctxlens.probe import PrefixGrid
-
-KEEP_ALL = LsdsConfig(strategy=DecodingStrategy.nucleus(1.0))
 
 
 def disjoint_backend(vocab=8, a=0, b=1, cutoff=33):
@@ -83,8 +77,8 @@ def quadratic_youden(scored):
     for theta in candidates:
         tpr = sum(1 for s, is_long in scored if is_long and s >= theta) / n_pos
         fpr = sum(1 for s, is_long in scored if not is_long and s >= theta) / n_neg
-        if best is None or tpr - fpr > best.j:
-            best = YoudenPoint(theta=theta, j=tpr - fpr, tpr=tpr, fpr=fpr)
+        if best is None or tpr - fpr > best["j"]:
+            best = {"theta": theta, "j": tpr - fpr, "tpr": tpr, "fpr": fpr}
     return best
 
 
@@ -177,25 +171,6 @@ class TestLsds:
             lsds([1] * 32, LsdsConfig(short_len=32), b)
 
 
-class TestClassify:
-    def test_boundary_counts_as_long(self):
-        b = disjoint_backend()
-        assert classify([1] * 100, LsdsConfig(tau=JSD_MAX), b) == LONG
-
-    def test_low_scores_are_short(self):
-        b = ConstantBackend(TokenDistribution.uniform(4))
-        assert classify([1] * 100, LsdsConfig(tau=0.6), b) == SHORT
-
-    def test_long_set_shrinks_as_tau_grows(self):
-        b = pair_backend([0.9, 0.1, 0.0], [0.2, 0.5, 0.3])
-        s = [1] * 100
-        verdicts = [
-            classify(s, LsdsConfig(tau=tau), b) == LONG for tau in (0.1, 0.3, 0.5, 0.7)
-        ]
-        # Once a tau stops classifying long, no larger tau may flip it back.
-        assert verdicts == sorted(verdicts, reverse=True)
-
-
 class TestMclOracle:
     def test_deep_dependency_is_long(self):
         b = PlantedDependencyBackend(vocab_size=50, dependency_length=40, answer_token=5)
@@ -233,30 +208,6 @@ class TestLsdLclOracle:
         b = ConstantBackend(TokenDistribution.uniform(4))
         with pytest.raises(SequenceTooShort):
             lsd_lcl_oracle_label([1] * 32, 0, b)
-
-
-class TestProbabilityShift:
-    def test_lsps_matches_hand_value(self):
-        b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3])
-        assert lsps(1, [1] * 100, KEEP_ALL, b) == pytest.approx(0.2, abs=1e-12)
-
-    def test_lsps_sums_to_zero_over_vocab(self, rng):
-        from conftest import rand_dist
-
-        for _ in range(20):
-            vocab = int(rng.integers(2, 12))
-            b = SwitchBackend(cutoff=33, below=rand_dist(rng, vocab), at_or_above=rand_dist(rng, vocab))
-            total = sum(lsps(t, [1] * 100, KEEP_ALL, b) for t in range(vocab))
-            assert total == pytest.approx(0.0, abs=1e-9)
-
-    def test_lspr_log_ratio(self):
-        b = pair_backend([0.6, 0.3, 0.1], [0.2, 0.5, 0.3])
-        assert lspr(1, [1] * 100, KEEP_ALL, b) == pytest.approx(math.log(0.5 / 0.3), abs=1e-12)
-
-    def test_lspr_floors_zeroes(self):
-        b = pair_backend([1.0, 0.0], [0.5, 0.5])
-        val = lspr(1, [1] * 100, KEEP_ALL, b)
-        assert val == pytest.approx(math.log(0.5 / 1e-6), abs=1e-9)
 
 
 class TestScenario:
@@ -330,10 +281,10 @@ class TestYouden:
             + [(0.5, False)] * 443
         )
         point = youden_threshold(scored)
-        assert point.theta == pytest.approx(0.55, abs=1e-9)
-        assert point.tpr == pytest.approx(0.954, abs=1e-9)
-        assert point.fpr == pytest.approx(0.114, abs=1e-9)
-        assert point.j == pytest.approx(0.84, abs=1e-9)
+        assert point["theta"] == pytest.approx(0.55, abs=1e-9)
+        assert point["tpr"] == pytest.approx(0.954, abs=1e-9)
+        assert point["fpr"] == pytest.approx(0.114, abs=1e-9)
+        assert point["j"] == pytest.approx(0.84, abs=1e-9)
         assert roc_auc(scored) == pytest.approx(0.92, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
@@ -346,7 +297,7 @@ class TestYouden:
             if not any(l for _, l in scored) or all(l for _, l in scored):
                 continue
             point = youden_threshold(scored)
-            assert point.j == pytest.approx(brute_force_youden(scored), abs=1e-12)
+            assert point["j"] == pytest.approx(brute_force_youden(scored), abs=1e-12)
 
     @PROPERTY
     @given(_SCORED)
@@ -356,15 +307,15 @@ class TestYouden:
     def test_indistinguishable_scores_give_zero_j(self):
         scored = [(0.4, True)] * 3 + [(0.4, False)] * 3
         point = youden_threshold(scored)
-        assert point.j == 0.0
-        assert point.theta == -math.inf
+        assert point["j"] == 0.0
+        assert point["theta"] == -math.inf
 
     def test_ties_resolve_to_smallest_threshold(self):
         # Both -inf and 0.5 achieve J = 0 here; the smaller wins.
         scored = [(0.4, True), (0.6, True), (0.4, False), (0.6, False)]
         point = youden_threshold(scored)
-        assert point.j == 0.0
-        assert point.theta == -math.inf
+        assert point["j"] == 0.0
+        assert point["theta"] == -math.inf
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientData):
@@ -373,8 +324,8 @@ class TestYouden:
     def test_perfect_separation(self):
         scored = [(0.9, True)] * 3 + [(0.2, False)] * 3
         point = youden_threshold(scored)
-        assert point.j == 1.0
-        assert point.theta == pytest.approx(0.55, abs=1e-12)
+        assert point["j"] == 1.0
+        assert point["theta"] == pytest.approx(0.55, abs=1e-12)
 
 
 class TestTauSweep:

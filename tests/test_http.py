@@ -23,7 +23,7 @@ from ctxlens.backends import (
     OpenAICompatBackend,
     complete_distribution,
 )
-from ctxlens.detection import LONG, lsd_lcl_oracle_label
+from ctxlens.detection import LONG, LSD_LCL_SHORT_LEN, lsd_lcl_oracle_label
 from ctxlens.dist import TokenDistribution
 from ctxlens.errors import BackendError, VocabMismatch
 from ctxlens.probe import PrefixGrid, mcl
@@ -118,10 +118,15 @@ class TestProbesOnFreshBackend:
     """A fresh HttpBackend learns its vocab from its first response, so probes must not ask sooner."""
 
     @staticmethod
-    def route(body, n):
-        # Token 2 becomes confident once the context has 4 tokens; before that it is improbable.
-        probs = [0.05, 0.05, 0.9] if len(body["tokens"]) >= 4 else [0.495, 0.495, 0.01]
+    def route(body, n, confident_from=4):
+        # Token 2 becomes confident once the context has `confident_from` tokens; before that it is improbable.
+        probs = [0.05, 0.05, 0.9] if len(body["tokens"]) >= confident_from else [0.495, 0.495, 0.01]
         return 200, {"logprobs": full_logprobs(probs), "vocab_size": 3}
+
+    @classmethod
+    def lsd_lcl_route(cls, body, n):
+        # Confident only past the oracle's 32-token short suffix.
+        return cls.route(body, n, confident_from=LSD_LCL_SHORT_LEN + 1)
 
     def test_mcl(self):
         with FakeModelServer() as srv:
@@ -139,15 +144,15 @@ class TestProbesOnFreshBackend:
 
     def test_lsd_lcl_oracle(self):
         with FakeModelServer() as srv:
-            srv.routes["/v1/next_logprobs"] = self.route
-            assert lsd_lcl_oracle_label([0] * 8, 2, _backend(srv.url), short_len=2) == LONG
+            srv.routes["/v1/next_logprobs"] = self.lsd_lcl_route
+            assert lsd_lcl_oracle_label([0] * 40, 2, _backend(srv.url)) == LONG
             assert srv.hits["/v1/next_logprobs"] == 2
 
     def test_lsd_lcl_oracle_checks_target_against_first_response(self):
         with FakeModelServer() as srv:
-            srv.routes["/v1/next_logprobs"] = self.route
+            srv.routes["/v1/next_logprobs"] = self.lsd_lcl_route
             with pytest.raises(VocabMismatch):
-                lsd_lcl_oracle_label([0] * 8, 3, _backend(srv.url), short_len=2)
+                lsd_lcl_oracle_label([0] * 40, 3, _backend(srv.url))
             assert srv.hits["/v1/next_logprobs"] == 1
 
 

@@ -40,3 +40,31 @@ def test_tracer_counts_match_the_written_generations(tmp_path, method):
     assert counts.get("boosting.gate_open_steps", 0) == sum(1 for step in steps if step["boosted"])
     if method == "taboo":
         assert counts["boosting.gate_open_steps"] > 0
+
+
+def test_tracer_counts_match_the_written_detect_results(tmp_path):
+    rows = [
+        {"seq_id": f"s{i}", "tokens": [(3 * i + j) % 500 + 2 for j in range(59)] + [50 if i % 2 else 10],
+         "label": "long" if i % 2 else "short"}
+        for i in range(6)
+    ]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", rows)
+    out, trace_path = tmp_path / "out", tmp_path / "trace.json"
+    argv = ["detect", "--backend", "mock:planted_last:vocab=512", "--corpus", str(corpus),
+            "--oracle", "planted", "--tau-sweep", "0.2,0.6", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace_path), "--", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(trace_path.read_text())
+    assert trace["exit"] == 0
+    n_records = len((out / "detect_results.jsonl").read_text().splitlines())
+    counts = trace["counts"]
+    assert counts["detection.lsds.calls"] == n_records == len(rows)
+    assert counts["detection.calibration_n"] == n_records
+    for name in ("roc_auc", "youden_threshold", "tau_sweep"):
+        assert counts[f"detection.{name}.calls"] >= 1
+    # filter_confident_correct is gone from ctxlens but still listed in the tracer's targets.
+    assert set(trace["absent"]) <= {"ctxlens.probe.filter_confident_correct"}
