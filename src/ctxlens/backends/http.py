@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import selectors
 import ssl
 import threading
@@ -114,7 +115,12 @@ class _ServerBusy(http.client.HTTPException):
 
     def __init__(self, status: int, retry_after: float | None):
         super().__init__(f"server error {status}")
+        self.status = status
         self.retry_after = retry_after
+
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so a BackendError caused by it crosses a process boundary.
+        return type(self), (self.status, self.retry_after)
 
 
 class _HttpBase:
@@ -136,6 +142,7 @@ class _HttpBase:
         # connection until it is back in the pool, so the pool never holds more
         # than max_parallel connections.
         self._idle: list[http.client.HTTPConnection] = []
+        self._owner_pid = os.getpid()  # the process whose sockets ``_idle`` holds
         self._pool_lock = threading.Lock()
         self._gate = threading.Semaphore(endpoint.max_parallel)
         # One response is parsed at a time. A 6 MB full-vocab body in a columnar
@@ -163,6 +170,12 @@ class _HttpBase:
     def _checkout(self) -> http.client.HTTPConnection:
         """An idle connection the server has not closed, or a new one."""
         with self._pool_lock:
+            if self._owner_pid != os.getpid():
+                # A forked child shares its parent's idle sockets; a request on one would mix its
+                # reply with the parent's or a sibling worker's. Close the child's copies unused.
+                for conn in self._idle:
+                    conn.close()
+                self._idle, self._owner_pid = [], os.getpid()
             while self._idle:
                 conn = self._idle.pop()
                 if not _closed_by_peer(conn):

@@ -2,11 +2,17 @@
 
 Every mock is referentially transparent: the same tokens always yield the
 bitwise-identical distribution. Each keeps a ``calls`` counter so cache and
-retry behavior can be asserted against the upstream traffic.
+retry behavior can be asserted against the upstream traffic. The counters
+live in memory shared with forked children, so they also count the calls
+made in the CLI's worker processes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import multiprocessing
+import os
 import threading
 import time
 import zlib
@@ -17,19 +23,46 @@ from ..errors import BackendError, UsageError
 from .base import BackendWrapper
 
 
+class _SharedCount:
+    """An int in an anonymous shared mapping: a forked child's increments reach its parent.
+
+    Increments take a lock that forked children share. Reads take none, so a
+    read never waits on a worker process killed while it held the lock (a
+    later increment would).
+    """
+
+    def __init__(self):
+        self._cell = ctypes.c_int64.from_buffer(mmap.mmap(-1, ctypes.sizeof(ctypes.c_int64)))
+        self._lock = multiprocessing.get_context("fork").Lock() if hasattr(os, "fork") else threading.Lock()
+
+    @property
+    def value(self) -> int:
+        return self._cell.value
+
+    @value.setter
+    def value(self, value: int) -> None:
+        with self._lock:
+            self._cell.value = value
+
+    def add_one(self) -> int:
+        """Count one more and return the new total."""
+        with self._lock:
+            self._cell.value += 1
+            return self._cell.value
+
+
 class _CountingBackend:
     def __init__(self, vocab_size: int, eos_token_id: int | None = None):
         self.vocab_size = int(vocab_size)
         self.eos_token_id = eos_token_id
-        self.calls = 0
-        self._lock = threading.Lock()
+        self._calls = _SharedCount()
 
-    def _count(self) -> None:
-        with self._lock:
-            self.calls += 1
+    @property
+    def calls(self) -> int:
+        return self._calls.value
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        self._count()
+        self._calls.add_one()
         return self._answer(tokens)
 
     def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
@@ -165,13 +198,18 @@ class FlakyBackend(BackendWrapper):
         super().__init__(inner)
         self.fail_first = int(fail_first)
         self.fail_after = fail_after
-        self.attempts = 0
-        self._lock = threading.Lock()
+        self._attempts = _SharedCount()
+
+    @property
+    def attempts(self) -> int:
+        return self._attempts.value
+
+    @attempts.setter
+    def attempts(self, value: int) -> None:
+        self._attempts.value = value
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        with self._lock:
-            self.attempts += 1
-            n = self.attempts
+        n = self._attempts.add_one()
         if n <= self.fail_first:
             raise BackendError(f"injected failure on call {n}", attempts=1)
         if self.fail_after is not None and n > self.fail_after:

@@ -20,8 +20,12 @@ import ctypes
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 import time
+import traceback
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -43,6 +47,7 @@ from .corpus import (
     DEFAULT_BUCKETS,
     SYNTH_KINDS,
     TokenDiskCache,
+    id_field,
     load_jsonl,
     load_sequences_jsonl,
     parse_jsonl,
@@ -98,7 +103,7 @@ def _common_options(parser: argparse.ArgumentParser, backend: bool = True, paral
         parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", default="out", help="output directory")
     if parallel:
-        parser.add_argument("--parallel", type=int, default=1, help="concurrent backend calls")
+        parser.add_argument("--parallel", type=int, default=1, help="worker processes for a command's units")
     parser.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -340,11 +345,12 @@ def _run_units(args, backend, items, unit, files, summarize, unit_id=lambda item
 
     ``unit`` returns one list of records per entry of ``files`` (None: a stream no file holds).
     They are appended as soon as the unit is done, after every earlier unit's, so at any
-    ``--parallel`` a file lists records in input order and a cut run leaves a prefix. Each unit
-    gets its own ``CachedBackend``, made on the thread that runs it and dropped with the unit.
-    ``summarize`` reads the units' records once, keeping none, and returns the other files'
-    contents (a report dict or text). A unit's ``BackendError`` writes
-    ``<command>_failure.json`` before it propagates.
+    ``--parallel`` a file lists records in input order and a cut run leaves a prefix. Units run
+    in ``--parallel`` forked worker processes (inline for one worker, one unit, or where
+    ``os.fork`` is missing). Each unit gets its own ``CachedBackend``, made in the process that
+    runs it and dropped with the unit. ``summarize`` reads the units' records once, keeping
+    none, and returns the other files' contents (a report dict or text). A unit's
+    ``BackendError`` writes ``<command>_failure.json`` before it propagates.
     """
     out = Path(args.out)
 
@@ -367,15 +373,105 @@ def _run_units(args, backend, items, unit, files, summarize, unit_id=lambda item
 
     with contextlib.ExitStack() as stack:
         handles = [name and stack.enter_context((out / name).open("w", encoding="utf-8")) for name in files]
+        workers = min(args.parallel, len(items)) if hasattr(os, "fork") else 1
         results = map(run, items)
-        if args.parallel > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            results = stack.enter_context(ThreadPoolExecutor(max_workers=args.parallel)).map(run, items)
+        if workers > 1:
+            results = stack.enter_context(contextlib.closing(_in_workers(run, items, workers)))
         artifacts = summarize(written(results))
     for name, body in artifacts.items():
         (write_report if isinstance(body, dict) else write_text)(out / name, body)
     return artifacts
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of a unit's exception in its worker process, chained as the exception's cause."""
+
+
+def _in_workers(run, items, workers: int):
+    """Yield ``run(item)`` for each of ``items``, in input order, computed by ``workers`` forked processes.
+
+    A worker reads units from its forked copy of ``items``, so they are never pickled. It
+    takes the next unit's index from a pipe that holds it between takes, so a worker that
+    finishes early takes more. It sends ``(index, result, traceback)`` pickled over its own
+    pipe. A unit's exception is sent in place of its result, ends that worker, and is raised
+    here at the unit's turn. Workers end with ``os._exit``, so they never flush the buffers
+    they inherit. However the caller leaves, every worker is killed and reaped. The commands
+    start no threads, so no worker inherits a lock that another thread holds.
+    """
+    next_r, next_w = os.pipe()
+    os.write(next_w, (0).to_bytes(8, "little"))
+    fds, pids, poll, live = [next_r, next_w], [], select.poll(), 0
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            fds += result_r, result_w
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _work(run, items, next_r, next_w, result_w)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            fds.remove(result_w)
+            os.close(result_w)
+            poll.register(result_r, select.POLLIN)
+            live += 1
+        done = {}
+        for i in range(len(items)):
+            while i not in done:
+                if not live:
+                    raise RuntimeError(f"the worker processes ended before unit {i} was done")
+                for fd, _ in poll.poll():
+                    size = _read(fd, 8)
+                    body = size and _read(fd, int.from_bytes(size, "little"))
+                    if not body:  # the worker has ended
+                        poll.unregister(fd)
+                        live -= 1
+                        continue
+                    index, result, trace = pickle.loads(body)
+                    if trace is not None:
+                        result.__cause__ = _WorkerTraceback(trace)
+                    done[index] = result
+            result = done.pop(i)
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _work(run, items, next_r: int, next_w: int, out: int) -> None:
+    """A worker's loop: take the next index, run its unit and send ``(index, result, traceback)``."""
+    while True:
+        # The pipe holds one 8-byte index at a time, so a read takes it whole and the other
+        # workers wait until it is written back, one higher.
+        i = int.from_bytes(os.read(next_r, 8), "little")
+        os.write(next_w, (i + 1).to_bytes(8, "little"))
+        if i >= len(items):
+            return
+        try:
+            message = (i, run(items[i]), None)
+        except Exception as exc:
+            message = (i, exc, traceback.format_exc())
+        body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(body).to_bytes(8, "little") + body)
+        while view:
+            view = view[os.write(out, view) :]
+        if message[2] is not None:
+            return
+
+
+def _read(fd: int, n: int) -> bytes:
+    """``n`` bytes from a pipe, or none if its writer closed it before sending them all."""
+    data = bytearray()
+    while len(data) < n and (chunk := os.read(fd, n - len(data))):
+        data += chunk
+    return data if len(data) == n else b""
 
 
 def cmd_mcl(args) -> int:
@@ -722,7 +818,8 @@ def cmd_bench(args) -> int:
 
 
 def _score_pair(rec: dict, line: bytes, lineno: int) -> tuple[str, str, str]:
-    return str(rec.get("id", f"line{lineno}")), text_field(rec, "pred", True), text_field(rec, "gold", True)
+    row_id = id_field(rec, "id", default=f"line{lineno}")
+    return row_id, text_field(rec, "pred", True), text_field(rec, "gold", True)
 
 
 def cmd_score(args) -> int:

@@ -121,6 +121,18 @@ def text_field(rec: dict, field: str, required: bool = False) -> str | None:
     return str(value)
 
 
+def id_field(rec: dict, *fields: str, default: str) -> str:
+    """The first of ``fields`` that ``rec`` holds, read by ``text_field``; ``default`` if it holds none.
+
+    So a present id is a string or a number, kept as its text; null, true or false, a list or
+    an object raises TypeError naming the field.
+    """
+    for field in fields:
+        if field in rec:
+            return text_field(rec, field, True)
+    return default
+
+
 def parse_jsonl(path: str | Path, build, file_kind: str, items: str) -> tuple[list, list[dict]]:
     """``build(rec, line, lineno)`` of each non-blank line of a JSONL file, in file order.
 
@@ -151,7 +163,7 @@ def parse_jsonl(path: str | Path, build, file_kind: str, items: str) -> tuple[li
 
 
 def _document(rec: dict, line: bytes, lineno: int) -> Document:
-    doc_id = str(rec["id"])
+    doc_id = text_field(rec, "id", True)
     tokens = _token_ids(rec["tokens"], line) if "tokens" in rec else None
     text = text_field(rec, "text")
     if tokens is None and text is None:
@@ -178,10 +190,10 @@ def _sequence(rec: dict, line: bytes, lineno: int) -> SequenceSample:
         raise ValueError(f"label must be {SHORT!r}, {LONG!r} or null, not {label!r}")
     next_token = rec.get("next_token")
     return SequenceSample(
-        seq_id=str(rec.get("seq_id", rec.get("id", f"line{lineno}"))),
+        seq_id=id_field(rec, "seq_id", "id", default=f"line{lineno}"),
         tokens=tokens,
         next_token=None if next_token is None else _int32(next_token, "next_token"),
-        doc_id=str(rec.get("doc_id", "")),
+        doc_id=id_field(rec, "doc_id", default=""),
         bucket=_bucket(rec.get("bucket"), len(tokens)),
         label=label,
     )

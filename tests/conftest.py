@@ -71,8 +71,9 @@ class FakeModelServer:
 
     By default the server speaks HTTP/1.0 and closes each connection after
     its response. With ``keep_alive_s`` it speaks HTTP/1.1 and closes a
-    connection once it has been idle that many seconds. ``peers`` holds the
-    client address of every connection that sent a request.
+    connection once it has been idle that many seconds. ``peers`` maps the
+    client address of every connection that sent a request to the paths it
+    requested.
     """
 
     def __init__(self, keep_alive_s: float | None = None):
@@ -80,7 +81,7 @@ class FakeModelServer:
         self.routes = {}
         self.hits = collections.Counter()
         self.bodies = collections.defaultdict(list)
-        self.peers = set()
+        self.peers = collections.defaultdict(set)
         self.inflight = 0
         self.max_inflight = 0
         self._lock = threading.Lock()
@@ -104,7 +105,7 @@ class FakeModelServer:
                         outer.hits[self.path] += 1
                         count = outer.hits[self.path]
                         outer.bodies[self.path].append(body)
-                        outer.peers.add(self.client_address)
+                        outer.peers[self.client_address].add(self.path)
                     fn = outer.routes.get(self.path)
                     status, payload, *headers = (404, {"error": "no route"}) if fn is None else fn(body, count)
                     raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()

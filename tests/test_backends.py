@@ -1,5 +1,6 @@
 """Mock backends, the suffix-probe helper, the wrappers, and the per-unit memo."""
 
+import multiprocessing
 from array import array
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestFlakyBackend:
             b.next_token_distribution(_req([1]))
         with pytest.raises(BackendError):
             b.next_token_distribution(_req([1]))
+
+    def test_counters_are_exact_across_forked_processes(self):
+        # Four processes on two cores: a lost update between them would show in either count.
+        flaky = FlakyBackend(ConstantBackend(TokenDistribution.uniform(2)), fail_after=1000)
+
+        def call_500_times():
+            for _ in range(500):
+                try:
+                    flaky.next_token_distribution(_req([1]))
+                except BackendError:
+                    pass
+
+        workers = [multiprocessing.get_context("fork").Process(target=call_500_times) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert [worker.exitcode for worker in workers] == [0] * 4
+        assert (flaky.attempts, flaky.inner.calls) == (2000, 1000)
 
 
 class TestDelayedBackend:

@@ -3,11 +3,11 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -697,12 +697,11 @@ class TestUpstreamCalls:
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_damcl_fetches_each_grid_point_once_for_all_combos(self, tmp_path, backend, monkeypatch, parallel):
         # Percentile grid over 100 tokens: 10, 20, ..., 100. Depth 35 resolves at 40, depth 80 at 80.
-        decodes = []
-        lock = threading.Lock()
+        decodes = multiprocessing.get_context("fork").Value("q", 0)  # counts in worker processes too
 
         def counted(dist, strategy):
-            with lock:
-                decodes.append(strategy)
+            with decodes.get_lock():
+                decodes.value += 1
             return apply_strategy(dist, strategy)
 
         monkeypatch.setattr("ctxlens.probe.apply_strategy", counted)
@@ -722,7 +721,7 @@ class TestUpstreamCalls:
         assert len(list(out.glob("damcl_*.jsonl"))) == 4
         assert backend.calls == (1 + 4) + (1 + 8)
         # Each strategy decodes the reference and every point it walks once, for both epsilons.
-        assert len(decodes) == 2 * ((1 + 4) + (1 + 8))
+        assert decodes.value == 2 * ((1 + 4) + (1 + 8))
 
     @pytest.mark.parametrize("oracle", ["planted", "lsd_lcl"])
     def test_detect_two_per_position(self, tmp_path, backend, oracle):
@@ -874,6 +873,93 @@ class TestRunner:
                 assert body == (out / name).read_text()
 
 
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """``--parallel N`` runs units in N forked worker processes, none of which outlives its command."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=4, n_long=2))
+
+    def test_no_worker_outlives_a_finished_command(self, tmp_path, corpus):
+        assert_no_child_processes()
+        assert run(["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--parallel", "2",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert_no_child_processes()
+
+    def test_no_worker_outlives_a_backend_error(self, tmp_path, monkeypatch, corpus):
+        flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=5)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        assert_no_child_processes()
+        assert run(["mcl", "--backend", "unused", "--corpus", str(corpus), "--parallel", "2",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert_no_child_processes()
+        # fail_after counts the calls of both workers, so at most five reach the model (fewer only if
+        # a worker is killed between counting a call and making it).
+        assert 0 < flaky.inner.calls <= 5
+
+    def test_no_worker_outlives_an_unexpected_exception(self, tmp_path, monkeypatch, corpus):
+        real_mcl, s03 = cli.mcl, read_jsonl(corpus)[3]["tokens"]
+
+        def mcl_failing_on_s03(tokens, *args):
+            if tokens.tolist() == s03:
+                raise ZeroDivisionError("unit s03 broke")
+            return real_mcl(tokens, *args)
+
+        monkeypatch.setattr(cli, "mcl", mcl_failing_on_s03)
+        assert_no_child_processes()
+        with pytest.raises(ZeroDivisionError, match="unit s03 broke") as err:
+            run(["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--parallel", "2",
+                 "--out", str(tmp_path / "out")])
+        assert_no_child_processes()
+        assert "mcl_failing_on_s03" in str(err.value.__cause__)  # the worker's traceback
+        assert [r["seq_id"] for r in read_jsonl(tmp_path / "out" / "mcl_results.jsonl")] == ["s00", "s01", "s02"]
+
+    def test_no_worker_outlives_an_interrupt(self, tmp_path, monkeypatch, corpus):
+        def interrupt(fh, record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "append_jsonl", interrupt)
+        assert_no_child_processes()
+        with pytest.raises(KeyboardInterrupt):
+            run(["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--parallel", "2",
+                 "--out", str(tmp_path / "out")])
+        assert_no_child_processes()
+
+    def test_http_outage_ends_in_exit_2_and_names_the_first_unit(self, tmp_path, monkeypatch, corpus):
+        monkeypatch.setattr("ctxlens.backends.http._BACKOFF_S", (0.0,))
+        out = tmp_path / "out"
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (503, {"error": "down"})
+            argv = ["mcl", "--backend", srv.url, "--corpus", str(corpus), "--parallel", "2"]
+            assert run([*argv, "--out", str(out)]) == 2
+        assert_no_child_processes()
+        failure = read_report(out / "mcl_failure.json")
+        assert (failure["seq_id"], failure["attempts"]) == ("s00", 4)
+        assert failure["error"].endswith("failed after 4 attempts: server error 503")
+        assert read_jsonl(out / "mcl_results.jsonl") == []
+
+    def test_workers_open_their_own_connections(self, tmp_path):
+        # The parent tokenizes the text prompts on a keep-alive connection before the workers fork.
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": f"p{i}", "text": f"prompt {i}"} for i in range(4)])
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/tokenize"] = lambda body, n: (200, {"tokens": [1, 2, 3]})
+            srv.routes["/v1/detokenize"] = lambda body, n: (200, {"text": "t"})
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (
+                200, {"logprobs": [{"id": 2, "logprob": 0.0}], "vocab_size": 4}
+            )
+            argv = ["generate", "--backend", srv.url, "--prompts", str(prompts), "--max-new", "2",
+                    "--n-samples", "1", "--parallel", "2", "--out", str(tmp_path / "out")]
+            assert run(argv) == 0
+        assert srv.hits["/v1/tokenize"] == 4
+        assert [paths for paths in srv.peers.values() if "/v1/tokenize" in paths] == [{"/v1/tokenize"}]
+        assert [r["tokens"] for r in read_jsonl(tmp_path / "out" / "generations.jsonl")] == [[2, 2]] * 4
+
+
 def _documented_fields():
     """The README's "Output records" list: each entry's label mapped to its field names."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -1015,6 +1101,22 @@ class TestScoreCommand:
         assert [e["line"] for e in errors] == [1, 2, 3]
         assert errors[0]["error"] == "pred must be a string or a number, not None"
         assert errors[2]["error"] == "gold must be a string or a number, not True"
+
+    def test_id_is_a_string_or_a_number(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(
+            '{"id": 3, "pred": "x", "gold": "x"}\n'
+            '{"pred": "x", "gold": "x"}\n'
+            '{"id": null, "pred": "x", "gold": "x"}\n'
+            '{"id": ["a"], "pred": "x", "gold": "x"}\n'
+        )
+        out = tmp_path / "out"
+        assert run(["score", "--pairs", str(pairs), "--out", str(out)]) == 0
+        assert [r["id"] for r in read_jsonl(out / "scores.jsonl")] == ["3", "line2"]
+        assert read_report(out / "score_summary.json")["errors"] == [
+            {"line": 3, "error": "id must be a string or a number, not None"},
+            {"line": 4, "error": "id must be a string or a number, not ['a']"},
+        ]
 
     def test_no_rows_is_a_data_error(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

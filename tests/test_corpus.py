@@ -80,6 +80,25 @@ class TestLoadJsonl:
             {"line": 6, "error": "expected a JSON object, not int"},
         ]
 
+    def test_id_is_a_string_or_a_number(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "x"}\n'
+            '{"id": 7, "text": "x"}\n'
+            '{"id": null, "text": "x"}\n'
+            '{"id": true, "text": "x"}\n'
+            '{"id": [1, 2], "text": "x"}\n'
+            '{"id": {"a": 1}, "text": "x"}\n'
+        )
+        docs, errors = load_jsonl(path)
+        assert [d.doc_id for d in docs] == ["a", "7"]
+        assert errors == [
+            {"line": 3, "error": "id must be a string or a number, not None"},
+            {"line": 4, "error": "id must be a string or a number, not True"},
+            {"line": 5, "error": "id must be a string or a number, not [1, 2]"},
+            {"line": 6, "error": "id must be a string or a number, not {'a': 1}"},
+        ]
+
     def test_malformed_lines_become_error_records(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(
@@ -137,6 +156,26 @@ class TestLoadSequencesJsonl:
         loaded, errors = load_sequences_jsonl(path)
         assert [s.label for s in loaded] == [SHORT, LONG, None]
         assert [e["line"] for e in errors] == [4]
+
+    def test_ids_are_strings_or_numbers_and_absent_ones_fall_back(self, tmp_path):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text(
+            '{"seq_id": "a", "tokens": [1], "doc_id": 3}\n'
+            '{"id": 4.5, "tokens": [1]}\n'
+            '{"tokens": [1]}\n'
+            '{"seq_id": null, "tokens": [1]}\n'
+            '{"id": [1, 2], "tokens": [1]}\n'
+            '{"seq_id": "b", "tokens": [1], "doc_id": {"a": 1}}\n'
+            '{"seq_id": "c", "tokens": [1], "doc_id": false}\n'
+        )
+        loaded, errors = load_sequences_jsonl(path)
+        assert [(s.seq_id, s.doc_id) for s in loaded] == [("a", "3"), ("4.5", ""), ("line3", "")]
+        assert errors == [
+            {"line": 4, "error": "seq_id must be a string or a number, not None"},
+            {"line": 5, "error": "id must be a string or a number, not [1, 2]"},
+            {"line": 6, "error": "doc_id must be a string or a number, not {'a': 1}"},
+            {"line": 7, "error": "doc_id must be a string or a number, not False"},
+        ]
 
     def test_empty_tokens_rejected_per_line(self, tmp_path):
         path = write_jsonl(

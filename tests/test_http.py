@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -270,6 +271,19 @@ class TestHttpBackend:
                 b.next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == 4
             assert err.value.attempts == 4
+
+    def test_backend_error_survives_pickling(self, monkeypatch):
+        # The CLI's worker processes send a unit's BackendError to their parent pickled.
+        monkeypatch.setattr(http_module, "_BACKOFF_S", (0.0,))
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (503, {"error": "down"}, {"Retry-After": "0"})
+            with pytest.raises(BackendError) as err:
+                _backend(srv.url).next_token_distribution((1,))
+        err.value.partial_trace = [[32, 0.5]]
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (str(copy), copy.attempts, copy.partial_trace) == (str(err.value), 4, [[32, 0.5]])
+        assert type(copy.cause) is type(err.value.cause)
+        assert (str(copy.cause), copy.cause.retry_after) == ("server error 503", 0.0)
 
     def test_redirects_are_not_followed(self):
         with FakeModelServer() as srv:
