@@ -11,16 +11,34 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import multiprocessing
 import os
-import threading
 import time
+import weakref
 import zlib
 from typing import Sequence
 
 from ..dist import TokenDistribution
 from ..errors import BackendError, UsageError
 from .base import BackendWrapper
+
+
+class _PipeLock:
+    """A lock that threads and forked children share: one byte in a pipe, read out by the holder.
+
+    ``multiprocessing``'s lock would cost every mock-backed command about 10 ms of imports.
+    """
+
+    def __init__(self):
+        self._r, self._w = os.pipe()
+        os.write(self._w, b"\0")
+        for fd in (self._r, self._w):
+            weakref.finalize(self, os.close, fd)
+
+    def __enter__(self):
+        os.read(self._r, 1)
+
+    def __exit__(self, *exc):
+        os.write(self._w, b"\0")
 
 
 class _SharedCount:
@@ -33,7 +51,7 @@ class _SharedCount:
 
     def __init__(self):
         self._cell = ctypes.c_int64.from_buffer(mmap.mmap(-1, ctypes.sizeof(ctypes.c_int64)))
-        self._lock = multiprocessing.get_context("fork").Lock() if hasattr(os, "fork") else threading.Lock()
+        self._lock = _PipeLock()
 
     @property
     def value(self) -> int:

@@ -9,7 +9,6 @@ construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from array import array
 from dataclasses import dataclass
@@ -415,6 +414,8 @@ class TokenDiskCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def _path(self, tokenizer_id: str, text: str) -> Path:
+        import hashlib  # about 3 ms to import, and only --sample runs hash
+
         digest = hashlib.sha256(f"{tokenizer_id}\x00{text}".encode("utf-8")).hexdigest()[:32]
         return self.cache_dir / f"{digest}.json"
 

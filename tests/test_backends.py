@@ -1,6 +1,8 @@
 """Mock backends, the suffix-probe helper, the wrappers, and the per-unit memo."""
 
 import multiprocessing
+import sys
+import threading
 from array import array
 
 import numpy as np
@@ -196,6 +198,27 @@ class TestFlakyBackend:
             worker.join(timeout=60)
         assert [worker.exitcode for worker in workers] == [0] * 4
         assert (flaky.attempts, flaky.inner.calls) == (2000, 1000)
+
+    def test_counters_are_exact_across_threads(self):
+        # Eight threads switching every 10 us: a lost update would show in the count.
+        backend = ConstantBackend(TokenDistribution.uniform(2))
+
+        def call_500_times():
+            for _ in range(500):
+                backend.next_token_distribution(_req([1]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call_500_times) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.calls == 4000
 
 
 class TestDelayedBackend:

@@ -1,5 +1,6 @@
 """End-to-end command line runs against mock backends in temp directories."""
 
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import platform
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1504,3 +1506,125 @@ class TestHeapReuse:
         small, large = 100, 400
         extra = self.detect_faults(tmp_path, large) - self.detect_faults(tmp_path, small)
         assert extra / (large - small) < self.MAX_FAULTS_PER_POSITION
+
+
+class TestOptionRanges:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        records = planted_corpus_records(n_short=2, n_long=1, with_labels=True)
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        docs = write_jsonl(tmp_path / "docs.jsonl", [{"id": "d", "tokens": list(range(300))}])
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": [1, 2, 40]}])
+        return {
+            "mcl": ["mcl", "--corpus", str(corpus)],
+            "docs": ["mcl", "--corpus", str(docs)],
+            "detect": ["detect", "--corpus", str(corpus)],
+            "generate": ["generate", "--prompts", str(prompts)],
+            "bench": ["bench", "--lengths", "100"],
+            "synth": ["synth"],
+        }
+
+    @pytest.mark.parametrize(
+        "command, options, flag",
+        [
+            ("mcl", ["--delta", "nan"], "--delta"),
+            ("mcl", ["--delta", "1.5"], "--delta"),
+            ("detect", ["--oracle", "mcl", "--delta", "nan"], "--delta"),
+            ("detect", ["--short-len", "inf"], "--short-len"),
+            ("generate", ["--boost-eps", "nan"], "--boost-eps"),
+            ("generate", ["--boost-eps", "2"], "--boost-eps"),
+            ("generate", ["--method", "taboo", "--lam", "nan"], "--lam"),
+            ("generate", ["--method", "taboo", "--lam", "inf"], "--lam"),
+            ("generate", ["--method", "cad", "--alpha", "nan"], "--alpha"),
+            ("generate", ["--method", "cad", "--alpha", "-1"], "--alpha"),
+            ("generate", ["--n-samples", "0"], "--n-samples"),
+            ("generate", ["--max-new", "-3"], "--max-new"),
+            ("bench", ["--short-len", "0"], "--short-len"),
+            ("docs", ["--sample", "0"], "--sample"),
+            ("mcl", ["--parallel", "0"], "--parallel"),
+            ("mcl", ["--parallel", "-2"], "--parallel"),
+            ("generate", ["--seed", "-5"], "--seed"),
+            ("bench", ["--seed", "-5"], "--seed"),
+            ("synth", ["--seed", "-5"], "--seed"),
+            ("synth", ["--n", "0"], "--n"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error_before_any_call(
+        self, tmp_path, monkeypatch, capsys, inputs, command, options, flag
+    ):
+        mock = cli.build_backend(PLANTED, 1)
+        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+        argv = [*inputs[command], "--backend", PLANTED, *options, "--out", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be ")
+        assert mock.calls == 0
+
+    def test_config_file_values_are_held_to_the_same_ranges(self, tmp_path, capsys, inputs):
+        config = tmp_path / "run.cfg"
+        config.write_text("delta = 1e999\n")
+        argv = [*inputs["mcl"], "--backend", PLANTED, "--config", str(config), "--out", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "usage error: --delta must be in [0, 1], got inf\n"
+
+
+def test_http_backend_is_closed_when_the_command_ends(tmp_path):
+    # The server keeps connections open, so the pool still holds one when the command ends;
+    # unless the command closes it, the socket is left to the garbage collector.
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=0))
+    with FakeModelServer(keep_alive_s=5.0) as srv:
+        srv.routes["/v1/next_logprobs"] = TestHttpBackendSpec.uniform
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            argv = ["mcl", "--backend", srv.url, "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+            assert run(argv) == 0
+            gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert srv.hits["/v1/next_logprobs"] == 2
+
+
+class TestProcessExit:
+    """``python -m ctxlens.cli`` flushes stdout and stderr, then ends with ``os._exit``."""
+
+    @staticmethod
+    def run(cmd, cwd=None):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr",
+        [
+            (["--version"], 0, f"ctxlens {cli.__version__}\n", None),
+            (["mcl", "--backend", PLANTED, "--corpus", "corpus.jsonl", "--parallel", "2"], 0, "", None),
+            (["mcl", "--backend", PLANTED, "--corpus", "corpus.jsonl", "--wibble"], 1, "",
+             "usage error: unrecognized arguments: --wibble"),
+            (["mcl", "--backend", "http://127.0.0.1:9", "--corpus", "corpus.jsonl"], 2, "", "backend error: "),
+            (["mcl", "--backend", PLANTED, "--corpus", "missing.jsonl"], 3, "", "data error: "),
+        ],
+    )
+    def test_output_reaches_the_pipes_without_interpreter_teardown(self, tmp_path, argv, code, stdout, stderr):
+        write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=3, n_long=1))
+        # -v makes the interpreter report each module it removes at teardown ("# cleanup[...]").
+        done = self.run([sys.executable, "-v", "-m", "ctxlens.cli", *argv], cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (code, stdout)
+        lines = done.stderr.splitlines()
+        errors = ("usage error: ", "backend error: ", "data error: ")
+        messages = [line for line in lines if line.startswith(errors)]
+        assert [m.startswith(stderr) for m in messages] == ([] if stderr is None else [True])
+        assert [line for line in lines if line.startswith(("# cleanup", "# destroy"))] == []
+        if argv[0] == "mcl" and code == 0:
+            summary = read_report(tmp_path / "out" / "mcl_summary.json")
+            assert (summary["n_input"], summary["n_resolved"]) == (4, 4)
+            assert len(read_jsonl(tmp_path / "out" / "mcl_results.jsonl")) == 4
+
+    def test_closed_stdout_is_not_an_error(self):
+        done = self.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ctxlens.cli", "--version"])
+        assert (done.returncode, done.stderr) == (0, f"ctxlens {cli.__version__}\n")
+
+    def test_script_entry_point_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # The `ctxlens` script runs this function; SystemExit from --version becomes code 0.
+        codes = []
+        monkeypatch.setattr(cli.os, "_exit", codes.append)
+        monkeypatch.setattr(sys, "argv", ["ctxlens", "--version"])
+        cli.run_and_exit()
+        assert (codes, capsys.readouterr().out) == ([0], f"ctxlens {cli.__version__}\n")

@@ -685,13 +685,31 @@ class TestConnectionPool:
         assert srv.max_inflight <= 3
         assert len(srv.peers) <= 3
 
-    def test_import_leaves_requests_out(self):
+    def test_import_leaves_requests_out(self, tmp_path):
+        # Neither importing the CLI nor a mock-backed run loads an HTTP client; the names that
+        # need one still import from the package.
         src = str(Path(http_module.__file__).parents[2])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, ctxlens.cli; print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"seq_id": "s", "tokens": [3] * 40, "next_token": 5}) + "\n")
+        argv = ["mcl", "--backend", "mock:planted_last:answer=5,vocab=64", "--corpus", str(corpus),
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import json, sys\n"
+            "heavy = ('requests', 'urllib3', 'http.client', 'ssl', 'email')\n"
+            "loaded = lambda: sorted(m for m in heavy if m in sys.modules)\n"
+            "import ctxlens.cli\n"
+            "seen = {'import': loaded()}\n"
+            f"seen['code'] = ctxlens.cli.main({argv!r})\n"
+            "seen['main'] = loaded()\n"
+            "from ctxlens.backends import HttpBackend\n"
+            "seen['http'] = HttpBackend.__module__\n"
+            "print(json.dumps(seen))\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert json.loads(out.stdout) == {"import": [], "code": 0, "main": [], "http": "ctxlens.backends.http"}
+        assert (tmp_path / "out" / "mcl_summary.json").is_file()
 
 
 class TestOpenAICompatBackend:
