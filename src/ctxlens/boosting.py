@@ -35,13 +35,14 @@ class BoostConfig:
     short_len: int = 32
 
     def __post_init__(self):
-        if self.lam < 1.0:
+        # Each check is written so that NaN fails it.
+        if not self.lam >= 1.0:
             raise StrategyError("lam must be >= 1")
         if not 0.0 <= self.gamma <= JSD_MAX:
             raise StrategyError(f"gamma must lie in [0, {JSD_MAX}]")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise StrategyError("epsilon must be > 0")
-        if self.short_len < 1:
+        if not self.short_len >= 1:
             raise StrategyError("short_len must be >= 1")
 
 
@@ -57,15 +58,16 @@ class BoostReport:
 
     def to_record(self) -> dict:
         def sparse(dist: TokenDistribution) -> dict:
-            ids = np.flatnonzero(dist.probs)
+            ids = dist.positive_ids()
             return dict(zip(map(str, ids.tolist()), dist.probs[ids].tolist()))
 
+        pre = sparse(self.pre)
         return {
             "lsds": self.lsds,
             "boosted": sorted(self.boosted_set),
             "short_fallback": self.short_fallback,
-            "pre": sparse(self.pre),
-            "post": sparse(self.post),
+            "pre": pre,
+            "post": pre if self.post is self.pre else sparse(self.post),
         }
 
 
@@ -85,8 +87,11 @@ def taboo_step(
         return pre, BoostReport(pre, pre, short_fallback=True)
     short = apply_strategy(prefix_distribution(s, cfg.short_len, backend), cfg.strategy)
     score = jsd(short, pre)
-    gate_open = score > cfg.gamma
-    boosted_ids = np.flatnonzero(pre.probs - short.probs > cfg.epsilon) if gate_open else np.empty(0, int)
+    boosted_ids = np.empty(0, int)
+    if score > cfg.gamma:
+        # epsilon > 0, so every boosted id is positive in pre
+        ids = pre.positive_ids()
+        boosted_ids = ids[pre.probs[ids] - short.probs[ids] > cfg.epsilon]
     post = pre
     if boosted_ids.size:
         weights = raw_full.probs.copy()
@@ -111,7 +116,7 @@ def cad_step(
     that already holds the full-context distribution passes it as
     ``raw_full`` to save the call.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise StrategyError("alpha must be >= 0")
     if raw_full is None:
         raw_full = prefix_distribution(s, len(s), backend)

@@ -20,6 +20,10 @@ STRATEGY_KINDS = ("greedy", "top_k", "nucleus", "adaptive")
 #: First chunk of the partial scans in ``_keep_largest`` and ``_nucleus_size``; each next chunk doubles.
 _CHUNK = 256
 
+#: A decoded distribution records its positive ids when it keeps at most 1/_SPARSE_SHARE of the
+#: vocabulary. Above that, gathers by id cost more than the boolean masks they replace.
+_SPARSE_SHARE = 4
+
 
 @dataclass(frozen=True)
 class DecodingStrategy:
@@ -112,9 +116,16 @@ def _keep_largest(probs: np.ndarray, desc: np.ndarray) -> TokenDistribution:
     stop = start + int(np.flatnonzero(tied[start : start + size])[need - 1]) + 1
     keep[:stop] |= tied[:stop]
     out = np.zeros(len(probs))
-    np.divide(probs, desc.sum(), out=out, where=keep)
+    ids = None
+    if _SPARSE_SHARE * len(desc) <= len(probs):
+        ids = np.flatnonzero(keep)
+        out[ids] = probs[ids] / desc.sum()
+        ids = ids[out[ids] > 0.0]  # a cut at zero keeps zero entries
+        ids.flags.writeable = False
+    else:
+        np.divide(probs, desc.sum(), out=out, where=keep)
     out.flags.writeable = False
-    return TokenDistribution(out)
+    return TokenDistribution(out, ids)
 
 
 def _nucleus_size(desc: np.ndarray, p: float) -> int:
@@ -181,12 +192,14 @@ def sample(dist: TokenDistribution, rng_seed: int) -> int:
     """
     gen = np.random.Generator(np.random.Philox(key=rng_seed))
     u = gen.random()
-    cdf = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    if idx >= dist.vocab_size or dist.probs[idx] == 0.0:
+    # Zeros add nothing to the running sum, so the recorded positive entries
+    # alone pick the same token as the whole vocabulary.
+    probs = dist.probs if dist.ids is None else dist.probs[dist.ids]
+    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    if idx >= len(probs) or probs[idx] == 0.0:
         # u landed past the last positive entry through rounding
-        idx = int(np.nonzero(dist.probs)[0][-1])
-    return idx
+        idx = int(np.flatnonzero(probs)[-1])
+    return idx if dist.ids is None else int(dist.ids[idx])
 
 
 def derive_seed(*parts: int) -> int:

@@ -27,9 +27,16 @@ class TokenDistribution:
     The probability array is float64 and read-only. Build instances through
     :meth:`from_probs` (validates) or the ``point_mass`` / ``uniform``
     constructors.
+
+    ``ids``, when set, holds the ascending ids of the positive entries, read
+    only. Decoding records them for sparse supports, and ``support``,
+    ``kl``, ``jsd``, ``decoding.sample`` and the boosting step then read
+    those entries instead of scanning the vocabulary. ``None`` means they
+    were not recorded.
     """
 
     probs: np.ndarray
+    ids: np.ndarray | None = None
 
     @property
     def vocab_size(self) -> int:
@@ -71,7 +78,9 @@ class TokenDistribution:
         arr = np.zeros(vocab_size, dtype=np.float64)
         arr[token] = 1.0
         arr.flags.writeable = False
-        return cls(arr)
+        ids = np.array([token])
+        ids.flags.writeable = False
+        return cls(arr, ids)
 
     @classmethod
     def uniform(cls, vocab_size: int) -> "TokenDistribution":
@@ -86,8 +95,12 @@ class TokenDistribution:
             raise VocabMismatch(f"token {token} outside vocab of size {self.vocab_size}")
         return float(self.probs[token])
 
+    def positive_ids(self) -> np.ndarray:
+        """Ascending ids of the positive entries."""
+        return np.flatnonzero(self.probs) if self.ids is None else self.ids
+
     def support(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.probs).tolist())
+        return frozenset(self.positive_ids().tolist())
 
     def same_values(self, other: "TokenDistribution") -> bool:
         """Bitwise equality of the probability arrays."""
@@ -113,25 +126,34 @@ def _check_same_vocab(p1: TokenDistribution, p2: TokenDistribution) -> None:
         raise VocabMismatch(f"vocab sizes differ: {p1.vocab_size} vs {p2.vocab_size}")
 
 
+def _positive(p: TokenDistribution) -> np.ndarray:
+    """An index of p's positive entries: its recorded ids, else a mask over the vocabulary.
+
+    Both select the same entries in the same order, so sums over them agree
+    bit for bit; a mask is the cheaper of the two when most ids are positive.
+    """
+    return p.probs > 0.0 if p.ids is None else p.ids
+
+
 def kl(p1: TokenDistribution, p2: TokenDistribution) -> float:
     """KL divergence sum_t p1_t log(p1_t / p2_t), with 0 * log 0 := 0.
 
     Returns ``inf`` when p1 puts mass where p2 has none.
     """
     _check_same_vocab(p1, p2)
-    a = p1.probs
-    b = p2.probs
-    pos = a > 0.0
-    if np.any(b[pos] == 0.0):
+    pos = _positive(p1)
+    a = p1.probs[pos]
+    b = p2.probs[pos]
+    if np.any(b == 0.0):
         return math.inf
-    return float((a[pos] * np.log(a[pos] / b[pos])).sum())
+    return float((a * np.log(a / b)).sum())
 
 
-def _kl_to_midpoint(a: np.ndarray, b: np.ndarray) -> float:
-    """KL(a || (a + b) / 2), with the midpoint formed only on a's support."""
-    pos = a > 0.0
-    a = a[pos]
-    return float((a * np.log(a / ((a + b[pos]) / 2.0))).sum())
+def _kl_to_midpoint(p: TokenDistribution, q: TokenDistribution) -> float:
+    """KL(p || (p + q) / 2), with the midpoint formed only on p's support."""
+    pos = _positive(p)
+    a = p.probs[pos]
+    return float((a * np.log(a / ((a + q.probs[pos]) / 2.0))).sum())
 
 
 def jsd(p1: TokenDistribution, p2: TokenDistribution) -> float:
@@ -140,8 +162,8 @@ def jsd(p1: TokenDistribution, p2: TokenDistribution) -> float:
     Symmetric in its arguments by construction; bounded by sqrt(log 2).
     """
     _check_same_vocab(p1, p2)
-    kl_a = _kl_to_midpoint(p1.probs, p2.probs)
-    kl_b = _kl_to_midpoint(p2.probs, p1.probs)
+    kl_a = _kl_to_midpoint(p1, p2)
+    kl_b = _kl_to_midpoint(p2, p1)
     sq = 0.5 * kl_a + 0.5 * kl_b
     # Rounding can push the squared distance a hair below zero.
     return math.sqrt(max(sq, 0.0))
@@ -201,7 +223,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
         raise InvalidDistribution("x values must be positive for a log-log fit")
     xs = np.array([x for x, _ in usable], dtype=np.float64)
     ys = np.array([y for _, y in usable], dtype=np.float64)
-    if xs.size < 2 or np.unique(xs).size < 2:
+    # A set, not np.unique, whose first call imports numpy.ma.
+    if len({float(x) for x, _ in usable}) < 2:
         raise InsufficientData("need at least two usable points with distinct x to fit a power law")
     lx = np.log(xs)
     ly = np.log(ys)

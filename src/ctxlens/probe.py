@@ -82,7 +82,7 @@ class ProbeResult:
         """
         if self.kind != "damcl":
             raise StrategyError("only a damcl probe can be resolved at another epsilon")
-        if eps < self.threshold:
+        if not eps >= self.threshold:
             raise StrategyError(f"epsilon {eps} is below the walk's threshold {self.threshold}")
         for i, (ell, value) in enumerate(self.trace):
             if value <= eps:
@@ -136,7 +136,7 @@ def mcl(s: Sequence[int], t: int, delta: float, grid: PrefixGrid, backend: Backe
     the vocab of the fetched distributions, so a backend that learns its
     vocab size from its first response needs no call beforehand.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise StrategyError("delta must be >= 0")
     if grid.mode != "percentile" and len(s) < grid.start:
         raise SequenceTooShort(f"sequence length {len(s)} below grid start {grid.start}")
@@ -178,7 +178,7 @@ def damcl(
     non-monotone divergence profiles stay observable. ``at_epsilon`` reads
     the result at any larger epsilon without walking again.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise StrategyError("epsilon must be >= 0")
     fn = divergence_metric(metric)
     reference = apply_strategy(prefix_distribution(s, len(s), backend), strategy)

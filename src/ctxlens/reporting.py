@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InsufficientData
+from .errors import DataError, InsufficientData
 
 REPORT_SCHEMA = "ctxlens/1"
 
@@ -37,11 +37,36 @@ def aggregate_share(lengths: Sequence[int], cutoff: int) -> float:
     return sum(1 for length in lengths if length <= cutoff) / len(lengths)
 
 
+def _has_nan(value) -> bool:
+    if isinstance(value, float):
+        return value != value
+    if isinstance(value, dict):
+        return any(map(_has_nan, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_nan, value))
+    return False
+
+
+def _dumps(record: dict, where, **kwargs) -> str:
+    """``json.dumps`` with sorted keys that refuses NaN with a ``DataError`` naming ``where``.
+
+    Infinities are still written, as ``Infinity``: they are results (``kl``
+    between distributions with different supports, an open-ended Youden
+    threshold). The first, strict encode passes every finite record.
+    """
+    try:
+        return json.dumps(record, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError:
+        if _has_nan(record):
+            raise DataError(f"cannot write {where}: a value is NaN") from None
+    return json.dumps(record, sort_keys=True, **kwargs)
+
+
 def write_report(path: str | Path, payload: dict) -> Path:
     """Write a JSON report atomically (temp file + rename), tagged with the schema."""
     body = dict(payload)
     body["schema"] = REPORT_SCHEMA
-    return write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
+    return write_text(path, _dumps(body, path, indent=2) + "\n")
 
 
 def read_report(path: str | Path) -> dict:
@@ -52,8 +77,11 @@ def read_report(path: str | Path) -> dict:
 
 
 def append_jsonl(fh, record: dict) -> None:
-    """One JSON object per line, flushed immediately so partial runs stay valid."""
-    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """One JSON object per line, flushed immediately so partial runs stay valid.
+
+    A record holding a NaN raises ``DataError`` before any of it is written.
+    """
+    fh.write(_dumps(record, getattr(fh, "name", fh)) + "\n")
     fh.flush()
 
 

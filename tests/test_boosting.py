@@ -59,6 +59,11 @@ class TestBoostConfig:
         with pytest.raises(StrategyError):
             BoostConfig(lam=2.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["lam", "epsilon"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(StrategyError):
+            BoostConfig(**{"lam": 2.0, field: math.nan})
+
     def test_epsilon_at_or_above_one_is_legal(self):
         # Legal but vacuous: no probability can shift by more than one.
         assert BoostConfig(lam=2.0, epsilon=1.0).epsilon == 1.0
@@ -225,6 +230,11 @@ class TestCadStep:
         b = ConstantBackend(TokenDistribution.uniform(3))
         with pytest.raises(StrategyError):
             cad_step((1, 2, 3), -0.5, KEEP_ALL, b, short_len=2)
+
+    def test_nan_alpha_rejected(self):
+        b = ConstantBackend(TokenDistribution.uniform(3))
+        with pytest.raises(StrategyError):
+            cad_step((1, 2, 3), math.nan, KEEP_ALL, b, short_len=2)
 
     def test_zero_short_probability_is_floored(self):
         b = pair_backend([1.0, 0.0], [0.5, 0.5])

@@ -711,6 +711,29 @@ class TestConnectionPool:
         assert json.loads(out.stdout) == {"import": [], "code": 0, "main": [], "http": "ctxlens.backends.http"}
         assert (tmp_path / "out" / "mcl_summary.json").is_file()
 
+    def test_mcl_summary_leaves_numpy_ma_out(self, tmp_path):
+        # Two distinct resolved lengths make the summary fit a power law, which once
+        # counted distinct x values with np.unique and so imported numpy.ma.
+        src = str(Path(http_module.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        corpus = tmp_path / "corpus.jsonl"
+        rows = [{"seq_id": "a", "tokens": [3] * 40, "next_token": 5},
+                {"seq_id": "b", "tokens": [7] * 59 + [45], "next_token": 5}]
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["mcl", "--backend", "mock:planted_last:answer=5,vocab=64", "--corpus", str(corpus),
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "import ctxlens.cli\n"
+            f"code = ctxlens.cli.main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0", "False"]
+        summary = json.loads((tmp_path / "out" / "mcl_summary.json").read_text())
+        assert summary["fit"] is not None
+
 
 class TestOpenAICompatBackend:
     def test_parses_top_logprobs_table(self):

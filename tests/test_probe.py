@@ -232,6 +232,11 @@ class TestMcl:
         with pytest.raises(StrategyError):
             mcl([1] * 40, t=0, delta=-0.1, grid=PrefixGrid(), backend=b)
 
+    def test_nan_delta_rejected(self):
+        b = ConstantBackend(TokenDistribution.uniform(4))
+        with pytest.raises(StrategyError):
+            mcl([1] * 40, t=0, delta=math.nan, grid=PrefixGrid(), backend=b)
+
     def test_backend_failure_carries_partial_trace(self):
         inner = PlantedDependencyBackend(vocab_size=16, dependency_length=500, answer_token=3)
         b = FlakyBackend(inner, fail_after=2)
@@ -329,6 +334,12 @@ class TestDamcl:
         with pytest.raises(StrategyError):
             divergence_metric("cosine")
 
+    def test_nan_epsilon_rejected(self):
+        # A NaN budget would accept no grid point, not even the full sequence.
+        b = ConstantBackend(TokenDistribution.uniform(4))
+        with pytest.raises(StrategyError):
+            damcl([1] * 100, KEEP_ALL, "jsd", math.nan, PrefixGrid(), b)
+
     def test_short_sequences_use_percentile_grid(self):
         b = ConstantBackend(TokenDistribution.uniform(4))
         res = damcl([1] * 10, KEEP_ALL, "jsd", 0.0, PrefixGrid(mode="percentile"), b)
@@ -382,6 +393,8 @@ class TestAtEpsilon:
         assert walk.at_epsilon(0.2) == walk
         with pytest.raises(StrategyError):
             walk.at_epsilon(0.1)
+        with pytest.raises(StrategyError):
+            walk.at_epsilon(math.nan)
 
     def test_mcl_result_is_rejected(self):
         b = PlantedDependencyBackend(vocab_size=50, dependency_length=40, answer_token=5)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from ctxlens.errors import InsufficientData
+from ctxlens.errors import DataError, InsufficientData
 from ctxlens.reporting import (
     REPORT_SCHEMA,
     aggregate_share,
@@ -98,3 +98,25 @@ class TestReportFiles:
         lines = buf.getvalue().splitlines()
         assert len(lines) == 3
         assert [json.loads(line)["i"] for line in lines] == [0, 1, 2]
+
+    def test_write_report_refuses_nan_before_writing(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="report.json"):
+            write_report(path, {"trace": [[1, {"x": float("nan")}]]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_append_jsonl_refuses_nan_before_writing(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            append_jsonl(fh, {"i": 0})
+            with pytest.raises(DataError, match="records.jsonl"):
+                append_jsonl(fh, {"i": 1, "x": (0.5, float("nan"))})
+        assert path.read_text(encoding="utf-8") == '{"i": 0}\n'
+
+    def test_infinities_are_still_written(self, tmp_path):
+        # kl between distributions with different supports is infinite by definition.
+        buf = io.StringIO()
+        append_jsonl(buf, {"trace": [[32, float("inf")]]})
+        assert buf.getvalue() == '{"trace": [[32, Infinity]]}\n'
+        write_report(tmp_path / "r.json", {"theta": float("-inf")})
+        assert read_report(tmp_path / "r.json")["theta"] == float("-inf")
