@@ -87,6 +87,9 @@ def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int
     Residual mass 1 - sum(exp(logprob)) is spread uniformly over ids that
     did not appear. A completed vector whose total is not finite or strays
     from 1 by more than 1e-6 means the server reported inconsistent logprobs.
+    Otherwise it is divided by that total in place, which gives the bits
+    ``TokenDistribution.from_weights`` would without its checks and its copy:
+    the entries are finite and non-negative once the total is.
     """
     ids = np.asarray(ids, dtype=np.int64)
     logprobs = np.asarray(logprobs, dtype=np.float64)
@@ -107,7 +110,9 @@ def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-6:  # also rejects NaN and infinite totals
         raise BackendError(f"completed distribution sums to {total!r}, server logprobs inconsistent")
-    return TokenDistribution.from_weights(probs)
+    probs /= total
+    probs.flags.writeable = False
+    return TokenDistribution(probs)
 
 
 class _ServerBusy(http.client.HTTPException):
@@ -146,10 +151,10 @@ class _HttpBase:
         self._pool_lock = threading.Lock()
         self._gate = threading.Semaphore(endpoint.max_parallel)
         # One response is parsed at a time. A 6 MB full-vocab body in a columnar
-        # layout no longer builds orjson's 30 MB object tree, but its decode still
-        # peaks near 18 MB (a blanked copy of the body and a flat list of 262k
-        # numbers), and a body in any other layout builds the whole tree. Two
-        # overlapping parses would raise peak memory by one more of these.
+        # layout is read a 1 MiB piece at a time and its decode peaks near 6 MB
+        # (the pieces' working set and the two 1 MB columns), but a body in any
+        # other layout builds orjson's 30 MB object tree. Two overlapping parses
+        # would raise peak memory by one more of these.
         # Serialising costs no throughput: translate, orjson and np.fromiter hold the GIL.
         self._parse_lock = threading.Lock()
         self._vocab_size: int | None = None
@@ -305,15 +310,17 @@ class OpenAICompatBackend(_HttpBase):
 
 
 # The two entry-list layouts that get the columnar decode: ``json.dumps``'s
-# default and its compact form, which FastAPI and Starlette send. Each is the
-# entry with its two numbers left out and the separator between entries.
-_LAYOUTS = ((b'{"id": , "logprob": }', b", "), (b'{"id":,"logprob":}', b","))
+# default and its compact form, which FastAPI and Starlette send. Each maps the
+# entry with its two numbers left out to the separator between entries.
+_LAYOUTS = {b'{"id": , "logprob": }': b", ", b'{"id":,"logprob":}': b","}
 _NUMBER_CHARS = b"0123456789.eE+-"
 # Blanking the layouts' bytes leaves a flat array of numbers. Each closing
 # brace becomes a newline and every other byte but the comma a space, so an
 # empty gap shows as a space right before a comma or a newline.
 _BLANK_LAYOUT = bytes.maketrans(b'{}":idlogprb ', b" \n" + b" " * 11)
-_GAP_CHUNK = 1 << 20
+# The entry list is read in pieces of about this many bytes, each ending at an
+# entry boundary, so a decode's working set does not grow with the vocabulary.
+_PIECE_BYTES = 1 << 20
 
 
 def _decode_next_logprobs(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray]:
@@ -325,67 +332,79 @@ def _read_columns(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray] 
     """The next_logprobs fields of ``raw`` without an object per entry; None if it cannot.
 
     It takes a body whose entry list, between its first ``[`` and last ``]``,
-    is one of ``_LAYOUTS`` with a number in every gap:
+    is one of ``_LAYOUTS`` with a number in every gap. Its first entry picks
+    the layout. The list is cut into pieces of about ``_PIECE_BYTES`` at the
+    layout's entry boundaries, ``}`` + separator + ``{``, and each piece is
+    checked and read on its own:
 
-    1. With the number characters deleted, the list is n entries of the
+    1. With the number characters deleted, the piece is k entries of the
        layout.
-    2. The body with the list emptied parses to an object whose ``logprobs``
-       is ``[]``.
-    3. With the layout's bytes blanked, no space comes right before a comma
+    2. With the layout's bytes blanked, no space comes right before a comma
        or a newline, so no gap is empty.
-    4. The blanked list parses as a flat array of numbers: 2n of them, as
-       1 leaves it 2n - 1 commas.
+    3. The blanked piece parses as a flat array of numbers: 2k of them, as
+       1 leaves it 2k - 1 commas.
 
-    Each run of number characters is one array element, so by 4 the list
-    holds 2n runs, and by 3 they are the ones in the 2n gaps. The body is
+    Each run of number characters is one array element, so by 3 a piece
+    holds 2k runs, and by 2 they are the ones in its 2k gaps. The pieces and
+    the separators between them make up the list, so the list is entries of
+    the layout with a number in each gap. The body with the list emptied
+    must parse, once, to an object whose ``logprobs`` is ``[]``. The body is
     then valid JSON, and orjson reads the same numbers from it as from the
-    flat array; they go through the same ``np.fromiter`` as in
+    pieces; they go through the same ``np.fromiter`` as in
     ``_read_next_logprobs``. Any other body, one with a malformed value
     included, returns None and is left to that reference path.
     """
     start, end = raw.find(b"["), raw.rfind(b"]")
     if not 0 <= start < end:
         return None
-    skeleton = raw.translate(None, _NUMBER_CHARS)
-    first, last = skeleton.find(b"["), skeleton.rfind(b"]")
-    for entry, sep in _LAYOUTS:
-        n, rest = divmod(last - first - 1 + len(sep), len(entry) + len(sep))
-        if n and not rest and skeleton.startswith(entry + (sep + entry) * (n - 1), first + 1):
-            break
-    else:
+    entry = raw[start + 1 : raw.find(b"}", start, end) + 1].translate(None, _NUMBER_CHARS)
+    sep = _LAYOUTS.get(entry)
+    if sep is None:
         return None
-    del skeleton
+    boundary = b"}" + sep + b"{"
+    ids, logprobs = [], []
     try:
         head = orjson.loads(raw[: start + 1] + raw[end:])
         if type(head) is not dict or head.get("logprobs") != []:
             return None
         vocab, eos, _, _ = _read_next_logprobs(head)
-        blank = raw.translate(_BLANK_LAYOUT)
-        if _has_empty_gap(np.frombuffer(blank, dtype=np.uint8, count=end - start - 1, offset=start + 1)):
-            return None
-        numbers = orjson.loads(memoryview(blank)[start : end + 1])
-        ids = np.fromiter(numbers[0::2], dtype=np.int64, count=n)
-        logprobs = np.fromiter(numbers[1::2], dtype=np.float64, count=n)
+        at = start + 1
+        while at < end:
+            cut = raw.find(boundary, at + _PIECE_BYTES - 1, end)
+            stop = end if cut < 0 else cut + 1
+            numbers = _read_piece(memoryview(raw)[at:stop], entry, sep)
+            if numbers is None:
+                return None
+            k = len(numbers) // 2
+            ids.append(np.fromiter(numbers[0::2], dtype=np.int64, count=k))
+            logprobs.append(np.fromiter(numbers[1::2], dtype=np.float64, count=k))
+            at = stop + len(sep)
     except (BackendError, ValueError, OverflowError):  # orjson.JSONDecodeError is a ValueError
         return None
-    return vocab, eos, ids, logprobs
+    return vocab, eos, np.concatenate(ids), np.concatenate(logprobs)
+
+
+def _read_piece(piece: memoryview, entry: bytes, sep: bytes) -> list | None:
+    """The flat list of numbers in ``piece``, k entries of one layout; None if it is not."""
+    listed = b"[%b]" % piece
+    skeleton = listed.translate(None, _NUMBER_CHARS)
+    k, rest = divmod(len(skeleton) - 2 + len(sep), len(entry) + len(sep))
+    if rest or skeleton != b"[%b%b]" % (entry, (sep + entry) * (k - 1)):
+        return None
+    del skeleton
+    blank = listed.translate(_BLANK_LAYOUT)
+    del listed
+    if _has_empty_gap(np.frombuffer(blank, dtype=np.uint8)):
+        return None
+    return orjson.loads(blank)
 
 
 def _has_empty_gap(listed: np.ndarray) -> bool:
-    """True if a space comes right before a comma or a newline in a blanked entry list.
-
-    It works a MiB at a time. Comparisons over a whole 6 MB list at once hold
-    up to three 6 MB boolean temporaries, which raised the peak RSS of an
-    ``mcl`` run at V=131072 from about 110 to 125 MB.
-    """
-    for i in range(0, len(listed), _GAP_CHUNK):
-        chunk = listed[i : i + _GAP_CHUNK + 1]
-        empty = chunk[1:] == ord(",")
-        empty |= chunk[1:] == ord("\n")
-        empty &= chunk[:-1] == ord(" ")
-        if empty.any():
-            return True
-    return False
+    """True if a space comes right before a comma or a newline in a blanked piece."""
+    empty = listed[1:] == ord(",")
+    empty |= listed[1:] == ord("\n")
+    empty &= listed[:-1] == ord(" ")
+    return bool(empty.any())
 
 
 def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import collections
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,15 @@ from ctxlens.dist import TokenDistribution
 
 #: Property tests run a fixed example sequence and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def pytest_collection_modifyitems(items):
+    """A test in this directory that leaves a socket or file to the garbage collector fails."""
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):  # the hook sees every item of the session
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def rand_dist(rng: np.random.Generator, vocab: int, zeros: bool = False) -> TokenDistribution:

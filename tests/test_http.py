@@ -8,7 +8,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -113,6 +115,24 @@ class TestCompleteDistribution:
         want = math_exp_complete(entries, vocab)
         got = complete_distribution(*columns(entries), vocab)
         np.testing.assert_allclose(got.probs, want.probs, rtol=EXP_RTOL, atol=EXP_ATOL)
+
+    @PROPERTY
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.01]))
+    def test_bitwise_equal_to_the_from_weights_path(self, vocab, seed, share):
+        gen = np.random.default_rng(seed)
+        probs = gen.random(vocab) ** 8
+        probs /= probs.sum()
+        ids = gen.permutation(vocab)[: max(1, int(share * vocab))]  # share 1.0 sends the full columns
+        logprobs = np.log(probs[ids])
+        completed = np.zeros(vocab)
+        completed[ids] = np.exp(logprobs)
+        missing = vocab - len(ids)
+        if missing:
+            completed[np.isin(np.arange(vocab), ids, invert=True)] = (1.0 - float(completed.sum())) / missing
+        want = TokenDistribution.from_weights(completed)
+        got = complete_distribution(ids, logprobs, vocab)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.ids is None and not got.probs.flags.writeable
 
 
 class TestProbesOnFreshBackend:
@@ -573,19 +593,69 @@ class TestColumnarDecode:
         with pytest.raises(orjson.JSONDecodeError):
             http_module._decode_next_logprobs(raw)
 
-    @pytest.mark.parametrize("at", [-2, -1, 0, 1])
-    def test_empty_gap_found_across_chunk_edges(self, at):
-        size = http_module._GAP_CHUNK
-        listed = bytearray(b"1" * (2 * size + 8))
-        assert not http_module._has_empty_gap(np.frombuffer(bytes(listed), dtype=np.uint8))
-        listed[size + at : size + at + 2] = b" ,"
-        assert http_module._has_empty_gap(np.frombuffer(bytes(listed), dtype=np.uint8))
+    @PROPERTY
+    @given(next_logprobs_bodies(), st.integers(1, 64))
+    def test_matches_the_reference_in_tiny_pieces(self, case, piece_bytes):
+        # Pieces of a few bytes put piece edges everywhere a mutation can land.
+        raw, whole = case
+        want = decode_outcome(reference_decode, raw)
+        with mock.patch.object(http_module, "_PIECE_BYTES", piece_bytes):
+            assert_same_outcome(decode_outcome(http_module._decode_next_logprobs, raw), want)
+            if whole:
+                assert http_module._read_columns(raw) is not None
 
+    @pytest.mark.parametrize(
+        "items, piece_bytes, sizes",
+        [
+            # A piece edge right after the first entry, and one right before the last.
+            (b'[{"id": 0, "logprob": -0.5}, {"id": 1, "logprob": -1}, {"id": 2, "logprob": -2}]', 26, [1, 2]),
+            (b'[{"id": 0, "logprob": -0.5}, {"id": 1, "logprob": -1.5}, {"id": 2, "logprob": -2.5}]', 27, [2, 1]),
+            (b'[{"id":0,"logprob":-0.5},{"id":1,"logprob":-1.5},{"id":2,"logprob":-2.5}]', 1, [1, 1, 1]),
+        ],
+    )
+    def test_pieces_end_at_entry_boundaries(self, monkeypatch, items, piece_bytes, sizes):
+        raw = b'{"logprobs": %s, "vocab_size": 8}' % items
+        monkeypatch.setattr(http_module, "_PIECE_BYTES", piece_bytes)
+        parsed = []
+        loads = orjson.loads
+
+        def spy(data):
+            parsed.append(loads(data))
+            return parsed[-1]
+
+        monkeypatch.setattr(http_module.orjson, "loads", spy)
+        got = http_module._read_columns(raw)
+        assert [len(array) // 2 for array in parsed[1:]] == sizes
+        assert_same_outcome(got, reference_decode(raw))
+
+    @pytest.mark.parametrize("piece_bytes", [1, 27, 1 << 20])
+    @pytest.mark.parametrize(
+        "items",
+        [
+            # "}, {" inside an entry that is valid JSON but not the layout.
+            b'[{"id": 0, "logprob": -0.5, "x": [{}, {}]}, {"id": 1, "logprob": -1.5}]',
+            # A separator between entries that is not the first entry's layout.
+            b'[{"id": 0, "logprob": -0.5},{"id": 1, "logprob": -1.5}]',
+            b'[{"id":0,"logprob":-0.5}, {"id":1,"logprob":-1.5}]',
+            b'[{"id": 0, "logprob": -0.5}, {"id":1,"logprob":-1.5}]',
+            b'[{"id": 0, "logprob": -0.5},\n{"id": 1, "logprob": -1.5}]',
+        ],
+    )
+    def test_bodies_outside_the_layout_take_the_reference_path(self, monkeypatch, items, piece_bytes):
+        raw = b'{"logprobs": %s, "vocab_size": 8}' % items
+        monkeypatch.setattr(http_module, "_PIECE_BYTES", piece_bytes)
+        assert http_module._read_columns(raw) is None
+        assert_same_outcome(http_module._decode_next_logprobs(raw), reference_decode(raw))
+
+    @pytest.mark.parametrize("piece_bytes", [None, 1], ids=["one-piece", "a-piece-per-entry"])
     @pytest.mark.parametrize("separators", [None, (",", ":")], ids=["default", "compact"])
-    def test_both_layouts_skip_the_object_tree(self, monkeypatch, separators):
+    def test_both_layouts_skip_the_object_tree(self, monkeypatch, separators, piece_bytes):
         probs = [0.5, 0.25, 0.125, 0.125]
         payload = {"logprobs": full_logprobs(probs), "vocab_size": 4, "eos_token_id": 3}
         raw = json.dumps(payload, separators=separators).encode()
+        pieces = 1 if piece_bytes is None else len(probs)
+        if piece_bytes is not None:
+            monkeypatch.setattr(http_module, "_PIECE_BYTES", piece_bytes)
         parsed = []
         loads = orjson.loads
 
@@ -598,11 +668,31 @@ class TestColumnarDecode:
             srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw)
             b = _backend(srv.url)
             d = b.next_token_distribution((1,))
+            b.close()
         assert d.probs == pytest.approx(probs, abs=1e-12)
         assert b.eos_token_id == 3
-        # The body with its list emptied, then the flat array of numbers; never the whole body.
-        assert len(parsed) == 2
+        # The body with its list emptied, then one flat array of numbers per piece; never the whole body.
+        assert len(parsed) == 1 + pieces
+        assert loads(parsed[0]) == {"logprobs": [], "vocab_size": 4, "eos_token_id": 3}
+        arrays = [loads(data) for data in parsed[1:]]
+        assert all(type(x) in (int, float) for array in arrays for x in array)
+        assert sum(len(array) for array in arrays) == 2 * len(probs)
         assert raw not in parsed
+
+    def test_decode_at_128k_peaks_below_10_mib(self):
+        # The bound lies between a decode a piece at a time (about 6 MiB) and one of the whole list (about 17 MiB).
+        vocab = 131072
+        entries = [{"id": i, "logprob": lp} for i, lp in enumerate(fp32_log_softmax(0, vocab).tolist())]
+        raw = json.dumps({"logprobs": entries, "vocab_size": vocab}).encode()
+        del entries
+        tracemalloc.start()
+        try:
+            got = http_module._decode_next_logprobs(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == vocab and len(got[2]) == vocab
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fp32_logprobs_at_128k(self, seed):
