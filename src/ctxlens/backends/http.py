@@ -26,11 +26,13 @@ sending a logprob of ``-Infinity``; the residual rule covers them.
 Probabilities are ``np.exp`` of the logprobs, which can differ from
 ``math.exp`` in the last digit.
 
-The client is ``http.client`` over a small pool of keep-alive connections.
-It reads no proxy environment variables, follows no redirects (a 3xx ends
-in :class:`BackendError`), asks for identity encoding only and sends no
-credentials embedded in the URL. HTTPS verifies against the system trust
-store through ``ssl.create_default_context()``.
+The client is ``http.client`` over one keep-alive connection per backend. A
+backend serves one thread; programs parallelise with processes, and a forked
+child opens its own connection. The client reads no proxy environment
+variables, follows no redirects (a 3xx ends in :class:`BackendError`), asks
+for identity encoding only and sends no credentials embedded in the URL.
+HTTPS verifies against the system trust store through
+``ssl.create_default_context()``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import json
 import os
 import selectors
 import ssl
-import threading
 import time
 from dataclasses import dataclass
 from operator import itemgetter
@@ -54,6 +55,7 @@ from ..dist import TokenDistribution
 from ..errors import BackendError
 
 _BACKOFF_S = (0.1, 0.2, 0.4)
+_ATTEMPTS = 4  # per request; a retry past the end of _BACKOFF_S waits its last entry
 
 _T = TypeVar("_T")
 
@@ -64,17 +66,13 @@ class BackendEndpoint:
 
     base_url: str
     timeout_s: float = 30.0
-    max_parallel: int = 4
     top: int | str = "full"  # how many logprob entries to request
-    retries: int = 3  # transport retries after the first attempt
 
     def __post_init__(self):
         if isinstance(self.top, str) and self.top != "full":
             raise ValueError("top must be an integer or 'full'")
         if isinstance(self.top, int) and self.top < 1:
             raise ValueError("top must be >= 1")
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url {self.base_url!r} needs an http:// or https:// scheme and a host")
@@ -143,20 +141,8 @@ class _HttpBase:
             self._connect = lambda: http.client.HTTPConnection(
                 url.hostname, url.port, timeout=endpoint.timeout_s
             )
-        # Idle keep-alive connections. A request holds the gate from taking a
-        # connection until it is back in the pool, so the pool never holds more
-        # than max_parallel connections.
-        self._idle: list[http.client.HTTPConnection] = []
-        self._owner_pid = os.getpid()  # the process whose sockets ``_idle`` holds
-        self._pool_lock = threading.Lock()
-        self._gate = threading.Semaphore(endpoint.max_parallel)
-        # One response is parsed at a time. A 6 MB full-vocab body in a columnar
-        # layout is read a 1 MiB piece at a time and its decode peaks near 6 MB
-        # (the pieces' working set and the two 1 MB columns), but a body in any
-        # other layout builds orjson's 30 MB object tree. Two overlapping parses
-        # would raise peak memory by one more of these.
-        # Serialising costs no throughput: translate, orjson and np.fromiter hold the GIL.
-        self._parse_lock = threading.Lock()
+        self._idle: http.client.HTTPConnection | None = None  # the keep-alive connection between requests
+        self._owner_pid = os.getpid()  # the process whose socket ``_idle`` holds
         self._vocab_size: int | None = None
 
     @property
@@ -166,44 +152,37 @@ class _HttpBase:
         return self._vocab_size
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens new ones."""
-        with self._pool_lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
+        """Close the idle connection; a later request opens a new one."""
+        conn, self._idle = self._idle, None
+        if conn is not None:
             conn.close()
 
     def _checkout(self) -> http.client.HTTPConnection:
-        """An idle connection the server has not closed, or a new one."""
-        with self._pool_lock:
-            if self._owner_pid != os.getpid():
-                # A forked child shares its parent's idle sockets; a request on one would mix its
-                # reply with the parent's or a sibling worker's. Close the child's copies unused.
-                for conn in self._idle:
-                    conn.close()
-                self._idle, self._owner_pid = [], os.getpid()
-            while self._idle:
-                conn = self._idle.pop()
-                if not _closed_by_peer(conn):
-                    return conn
-                conn.close()
+        """The idle connection if the server has not closed it, or a new one."""
+        conn, self._idle = self._idle, None
+        if conn is not None:
+            # A forked child shares its parent's socket; a request on it would mix its reply
+            # with the parent's or a sibling worker's. The child closes its copy unused.
+            if self._owner_pid == os.getpid() and not _closed_by_peer(conn):
+                return conn
+            conn.close()
+        self._owner_pid = os.getpid()
         return self._connect()
 
     def _roundtrip(self, route: str, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
-        """Send one request on a pooled connection; return the response and its whole body."""
-        with self._gate:
-            conn = self._checkout()
-            try:
-                conn.request("POST", self._prefix + route, body, {"Content-Type": "application/json"})
-                resp = conn.getresponse()
-                raw = resp.read()
-            except BaseException:
-                conn.close()
-                raise
-            if resp.will_close:
-                conn.close()
-            else:
-                with self._pool_lock:
-                    self._idle.append(conn)
+        """Send one request on the keep-alive connection; return the response and its whole body."""
+        conn = self._checkout()
+        try:
+            conn.request("POST", self._prefix + route, body, {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            raw = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle = conn
         return resp, raw
 
     def _post(self, route: str, payload: dict, read: Callable[[bytes], _T]) -> _T:
@@ -217,9 +196,7 @@ class _HttpBase:
         url = self.endpoint.base_url.rstrip("/") + route
         body = json.dumps(payload, allow_nan=False).encode()
         last: Exception | None = None
-        attempts = 0
-        for attempt in range(self.endpoint.retries + 1):
-            attempts += 1
+        for attempts in range(1, _ATTEMPTS + 1):
             try:
                 resp, raw = self._roundtrip(route, body)
                 if resp.status >= 500 or resp.status == 429:
@@ -227,12 +204,11 @@ class _HttpBase:
                 if resp.status != 200:
                     text = raw.decode("utf-8", "replace")[:200]
                     raise BackendError(f"{url} returned {resp.status}: {text}", attempts=attempts)
-                with self._parse_lock:
-                    return read(raw)
+                return read(raw)
             except (OSError, http.client.HTTPException, orjson.JSONDecodeError) as exc:
                 last = exc
-                if attempt < self.endpoint.retries:
-                    delay = _BACKOFF_S[min(attempt, len(_BACKOFF_S) - 1)]
+                if attempts < _ATTEMPTS:
+                    delay = _BACKOFF_S[min(attempts, len(_BACKOFF_S)) - 1]
                     if isinstance(exc, _ServerBusy) and exc.retry_after is not None:
                         delay = max(delay, min(exc.retry_after, self.endpoint.timeout_s))
                     time.sleep(delay)

@@ -217,8 +217,8 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def build_backend(spec: str | None, parallel: int):
-    """The backend a spec names; an HTTP client keeps up to ``parallel`` calls in flight."""
+def build_backend(spec: str | None):
+    """The backend a spec names."""
     if spec is None:
         url = os.environ.get(ENV_BACKEND_URL)
         if not url:
@@ -234,7 +234,7 @@ def build_backend(spec: str | None, parallel: int):
 
     def endpoint(url: str, **kwargs) -> BackendEndpoint:
         try:
-            return BackendEndpoint(base_url=url, max_parallel=max(1, parallel), **kwargs)
+            return BackendEndpoint(base_url=url, **kwargs)
         except ValueError as exc:
             raise UsageError(f"bad backend spec {spec!r}: {exc}") from None
 
@@ -322,10 +322,10 @@ def _check_ranges(args) -> None:
 def _setup(args):
     """Build the command's backend and make its ``--out`` directory; close the backend on the way out.
 
-    Mocks hold nothing to close. An HTTP backend closes its pooled connections, which nothing
+    Mocks hold nothing to close. An HTTP backend closes its keep-alive connection, which nothing
     else would: the ``ctxlens`` process ends with ``os._exit``, without interpreter teardown.
     """
-    backend = build_backend(args.backend, getattr(args, "parallel", 1))
+    backend = build_backend(args.backend)
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -180,7 +180,7 @@ class TestMclCommand:
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_sequence_below_grid_start_is_filtered_not_fatal(self, tmp_path, monkeypatch, parallel):
         mock = PlantedLastTokenBackend(vocab_size=256, answer_token=5)
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
         records = [{"seq_id": f"s{i}", "tokens": [1] * 99 + [20], "next_token": 5} for i in range(4)]
         records[1]["tokens"] = [1] * 19 + [20]
         corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
@@ -212,7 +212,7 @@ class TestMclCommand:
         flaky = FlakyBackend(
             PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=30
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         code = run(
             ["mcl", "--backend", "unused", "--corpus", str(corpus), "--out", str(out)]
         )
@@ -653,7 +653,7 @@ class TestGenerateCommand:
         flaky = FlakyBackend(
             ConstantBackend(TokenDistribution.point_mass(1, vocab_size=4)), fail_after=2
         )
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         out = tmp_path / "out"
         code = run(
             [
@@ -684,7 +684,7 @@ class TestUpstreamCalls:
     @pytest.fixture
     def backend(self, monkeypatch):
         mock = PlantedLastTokenBackend(vocab_size=256, answer_token=5)
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
         return mock
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
@@ -740,7 +740,7 @@ class TestUpstreamCalls:
         prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": list(range(40))}])
         for n_samples in (1, 2):
             mock = ConstantBackend(TokenDistribution.point_mass(1, vocab_size=8))
-            monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+            monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
             argv = [
                 "generate", "--backend", "unused", "--prompts", str(prompts), "--method", method,
                 "--lam", "2", "--max-new", "5", "--n-samples", str(n_samples),
@@ -783,7 +783,7 @@ class TestBackendContract:
         argv = [*command, *source, "--parallel", "2"]
         assert run([*argv, "--backend", PLANTED, "--out", str(tmp_path / "spec")]) == 0
         minimal = MinimalBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5))
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: minimal)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: minimal)
         assert run([*argv, "--backend", "unused", "--out", str(tmp_path / "minimal")]) == 0
         assert tree_bytes(tmp_path / "minimal") == tree_bytes(tmp_path / "spec")
 
@@ -830,7 +830,7 @@ class TestRunner:
         argv = self.argv("damcl", inputs)
         assert run([*argv, "--out", str(tmp_path / "full")]) == 0
         flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=fail_after)
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         out = tmp_path / "cut"
         assert run([*argv, "--parallel", "2", "--out", str(out)]) == 2
         files = sorted(out.glob("damcl_*.jsonl"))
@@ -895,7 +895,7 @@ class TestWorkerProcesses:
 
     def test_no_worker_outlives_a_backend_error(self, tmp_path, monkeypatch, corpus):
         flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=5)
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
         assert_no_child_processes()
         assert run(["mcl", "--backend", "unused", "--corpus", str(corpus), "--parallel", "2",
                     "--out", str(tmp_path / "out")]) == 2
@@ -983,7 +983,7 @@ def test_readme_lists_the_fields_of_every_output_record(tmp_path, monkeypatch):
         argv = [*RUNNER_COMMANDS[command], *source, "--backend", PLANTED]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 0
     flaky = FlakyBackend(PlantedLastTokenBackend(vocab_size=256, answer_token=5), fail_after=0)
-    monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: flaky)
+    monkeypatch.setattr(cli, "build_backend", lambda spec: flaky)
     argv = ["detect", "--corpus", str(corpus), "--backend", "unused"]
     assert run([*argv, "--out", str(tmp_path / "cut")]) == 2
     out = tmp_path / "out"
@@ -1458,7 +1458,7 @@ class TestTopLevelInterface:
         assert message in err
 
     def test_openai_spec_reads_model(self):
-        backend = cli.build_backend("openai:http://127.0.0.1:9,vocab=50,model=gpt,top=5", 1)
+        backend = cli.build_backend("openai:http://127.0.0.1:9,vocab=50,model=gpt,top=5")
         assert (backend.model, backend.vocab_size, backend.endpoint.top) == ("gpt", 50, 5)
 
     def test_malformed_bucket_bound_is_usage_error(self, tmp_path, capsys):
@@ -1552,8 +1552,8 @@ class TestOptionRanges:
     def test_out_of_range_option_is_usage_error_before_any_call(
         self, tmp_path, monkeypatch, capsys, inputs, command, options, flag
     ):
-        mock = cli.build_backend(PLANTED, 1)
-        monkeypatch.setattr(cli, "build_backend", lambda spec, parallel: mock)
+        mock = cli.build_backend(PLANTED)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
         argv = [*inputs[command], "--backend", PLANTED, *options, "--out", str(tmp_path / "out")]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {flag} must be ")

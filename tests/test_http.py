@@ -6,7 +6,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -369,45 +368,6 @@ class TestHttpBackend:
                 _backend(srv.url).next_token_distribution((1,))
             assert srv.hits["/v1/next_logprobs"] == hits
 
-    def test_responses_are_parsed_one_at_a_time(self, monkeypatch):
-        # A slow parse that sleeps releases the GIL, so only the lock keeps parses apart.
-        state = {"inflight": 0, "max": 0}
-        guard = threading.Lock()
-        loads = orjson.loads
-
-        def slow_loads(raw):
-            with guard:
-                state["inflight"] += 1
-                state["max"] = max(state["max"], state["inflight"])
-            time.sleep(0.02)
-            with guard:
-                state["inflight"] -= 1
-            return loads(raw)
-
-        monkeypatch.setattr(http_module.orjson, "loads", slow_loads)
-        with FakeModelServer() as srv:
-            srv.routes["/v1/next_logprobs"] = lambda body, n: (
-                200,
-                {"logprobs": full_logprobs([0.5, 0.5]), "vocab_size": 2},
-            )
-            b = _backend(srv.url, max_parallel=4)
-            results = []
-            threads = [
-                threading.Thread(
-                    target=lambda i=i: results.append(
-                        b.next_token_distribution((i,))
-                    )
-                )
-                for i in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-        assert len(results) == 4
-        assert state["max"] == 1
-
     def test_connection_refused_maps_to_backend_error(self):
         b = HttpBackend(BackendEndpoint(base_url="http://127.0.0.1:9", timeout_s=0.2))
         with pytest.raises(BackendError) as err:
@@ -430,27 +390,6 @@ class TestHttpBackend:
             assert b.detokenize([1, 2]) == "1 2"
             assert b.tokenizer_id == f"http:{srv.url}"
 
-    def test_max_parallel_limits_inflight_requests(self):
-        def slow(body, n):
-            time.sleep(0.01)
-            return 200, {"logprobs": full_logprobs([1.0]), "vocab_size": 1}
-
-        with FakeModelServer() as srv:
-            srv.routes["/v1/next_logprobs"] = slow
-            b = _backend(srv.url, max_parallel=2)
-            threads = [
-                threading.Thread(
-                    target=b.next_token_distribution,
-                    args=((i,),),
-                )
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert srv.hits["/v1/next_logprobs"] == 8
-            assert srv.max_inflight <= 2
 
 
 NUMBER_CHARS = "0123456789.eE+-"
@@ -743,37 +682,6 @@ class TestConnectionPool:
             srv.routes["/api/v1/next_logprobs"] = one_token
             b = _backend(srv.url + "/api/")
             assert b.next_token_distribution((3,)).entry(3) == 1.0
-
-    def test_threads_never_share_a_connection(self):
-        n_threads, n_calls = 8, 25
-        with FakeModelServer(keep_alive_s=5.0) as srv:
-            srv.routes["/v1/next_logprobs"] = one_token
-            b = _backend(srv.url, max_parallel=3)
-            mismatches = []
-
-            def worker(k):
-                for i in range(n_calls):
-                    token = k * n_calls + i
-                    d = b.next_token_distribution((token,))
-                    if d.entry(token) != 1.0:
-                        mismatches.append(token)
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            b.close()
-        assert mismatches == []
-        assert srv.hits["/v1/next_logprobs"] == n_threads * n_calls
-        assert srv.max_inflight <= 3
-        assert len(srv.peers) <= 3
 
     def test_import_leaves_requests_out(self, tmp_path):
         # Neither importing the CLI nor a mock-backed run loads an HTTP client; the names that

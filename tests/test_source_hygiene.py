@@ -49,3 +49,20 @@ def test_no_line_is_longer_than_the_limit():
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_no_module_imports_threads():
+    # cli._in_workers forks, so no worker may inherit a lock that another thread holds.
+    threaded = ("threading", "_thread", "concurrent.futures")
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any(name == m or name.startswith(m + ".") for name in names for m in threaded):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
