@@ -1032,6 +1032,20 @@ class TestBenchCommand:
         by_len = {row["len"]: row["ratio"] for row in report["rows"]}
         assert by_len[320] < by_len[160]
 
+    def test_parallel_is_accepted_and_ignored(self, tmp_path):
+        # The benchmark harness passes --parallel to every command; bench runs serially regardless.
+        reports = {}
+        for parallel in ("1", "2"):
+            out = tmp_path / f"p{parallel}"
+            argv = ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "100,200", "--repeat", "1"]
+            assert run([*argv, "--parallel", parallel, "--out", str(out)]) == 0
+            reports[parallel] = read_report(out / "bench.json")
+        for report in reports.values():
+            assert [row["len"] for row in report["rows"]] == [100, 200]
+        assert {k: v for k, v in reports["1"].items() if k != "rows"} == {
+            k: v for k, v in reports["2"].items() if k != "rows"
+        }
+
     def test_lengths_must_exceed_short_len(self, tmp_path):
         code = run(
             [

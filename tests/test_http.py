@@ -677,6 +677,34 @@ class TestConnectionPool:
         assert srv.hits["/v1/next_logprobs"] == 5
         assert len(srv.peers) == 1
 
+    def test_close_drops_the_connection_and_a_later_call_opens_one(self):
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = one_token
+            b = _backend(srv.url)
+            b.next_token_distribution((1,))
+            b.close()
+            d = b.next_token_distribution((2,))
+            b.close()
+        assert d.entry(2) == 1.0
+        assert srv.hits["/v1/next_logprobs"] == 2
+        assert len(srv.peers) == 2
+
+    def test_connection_the_server_will_close_is_not_kept(self, monkeypatch):
+        def closing(body, n):
+            return (*one_token(body, n), {"Connection": "close"})
+
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = closing
+            b = _backend(srv.url)
+            slept = []
+            monkeypatch.setattr(http_module.time, "sleep", slept.append)
+            got = [b.next_token_distribution((t,)).entry(t) for t in range(3)]
+            b.close()
+        assert got == [1.0, 1.0, 1.0]
+        assert slept == []
+        assert srv.hits["/v1/next_logprobs"] == 3
+        assert len(srv.peers) == 3
+
     def test_base_url_path_prefix_is_kept(self):
         with FakeModelServer() as srv:
             srv.routes["/api/v1/next_logprobs"] = one_token
