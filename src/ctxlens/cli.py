@@ -39,7 +39,6 @@ from .boosting import GENERATION_METHODS, BoostConfig, generate
 from .corpus import (
     DEFAULT_BUCKETS,
     SYNTH_KINDS,
-    TokenDiskCache,
     id_field,
     load_jsonl,
     load_sequences_jsonl,
@@ -259,6 +258,13 @@ def _tokenizer_of(backend):
     return backend if hasattr(backend, "tokenize") else MockTokenizer(backend.vocab_size)
 
 
+def _load_tokenized(path, tokenizer):
+    """``load_jsonl``'s documents in file order, every text document tokenized by ``tokenizer``."""
+    docs, warnings = load_jsonl(path)
+    docs = [replace(doc, tokens=tokenizer.tokenize(doc.text)) if doc.tokens is None else doc for doc in docs]
+    return docs, warnings
+
+
 def _parse_buckets(text: str | None):
     if not text:
         return DEFAULT_BUCKETS
@@ -346,20 +352,12 @@ def _load_input_sequences(args, backend):
     if not getattr(args, "sample", None):
         samples, warnings = load_sequences_jsonl(args.corpus)
     else:
-        docs, warnings = load_jsonl(args.corpus)
-        tokenizer = _tokenizer_of(backend)
-        cache = TokenDiskCache(Path(args.out) / "tokcache")
+        docs, warnings = _load_tokenized(args.corpus, _tokenizer_of(backend))
         buckets = _parse_buckets(getattr(args, "buckets", None))
         samples = []
         for i, doc in enumerate(docs):
-            tokens = cache.tokens_for(doc, tokenizer)
             cut, warn = sample_sequences(
-                tokens,
-                args.sample,
-                buckets=buckets,
-                rng_seed=derive_seed(args.seed, i),
-                with_ground_truth=True,
-                doc_id=doc.doc_id,
+                doc.tokens, args.sample, buckets=buckets, rng_seed=derive_seed(args.seed, i), doc_id=doc.doc_id
             )
             samples.extend(cut)
             warnings.extend({"doc_id": doc.doc_id, **w} for w in warn)
@@ -737,11 +735,8 @@ def cmd_generate(args) -> int:
             raise UsageError("--method taboo requires --lam (no published default)")
         cfg, config = _boost_config(args)
         tokenizer = _tokenizer_of(backend)
-        docs, warnings = load_jsonl(args.prompts)
-        prompts = sorted(
-            (replace(doc, tokens=tokenizer.tokenize(doc.text)) if doc.tokens is None else doc for doc in docs),
-            key=lambda doc: doc.doc_id,
-        )
+        docs, warnings = _load_tokenized(args.prompts, tokenizer)
+        prompts = sorted(docs, key=lambda doc: doc.doc_id)
 
         def generate_prompt(item, memo):
             """The records of all samples of one prompt, generated on one memo."""

@@ -9,7 +9,6 @@ construction.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,7 +212,6 @@ def sample_sequences(
     n_per_bucket: int,
     buckets: Sequence[tuple[int, int]] = DEFAULT_BUCKETS,
     rng_seed: int = 0,
-    with_ground_truth: bool = True,
     doc_id: str = "doc",
 ) -> tuple[list[SequenceSample], list[dict]]:
     """Cut seeded-random contiguous slices of the document, n per length bucket.
@@ -226,26 +224,23 @@ def sample_sequences(
         raise DataError("n_per_bucket must be >= 1")
     tokens = array("i", doc_tokens)
     n = len(tokens)
-    reserve = 1 if with_ground_truth else 0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     samples: list[SequenceSample] = []
     warnings: list[dict] = []
     for lo, hi in buckets:
         if not 1 <= lo < hi:
             raise DataError(f"bad bucket [{lo}, {hi})")
-        max_len = n - reserve
-        if max_len < lo:
+        if n <= lo:
             warnings.append({"bucket": [lo, hi], "warning": f"document too short ({n} tokens), bucket skipped"})
             continue
-        hi_eff = min(hi, max_len + 1)
         for i in range(n_per_bucket):
-            length = int(rng.integers(lo, hi_eff))
-            end = int(rng.integers(length, n + 1 - reserve))
+            length = int(rng.integers(lo, min(hi, n)))
+            end = int(rng.integers(length, n))
             samples.append(
                 SequenceSample(
                     seq_id=f"{doc_id}/b{lo}-{hi}/{i}",
                     tokens=tokens[end - length : end],
-                    next_token=tokens[end] if with_ground_truth else None,
+                    next_token=tokens[end],
                     doc_id=doc_id,
                     bucket=(lo, hi),
                 )
@@ -399,46 +394,3 @@ def synth_sample(
     est_lines = max(2, (total_len - 12) // max(1, line_len))
     distance = int(rng.integers(1, est_lines + 1))
     return gen_longeval(tokenizer, seed, total_len=total_len, answer_line_distance=distance, window=window)
-
-
-class TokenDiskCache:
-    """Tokenizations cached on disk, keyed by (tokenizer id, text).
-
-    A file's name is a digest of both, so a document whose text changed
-    between runs is tokenized afresh, and two documents with the same text
-    share one entry.
-    """
-
-    def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, tokenizer_id: str, text: str) -> Path:
-        import hashlib  # about 3 ms to import, and only --sample runs hash
-
-        digest = hashlib.sha256(f"{tokenizer_id}\x00{text}".encode("utf-8")).hexdigest()[:32]
-        return self.cache_dir / f"{digest}.json"
-
-    def get(self, tokenizer_id: str, text: str) -> list[int] | None:
-        path = self._path(tokenizer_id, text)
-        if not path.exists():
-            return None
-        return [int(t) for t in json.loads(path.read_text(encoding="utf-8"))]
-
-    def put(self, tokenizer_id: str, text: str, tokens: Sequence[int]) -> None:
-        path = self._path(tokenizer_id, text)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps([int(t) for t in tokens]), encoding="utf-8")
-        tmp.replace(path)
-
-    def tokens_for(self, doc: Document, tokenizer: Tokenizer) -> list[int]:
-        if doc.tokens is not None:
-            return doc.tokens.tolist()
-        if doc.text is None:
-            raise DataError(f"document {doc.doc_id} has neither text nor tokens")
-        hit = self.get(tokenizer.tokenizer_id, doc.text)
-        if hit is not None:
-            return hit
-        tokens = tokenizer.tokenize(doc.text)
-        self.put(tokenizer.tokenizer_id, doc.text, tokens)
-        return tokens

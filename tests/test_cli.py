@@ -139,7 +139,7 @@ class TestMclCommand:
         assert summary["n_kept"] == 4
         assert summary["share_le"]["32"] == 1.0
         assert summary["fit"] is None  # single histogram bin
-        assert (out / "tokcache").is_dir()
+        assert sorted(path.name for path in out.iterdir()) == ["mcl_hist.csv", "mcl_results.jsonl", "mcl_summary.json"]
 
     def test_document_text_that_is_not_text_is_an_error_record(self, tmp_path):
         corpus = write_jsonl(
@@ -749,6 +749,31 @@ class TestUpstreamCalls:
             assert run(argv) == 0
             calls[n_samples] = mock.calls
         assert calls == {1: 2 * 5, 2: 2 * 5}
+
+    def test_each_text_document_is_tokenized_once_per_run(self, tmp_path):
+        docs = write_jsonl(tmp_path / "docs.jsonl", [{"id": f"d{i}", "text": f"document {i}"} for i in range(2)])
+        pretokenized = write_jsonl(tmp_path / "tokens.jsonl", [{"id": "d", "tokens": [1] * 150}])
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": f"p{i}", "text": f"prompt {i}"} for i in range(2)])
+        sample = ["--sample", "1", "--buckets", "32-100", "--out", str(tmp_path / "out")]
+        runs = [
+            ["mcl", "--corpus", str(docs), *sample],
+            ["mcl", "--corpus", str(docs), *sample],  # a rerun into the same --out tokenizes afresh
+            ["mcl", "--corpus", str(pretokenized), *sample],
+            ["generate", "--prompts", str(prompts), "--max-new", "1", "--n-samples", "1",
+             "--out", str(tmp_path / "gen")],
+        ]
+        tokenized = []
+        with FakeModelServer() as srv:
+            srv.routes["/v1/tokenize"] = lambda body, n: (200, {"tokens": [1] * 150})
+            srv.routes["/v1/detokenize"] = lambda body, n: (200, {"text": "t"})
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (
+                200, {"logprobs": [{"id": 1, "logprob": 0.0}], "vocab_size": 4}
+            )
+            for argv in runs:
+                before = srv.hits["/v1/tokenize"]
+                assert run([argv[0], "--backend", srv.url, *argv[1:]]) == 0
+                tokenized.append(srv.hits["/v1/tokenize"] - before)
+        assert tokenized == [2, 2, 0, 2]
 
 
 class MinimalBackend:
