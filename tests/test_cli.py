@@ -141,6 +141,35 @@ class TestMclCommand:
         assert summary["fit"] is None  # single histogram bin
         assert sorted(path.name for path in out.iterdir()) == ["mcl_hist.csv", "mcl_results.jsonl", "mcl_summary.json"]
 
+    def test_text_documents_sample_like_their_tokens(self, tmp_path):
+        mixed = write_jsonl(
+            tmp_path / "mixed.jsonl",
+            [{"id": "d0", "text": " ".join(["5"] * 300)}, {"id": "d1", "tokens": [5] * 250}],
+        )
+        tokens = write_jsonl(
+            tmp_path / "tokens.jsonl", [{"id": "d0", "tokens": [5] * 300}, {"id": "d1", "tokens": [5] * 250}]
+        )
+        argv = ["mcl", "--backend", PLANTED, "--sample", "2", "--buckets", "32-100,100-200"]
+        out_mixed, out_tokens = tmp_path / "o_mixed", tmp_path / "o_tokens"
+        assert run([*argv, "--corpus", str(mixed), "--out", str(out_mixed)]) == 0
+        assert run([*argv, "--corpus", str(tokens), "--out", str(out_tokens)]) == 0
+        assert read_report(out_mixed / "mcl_summary.json")["n_input"] == 8
+        assert tree_bytes(out_mixed) == tree_bytes(out_tokens)
+
+    def test_changed_text_is_tokenized_afresh_on_a_rerun(self, tmp_path):
+        corpus = tmp_path / "docs.jsonl"
+        argv = ["mcl", "--backend", PLANTED, "--corpus", str(corpus), "--sample", "1", "--buckets", "32-100"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        write_jsonl(corpus, [{"id": "d0", "text": " ".join(["5"] * 20)}, {"id": "d1", "tokens": [5] * 300}])
+        assert run([*argv, "--out", str(out)]) == 0
+        assert len(read_report(out / "mcl_summary.json")["warnings"]) == 1  # d0 is too short for the bucket
+        write_jsonl(corpus, [{"id": "d0", "text": " ".join(["5"] * 300)}, {"id": "d1", "tokens": [5] * 300}])
+        assert run([*argv, "--out", str(out)]) == 0
+        assert run([*argv, "--out", str(fresh)]) == 0
+        summary = read_report(out / "mcl_summary.json")
+        assert (summary["n_input"], summary["warnings"]) == (2, [])
+        assert tree_bytes(out) == tree_bytes(fresh)
+
     def test_document_text_that_is_not_text_is_an_error_record(self, tmp_path):
         corpus = write_jsonl(
             tmp_path / "docs.jsonl", [{"id": "d0", "tokens": [5] * 300}, {"id": "d1", "text": ["a", "b"]}]
@@ -285,6 +314,19 @@ class TestDamclCommand:
         assert len(summary["combos"]) == 4
         assert all(c["mean_length"] > 0 for c in summary["combos"])
         assert all(c["n"] == 4 for c in summary["combos"])
+
+    def test_document_sampling_mode_writes_only_documented_files(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "docs.jsonl", [{"id": "d0", "text": " ".join(["5"] * 300)}])
+        out = tmp_path / "out"
+        argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--sample", "2", "--buckets", "32-100",
+                "--strategies", "nucleus:0.9", "--epsilons", "0.1", "--out", str(out)]
+        assert run(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "damcl_nucleus-0.9_jsd_eps0.1.jsonl",
+            "damcl_nucleus-0.9_jsd_eps0.1_hist.csv",
+            "damcl_summary.json",
+        ]
+        assert read_report(out / "damcl_summary.json")["combos"][0]["n"] == 2
 
     def test_every_sequence_resolves(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=2))

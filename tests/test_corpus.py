@@ -105,12 +105,16 @@ class TestLoadJsonl:
             + "\nnot json\n"
             + json.dumps({"no_id": True})
             + "\n"
-            + json.dumps({"id": "neither text nor tokens"})
-            + "\n"
         )
         docs, errors = load_jsonl(path)
         assert len(docs) == 1
-        assert [e["line"] for e in errors] == [2, 3, 4]
+        assert [e["line"] for e in errors] == [2, 3]
+
+    def test_document_with_neither_text_nor_tokens_is_an_error_record(self, tmp_path):
+        path = write_jsonl(tmp_path / "docs.jsonl", [{"id": "ok", "tokens": [1]}, {"id": "empty", "gold": "g"}])
+        docs, errors = load_jsonl(path)
+        assert [doc.doc_id for doc in docs] == ["ok"]
+        assert errors == [{"line": 2, "error": "\"need 'text' or 'tokens'\""}]
 
     def test_no_valid_documents_is_an_error(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -308,6 +312,13 @@ class TestSampleSequences:
         for s in samples:
             if s.bucket == (100, 200):
                 assert len(s.tokens) <= 149
+
+    def test_every_sequence_keeps_its_next_token_inside_the_document(self):
+        doc = list(range(40))
+        samples, _ = sample_sequences(doc, n_per_bucket=50, buckets=((32, 41),), rng_seed=1)
+        assert all(s.next_token == s.tokens[-1] + 1 for s in samples)
+        assert max(len(s.tokens) for s in samples) == 39
+        assert any(s.next_token == 39 for s in samples)
 
     def test_bad_arguments(self):
         with pytest.raises(DataError):
