@@ -7,7 +7,7 @@ long-context tokens during decoding when that score fires.
 
 __version__ = "0.1.0"
 
-from .dist import JSD_MAX, PowerLawFit, TokenDistribution, fit_power_law, jsd, kl, set_metrics, tvd
+from .dist import JSD_MAX, PowerLawFit, TokenDistribution, fit_power_law, jsd, set_metrics, tvd
 from .decoding import DecodingStrategy, apply_strategy, confidence, derive_seed, sample, top1
 from .probe import PrefixGrid, ProbeResult, damcl, mcl, mcl_histogram
 from .detection import (
@@ -29,7 +29,6 @@ __all__ = [
     "TokenDistribution",
     "fit_power_law",
     "jsd",
-    "kl",
     "set_metrics",
     "tvd",
     "DecodingStrategy",

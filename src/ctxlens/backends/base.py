@@ -21,8 +21,6 @@ class Backend(Protocol):
 
 @runtime_checkable
 class Tokenizer(Protocol):
-    tokenizer_id: str
-
     def tokenize(self, text: str) -> list[int]: ...
 
     def detokenize(self, tokens: Sequence[int]) -> str: ...

@@ -235,10 +235,6 @@ def _retry_after(resp: http.client.HTTPResponse) -> float | None:
 class HttpBackend(_HttpBase):
     """Client for the native next-logprobs protocol, including tokenize routes."""
 
-    @property
-    def tokenizer_id(self) -> str:
-        return f"http:{self.endpoint.base_url}"
-
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         body = {"tokens": list(tokens), "top": self.endpoint.top}
         vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _decode_next_logprobs)

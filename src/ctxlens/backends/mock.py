@@ -245,7 +245,6 @@ class MockTokenizer:
 
     def __init__(self, vocab_size: int):
         self.vocab_size = int(vocab_size)
-        self.tokenizer_id = f"mock-crc32-{vocab_size}"
 
     def tokenize(self, text: str) -> list[int]:
         out: list[int] = []

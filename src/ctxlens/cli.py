@@ -285,8 +285,8 @@ def _parse_numbers(text: str, flag: str, kind: type = float, sep: str = ",") -> 
         raise UsageError(f"bad {flag} value {text!r}") from None
     if not values:
         raise UsageError(f"{flag} needs at least one value")
-    if any(math.isnan(v) for v in values):
-        raise UsageError(f"{flag} values must not be nan")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} values must be finite")
     return values
 
 
@@ -644,6 +644,8 @@ def cmd_detect(args) -> int:
         samples, warnings = _load_input_sequences(args, backend)
         cfg = _lsds_config(args)
         label_of, oracle_len = _oracle_label_fn(args)
+        if args.tau_sweep:
+            _parse_numbers(args.tau_sweep, "--tau-sweep")  # the summary parses it again
         # Check every sequence before the first backend call, so a short one writes no partial results.
         too_short = [
             s.seq_id

@@ -141,16 +141,15 @@ def roc_auc(scored: Sequence[tuple[float, bool]]) -> float:
 def youden_threshold(scored: Sequence[tuple[float, bool]]) -> dict:
     """The threshold maximizing TPR - FPR, as ``{"theta", "j", "tpr", "fpr"}``.
 
-    Candidates are the midpoints of adjacent distinct scores plus the open
-    ends; ties on J resolve to the smallest threshold. Each class is sorted
-    once, and the count at or above each candidate is found by bisection, so
-    the sweep is O(n log n).
+    Candidates are the lowest score (all long, J = 0) and the midpoints of
+    adjacent distinct scores; ties on J resolve to the smallest threshold.
+    Each class is sorted once, and the count at or above each candidate is
+    found by bisection, so the sweep is O(n log n).
     """
     pos, neg = _by_class(scored, "youden threshold")
     distinct = sorted({score for score, _ in scored})
-    candidates = [-math.inf]
+    candidates = distinct[:1]
     candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
-    candidates.append(math.inf)
     best: dict | None = None
     for theta in candidates:
         tpr = (len(pos) - bisect_left(pos, theta)) / len(pos)

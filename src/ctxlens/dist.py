@@ -30,9 +30,9 @@ class TokenDistribution:
 
     ``ids``, when set, holds the ascending ids of the positive entries, read
     only. Decoding records them for sparse supports, and ``support``,
-    ``kl``, ``jsd``, ``decoding.sample`` and the boosting step then read
-    those entries instead of scanning the vocabulary. ``None`` means they
-    were not recorded.
+    ``jsd``, ``decoding.sample`` and the boosting step then read those
+    entries instead of scanning the vocabulary. ``None`` means they were not
+    recorded.
     """
 
     probs: np.ndarray
@@ -133,20 +133,6 @@ def _positive(p: TokenDistribution) -> np.ndarray:
     bit for bit; a mask is the cheaper of the two when most ids are positive.
     """
     return p.probs > 0.0 if p.ids is None else p.ids
-
-
-def kl(p1: TokenDistribution, p2: TokenDistribution) -> float:
-    """KL divergence sum_t p1_t log(p1_t / p2_t), with 0 * log 0 := 0.
-
-    Returns ``inf`` when p1 puts mass where p2 has none.
-    """
-    _check_same_vocab(p1, p2)
-    pos = _positive(p1)
-    a = p1.probs[pos]
-    b = p2.probs[pos]
-    if np.any(b == 0.0):
-        return math.inf
-    return float((a * np.log(a / b)).sum())
 
 
 def _kl_to_midpoint(p: TokenDistribution, q: TokenDistribution) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .decoding import DecodingStrategy, apply_strategy, confidence, top1
-from .dist import TokenDistribution, jsd, kl, set_metrics, tvd, fit_power_law, PowerLawFit
+from .dist import TokenDistribution, jsd, set_metrics, tvd, fit_power_law, PowerLawFit
 from .errors import (
     BackendError,
     InsufficientData,
@@ -152,7 +152,6 @@ def mcl(s: Sequence[int], t: int, delta: float, grid: PrefixGrid, backend: Backe
 _METRICS: dict[str, Callable[[TokenDistribution, TokenDistribution], float]] = {
     "jsd": jsd,
     "tvd": tvd,
-    "kl": kl,
     "one_minus_f1": lambda a, b: 1.0 - set_metrics(a.support(), b.support()).f1,
 }
 
@@ -192,9 +191,9 @@ def damcl(
 def mcl_histogram(lengths: Sequence[int]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:
     """Counts of resolved lengths, plus a power-law fit when enough bins exist.
 
-    The fit's reported exponent follows the negative sign convention (see
-    ``PowerLawFit.slope``); bins with zero count carry no information and
-    are never created here. An unresolved (None) length is an error.
+    The fit is None with one bin, or when its scale ``a`` overflows a float.
+    Its exponent follows the negative sign convention (see ``PowerLawFit.slope``);
+    zero-count bins are never created here. An unresolved (None) length is an error.
     """
     if not lengths:
         raise InsufficientData("no resolved lengths to aggregate")
@@ -206,6 +205,6 @@ def mcl_histogram(lengths: Sequence[int]) -> tuple[list[tuple[int, int]], PowerL
     bins = sorted(counts.items())
     try:
         fit = fit_power_law([(float(ell), float(c)) for ell, c in bins])
-    except InsufficientData:
+    except (InsufficientData, OverflowError):
         fit = None
     return bins, fit

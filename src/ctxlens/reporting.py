@@ -13,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import orjson
+
 from .errors import DataError, InsufficientData
 
 REPORT_SCHEMA = "ctxlens/1"
@@ -37,29 +39,12 @@ def aggregate_share(lengths: Sequence[int], cutoff: int) -> float:
     return sum(1 for length in lengths if length <= cutoff) / len(lengths)
 
 
-def _has_nan(value) -> bool:
-    if isinstance(value, float):
-        return value != value
-    if isinstance(value, dict):
-        return any(map(_has_nan, value.values()))
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_nan, value))
-    return False
-
-
 def _dumps(record: dict, where, **kwargs) -> str:
-    """``json.dumps`` with sorted keys that refuses NaN with a ``DataError`` naming ``where``.
-
-    Infinities are still written, as ``Infinity``: they are results (``kl``
-    between distributions with different supports, an open-ended Youden
-    threshold). The first, strict encode passes every finite record.
-    """
+    """RFC 8259 ``json.dumps``, keys sorted; a NaN or an infinity raises ``DataError`` naming ``where``."""
     try:
         return json.dumps(record, sort_keys=True, allow_nan=False, **kwargs)
     except ValueError:
-        if _has_nan(record):
-            raise DataError(f"cannot write {where}: a value is NaN") from None
-    return json.dumps(record, sort_keys=True, **kwargs)
+        raise DataError(f"cannot write {where}: a value is NaN or infinite") from None
 
 
 def write_report(path: str | Path, payload: dict) -> Path:
@@ -70,7 +55,8 @@ def write_report(path: str | Path, payload: dict) -> Path:
 
 
 def read_report(path: str | Path) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """A report written by ``write_report``, parsed strictly (RFC 8259) and schema-checked."""
+    data = orjson.loads(Path(path).read_bytes())
     if data.get("schema") != REPORT_SCHEMA:
         raise InsufficientData(f"unexpected report schema {data.get('schema')!r}")
     return data
@@ -79,7 +65,7 @@ def read_report(path: str | Path) -> dict:
 def append_jsonl(fh, record: dict) -> None:
     """One JSON object per line, flushed immediately so partial runs stay valid.
 
-    A record holding a NaN raises ``DataError`` before any of it is written.
+    A record holding a NaN or an infinity raises ``DataError`` before any of it is written.
     """
     fh.write(_dumps(record, getattr(fh, "name", fh)) + "\n")
     fh.flush()

@@ -32,7 +32,6 @@ from ctxlens.dist import (
     TokenDistribution,
     fit_power_law,
     jsd,
-    kl,
     tvd,
 )
 from ctxlens.probe import PrefixGrid, damcl, mcl
@@ -66,8 +65,6 @@ def test_criterion_01_metric_suite():
     assert tvd(half, skew) == 0.25
     assert tvd(TokenDistribution.point_mass(0, vocab_size=2),
                TokenDistribution.point_mass(1, vocab_size=2)) == 1.0
-    expected_kl = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-    assert kl(half, skew) == pytest.approx(expected_kl, abs=1e-15)
     disjoint = jsd(TokenDistribution.point_mass(0, vocab_size=2),
                    TokenDistribution.point_mass(1, vocab_size=2))
     assert abs(disjoint - math.sqrt(math.log(2.0))) <= 1e-12
@@ -195,8 +192,10 @@ def test_criterion_04_damcl_first_crossing():
 
 def brute_force_youden(scored):
     values = sorted({score for score, _ in scored})
+    # The +inf candidate never wins (J = 0 ties the lowest score, which comes first);
+    # keeping it cross-checks that youden_threshold may leave it out.
     candidates = (
-        [-math.inf]
+        values[:1]
         + [(a + b) / 2.0 for a, b in zip(values, values[1:])]
         + [math.inf]
     )

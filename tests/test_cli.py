@@ -14,14 +14,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import ctxlens.cli as cli
 from conftest import FakeModelServer, write_jsonl
 from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
-from ctxlens.corpus import load_jsonl
+from ctxlens.boosting import GENERATION_METHODS
+from ctxlens.corpus import SYNTH_KINDS, load_jsonl
 from ctxlens.decoding import apply_strategy
 from ctxlens.dist import TokenDistribution
+from ctxlens.probe import METRIC_NAMES
 from ctxlens.reporting import read_report
 
 
@@ -59,7 +62,8 @@ def run(argv):
 
 
 def read_jsonl(path):
-    return [json.loads(line) for line in path.read_text().splitlines()]
+    """The records of an output JSONL file, each line parsed as strict (RFC 8259) JSON."""
+    return [orjson.loads(line) for line in path.read_bytes().splitlines()]
 
 
 def tree_bytes(root):
@@ -350,7 +354,8 @@ class TestDamclCommand:
         assert all(r["resolved"] for r in results)
         assert all(r["trace"] for r in results)
 
-    def test_unknown_metric_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("metric", ["cosine", "kl"])
+    def test_unknown_metric_is_usage_error(self, tmp_path, metric):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
         code = run(
             [
@@ -360,15 +365,15 @@ class TestDamclCommand:
                 "--corpus",
                 str(corpus),
                 "--metric",
-                "cosine",
+                metric,
                 "--out",
                 str(tmp_path / "out"),
             ]
         )
         assert code == 1
 
-    @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan"])
-    def test_negative_or_nan_epsilon_is_usage_error(self, tmp_path, epsilons):
+    @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan", "inf", "0.1,inf"])
+    def test_negative_or_non_finite_epsilon_is_usage_error(self, tmp_path, epsilons):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
         argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--epsilons", epsilons]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -417,6 +422,14 @@ class TestDetectCommand:
         sweep = (out / "detect_tau_sweep.csv").read_text().splitlines()
         assert sweep[0] == "tau,tpr,fpr,j,accuracy"
         assert len(sweep) == 3
+
+    @pytest.mark.parametrize("taus", ["0.2,inf", "0.2,nan"])
+    def test_non_finite_tau_sweep_is_usage_error_before_any_call(self, tmp_path, taus):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True))
+        out = tmp_path / "out"
+        assert run(["detect", "--backend", PLANTED, "--corpus", str(corpus), "--tau-sweep", taus,
+                    "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
 
     def test_score_equal_to_tau_counts_as_long(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True))
@@ -1350,7 +1363,7 @@ class TestSynthCommand:
     def test_records_stay_in_example_order_past_four_digit_ids(self, tmp_path):
         argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", "longeval", "--n", "10002"]
         assert run([*argv, "--total-len", "60", "--out", str(tmp_path)]) == 0
-        ids = [json.loads(line)["seq_id"] for line in (tmp_path / "synth.jsonl").read_text().splitlines()]
+        ids = [r["seq_id"] for r in read_jsonl(tmp_path / "synth.jsonl")]
         assert ids == [f"longeval/{i:04d}" for i in range(10002)]
 
     def test_total_len_too_small(self, tmp_path):
@@ -1370,6 +1383,77 @@ class TestSynthCommand:
             ]
         )
         assert code == 3
+
+
+def strict_json_outputs(out):
+    """Every JSON and JSONL file under ``out``, parsed as RFC 8259 JSON (orjson refuses NaN and Infinity)."""
+    parsed = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            parsed[path.name] = orjson.loads(path.read_bytes())
+        elif path.suffix == ".jsonl":
+            parsed[path.name] = read_jsonl(path)
+    assert parsed
+    return parsed
+
+
+STRICT_JSON_RUNS = {
+    "mcl": ["mcl", "--backend", PLANTED, "--corpus", "{corpus}"],
+    **{
+        f"damcl-{metric}": ["damcl", "--backend", PLANTED, "--corpus", "{corpus}", "--metric", metric,
+                            "--strategies", "nucleus:0.9,greedy", "--epsilons", "0.1,0.2"]
+        for metric in METRIC_NAMES
+    },
+    # Every score ties at 0, so no threshold beats J = 0.
+    "detect-uniform": ["detect", "--backend", "mock:uniform:vocab=256", "--corpus", "{corpus}",
+                       "--oracle", "planted", "--tau-sweep", "0.2,0.6"],
+    **{
+        f"generate-{method}": ["generate", "--backend", "mock:planted:d=2,answer=1,vocab=8", "--prompts",
+                               "{prompts}", "--method", method, "--lam", "2", "--max-new", "3"]
+        for method in GENERATION_METHODS
+    },
+    "bench": ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "64,128", "--repeat", "1"],
+    "score": ["score", "--pairs", "{pairs}"],
+    **{
+        f"synth-{kind}": ["synth", "--backend", "mock:uniform:vocab=512", "--kind", kind, "--n", "3",
+                          "--total-len", "200", "--window", "100"]
+        for kind in SYNTH_KINDS
+    },
+}
+
+
+class TestOutputsAreStrictJson:
+    @pytest.mark.parametrize("name", STRICT_JSON_RUNS)
+    def test_every_output_file_parses(self, tmp_path, name):
+        paths = {
+            "corpus": write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=3, n_long=2,
+                                                                                    with_labels=True)),
+            "prompts": write_jsonl(tmp_path / "prompts.jsonl", TestGenerateCommand.PROMPTS),
+            "pairs": write_jsonl(tmp_path / "pairs.jsonl", [{"id": "a", "pred": "x y", "gold": "y"}]),
+        }
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in STRICT_JSON_RUNS[name]]
+        assert run([*argv, "--out", str(out)]) == 0
+        outputs = strict_json_outputs(out)
+        if name == "detect-uniform":
+            # theta is the lowest score, not an open end below it.
+            assert outputs["detect_summary.json"]["youden"] == {"theta": 0.0, "j": 0.0, "tpr": 1.0, "fpr": 1.0}
+
+    def test_mcl_summary_survives_an_overflowing_fit(self, tmp_path):
+        # Six sequences resolve at grid point 1008 and one at 1024: the log-log slope is about -113,
+        # so the fit's scale exp(intercept) overflows a float and the summary records no fit.
+        rng = np.random.default_rng(5)
+        records = []
+        for i, depth in enumerate([1000] * 6 + [1016]):
+            tokens = [int(t) for t in rng.integers(0, 2048, size=1100)]
+            tokens[-1] = depth
+            records.append({"seq_id": f"s{i}", "tokens": tokens, "next_token": 1})
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+        out = tmp_path / "out"
+        argv = ["mcl", "--backend", "mock:planted_last:vocab=2048,answer=1", "--corpus", str(corpus)]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert strict_json_outputs(out)["mcl_summary.json"]["fit"] is None
+        assert (out / "mcl_hist.csv").read_text() == "ell,count\n1008,6\n1024,1\n"
 
 
 class TestConfigAndEnvironment:

@@ -68,7 +68,9 @@ def brute_force_youden(scored):
 def quadratic_youden(scored):
     """The candidate-by-candidate rescan, kept as the reference for ``youden_threshold``."""
     distinct = sorted({score for score, _ in scored})
-    candidates = [-math.inf]
+    # youden_threshold leaves out +inf, which can only tie the lowest score at J = 0; keeping it
+    # here checks that leaving it out changes nothing.
+    candidates = distinct[:1]
     candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
     candidates.append(math.inf)
     n_pos = sum(1 for _, is_long in scored if is_long)
@@ -308,14 +310,14 @@ class TestYouden:
         scored = [(0.4, True)] * 3 + [(0.4, False)] * 3
         point = youden_threshold(scored)
         assert point["j"] == 0.0
-        assert point["theta"] == -math.inf
+        assert point["theta"] == 0.4
 
     def test_ties_resolve_to_smallest_threshold(self):
-        # Both -inf and 0.5 achieve J = 0 here; the smaller wins.
+        # Both the lowest score 0.4 and the midpoint 0.5 achieve J = 0 here; the smaller wins.
         scored = [(0.4, True), (0.6, True), (0.4, False), (0.6, False)]
         point = youden_threshold(scored)
         assert point["j"] == 0.0
-        assert point["theta"] == -math.inf
+        assert point["theta"] == 0.4
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientData):

@@ -388,7 +388,6 @@ class TestHttpBackend:
             b = _backend(srv.url)
             assert b.tokenize("one two three") == [3, 3, 5]
             assert b.detokenize([1, 2]) == "1 2"
-            assert b.tokenizer_id == f"http:{srv.url}"
 
 
 
@@ -757,7 +756,7 @@ class TestConnectionPool:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["0", "False"]
-        summary = json.loads((tmp_path / "out" / "mcl_summary.json").read_text())
+        summary = orjson.loads((tmp_path / "out" / "mcl_summary.json").read_bytes())
         assert summary["fit"] is not None
 
 

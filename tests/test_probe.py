@@ -308,17 +308,6 @@ class TestDamcl:
         assert res.trace[0][1] == pytest.approx(0.2, abs=1e-12)
         assert res.resolved_length == 50
 
-    def test_kl_metric_inf_until_supports_match(self):
-        p1 = TokenDistribution.from_probs([1.0, 0.0])
-        p2 = TokenDistribution.from_probs([0.5, 0.5])
-        b = SwitchBackend(cutoff=100, below=p2, at_or_above=p1)
-        grid = PrefixGrid(start=50, step=50)
-        res = damcl([1] * 200, KEEP_ALL, "kl", 0.5, grid, b)
-        # KL(decoded_short || reference) diverges while the reference lacks
-        # support, so resolution waits for the matching regime.
-        assert math.isinf(res.trace[0][1])
-        assert res.resolved_length == 100
-
     def test_trace_keeps_non_monotone_profile(self):
         vocab = 4
         full = TokenDistribution.from_probs([0.7, 0.1, 0.1, 0.1])
@@ -330,9 +319,10 @@ class TestDamcl:
         assert res.resolved_length == 150
         assert values[1] > values[0]  # dips back down only at the full regime
 
-    def test_unknown_metric_rejected(self):
+    @pytest.mark.parametrize("name", ["cosine", "kl"])
+    def test_unknown_metric_rejected(self, name):
         with pytest.raises(StrategyError):
-            divergence_metric("cosine")
+            divergence_metric(name)
 
     def test_nan_epsilon_rejected(self):
         # A NaN budget would accept no grid point, not even the full sequence.
@@ -413,6 +403,12 @@ class TestMclHistogram:
     def test_single_bin_has_no_fit(self):
         bins, fit = mcl_histogram([32] * 5)
         assert bins == [(32, 5)]
+        assert fit is None
+
+    def test_overflowing_fit_is_dropped(self):
+        # Two close, uneven bins: the slope is about -113, so a = exp(intercept) exceeds a float.
+        bins, fit = mcl_histogram([1000] * 6 + [1016])
+        assert bins == [(1000, 6), (1016, 1)]
         assert fit is None
 
     def test_unresolved_input_rejected(self):

@@ -4,6 +4,7 @@ import io
 import json
 import threading
 
+import orjson
 import pytest
 
 from ctxlens.errors import DataError, InsufficientData
@@ -66,6 +67,12 @@ class TestReportFiles:
         with pytest.raises(InsufficientData):
             read_report(path)
 
+    def test_non_rfc8259_report_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"schema": "ctxlens/1", "theta": -Infinity}')
+        with pytest.raises(orjson.JSONDecodeError):
+            read_report(path)
+
     def test_stable_serialization(self, tmp_path):
         payload = {"b": 1, "a": {"z": 2, "y": 3}}
         p1 = write_report(tmp_path / "r1.json", payload)
@@ -97,26 +104,21 @@ class TestReportFiles:
             append_jsonl(buf, {"i": i})
         lines = buf.getvalue().splitlines()
         assert len(lines) == 3
-        assert [json.loads(line)["i"] for line in lines] == [0, 1, 2]
+        assert [orjson.loads(line)["i"] for line in lines] == [0, 1, 2]
 
-    def test_write_report_refuses_nan_before_writing(self, tmp_path):
+    # NaN and the infinities have no RFC 8259 form, so both writers refuse all three.
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_write_report_refuses_non_finite_before_writing(self, tmp_path, bad):
         path = tmp_path / "report.json"
         with pytest.raises(DataError, match="report.json"):
-            write_report(path, {"trace": [[1, {"x": float("nan")}]]})
+            write_report(path, {"trace": [[1, {"x": float(bad)}]]})
         assert list(tmp_path.iterdir()) == []
 
-    def test_append_jsonl_refuses_nan_before_writing(self, tmp_path):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_append_jsonl_refuses_non_finite_before_writing(self, tmp_path, bad):
         path = tmp_path / "records.jsonl"
         with path.open("w", encoding="utf-8") as fh:
             append_jsonl(fh, {"i": 0})
             with pytest.raises(DataError, match="records.jsonl"):
-                append_jsonl(fh, {"i": 1, "x": (0.5, float("nan"))})
+                append_jsonl(fh, {"i": 1, "x": (0.5, float(bad))})
         assert path.read_text(encoding="utf-8") == '{"i": 0}\n'
-
-    def test_infinities_are_still_written(self, tmp_path):
-        # kl between distributions with different supports is infinite by definition.
-        buf = io.StringIO()
-        append_jsonl(buf, {"trace": [[32, float("inf")]]})
-        assert buf.getvalue() == '{"trace": [[32, Infinity]]}\n'
-        write_report(tmp_path / "r.json", {"theta": float("-inf")})
-        assert read_report(tmp_path / "r.json")["theta"] == float("-inf")

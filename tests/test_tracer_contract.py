@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import orjson
 import pytest
 
 from conftest import write_jsonl
@@ -31,7 +32,7 @@ def test_tracer_counts_match_the_written_generations(tmp_path, method):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(trace_path.read_text())
     assert trace["exit"] == 0
-    records = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    records = [orjson.loads(line) for line in (out / "generations.jsonl").read_bytes().splitlines()]
     steps = [step for r in records for step in r["steps"]]
     counts = trace["counts"]
     assert counts["boosting.tokens"] == sum(len(r["tokens"]) for r in records) > 0
