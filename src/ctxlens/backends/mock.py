@@ -69,10 +69,23 @@ class _SharedCount:
             return self._cell.value
 
 
-class _CountingBackend:
-    def __init__(self, vocab_size: int, eos_token_id: int | None = None):
-        self.vocab_size = int(vocab_size)
+class SwitchBackend:
+    """Two-regime backend: ``below`` for a context shorter than ``cutoff`` tokens, ``at_or_above`` otherwise."""
+
+    def __init__(
+        self,
+        cutoff: int | None,
+        below: TokenDistribution,
+        at_or_above: TokenDistribution,
+        eos_token_id: int | None = None,
+    ):
+        if below.vocab_size != at_or_above.vocab_size:
+            raise UsageError("switch backend needs matching vocab sizes")
+        self.vocab_size = below.vocab_size
         self.eos_token_id = eos_token_id
+        self.cutoff = cutoff
+        self.below = below
+        self.at_or_above = at_or_above
         self._calls = _SharedCount()
 
     @property
@@ -81,57 +94,14 @@ class _CountingBackend:
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
         self._calls.add_one()
-        return self._answer(tokens)
-
-    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        raise NotImplementedError
+        return self.at_or_above if len(tokens) >= self.cutoff else self.below
 
 
-class ConstantBackend(_CountingBackend):
+class ConstantBackend(SwitchBackend):
     """Returns the same distribution for every context."""
 
     def __init__(self, dist: TokenDistribution, eos_token_id: int | None = None):
-        super().__init__(dist.vocab_size, eos_token_id)
-        self._dist = dist
-
-    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        return self._dist
-
-
-class SwitchBackend(_CountingBackend):
-    """Two-regime backend: one distribution below a context-length cutoff, another at or above."""
-
-    def __init__(
-        self,
-        cutoff: int,
-        below: TokenDistribution,
-        at_or_above: TokenDistribution,
-        eos_token_id: int | None = None,
-    ):
-        if below.vocab_size != at_or_above.vocab_size:
-            raise UsageError("switch backend needs matching vocab sizes")
-        super().__init__(below.vocab_size, eos_token_id)
-        self.cutoff = int(cutoff)
-        self.below = below
-        self.at_or_above = at_or_above
-
-    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        if len(tokens) >= self.cutoff:
-            return self.at_or_above
-        return self.below
-
-
-def _planted_pair(vocab_size: int, answer_token: int, confident_prob: float):
-    if vocab_size < 2:
-        raise UsageError("planted backend needs vocab_size >= 2")
-    if not 0.0 < confident_prob < 1.0:
-        raise UsageError("confident_prob must be in (0, 1)")
-    if not 0 <= answer_token < vocab_size:
-        raise UsageError("answer_token outside vocab")
-    rest = (1.0 - confident_prob) / (vocab_size - 1)
-    probs = [rest] * vocab_size
-    probs[answer_token] = confident_prob
-    return TokenDistribution.uniform(vocab_size), TokenDistribution.from_weights(probs)
+        super().__init__(0, dist, dist, eos_token_id)
 
 
 class PlantedDependencyBackend(SwitchBackend):
@@ -149,19 +119,28 @@ class PlantedDependencyBackend(SwitchBackend):
         confident_prob: float = 0.9,
         eos_token_id: int | None = None,
     ):
-        below, above = _planted_pair(vocab_size, answer_token, confident_prob)
-        super().__init__(dependency_length, below, above, eos_token_id)
-        self.dependency_length = int(dependency_length)
+        if vocab_size < 2:
+            raise UsageError("planted backend needs vocab_size >= 2")
+        if not 0.0 < confident_prob < 1.0:
+            raise UsageError("confident_prob must be in (0, 1)")
+        if not 0 <= answer_token < vocab_size:
+            raise UsageError("answer_token outside vocab")
+        probs = [(1.0 - confident_prob) / (vocab_size - 1)] * vocab_size
+        probs[answer_token] = confident_prob
+        below, above = TokenDistribution.uniform(vocab_size), TokenDistribution.from_weights(probs)
+        super().__init__(int(dependency_length), below, above, eos_token_id)
+        self.dependency_length = self.cutoff
         self.answer_token = int(answer_token)
         self.confident_prob = float(confident_prob)
 
 
-class PlantedLastTokenBackend(_CountingBackend):
+class PlantedLastTokenBackend(SwitchBackend):
     """Planted dependency whose length is carried by the sequence itself.
 
-    The final token id (which every suffix keeps) is read as the
-    dependency length, so one backend can serve a corpus with per-sequence
-    dependency lengths.
+    The final token id (which every suffix keeps) is read as the cutoff, so
+    one backend can serve a corpus with per-sequence dependency lengths. Its
+    two distributions are those of :class:`PlantedDependencyBackend`; it has
+    no fixed cutoff.
     """
 
     def __init__(
@@ -171,18 +150,14 @@ class PlantedLastTokenBackend(_CountingBackend):
         confident_prob: float = 0.9,
         eos_token_id: int | None = None,
     ):
-        super().__init__(vocab_size, eos_token_id)
-        self.answer_token = int(answer_token)
-        self.confident_prob = float(confident_prob)
-        self._below, self._above = _planted_pair(vocab_size, answer_token, confident_prob)
+        planted = PlantedDependencyBackend(vocab_size, 0, answer_token, confident_prob)
+        super().__init__(None, planted.below, planted.at_or_above, eos_token_id)
+        self.answer_token = planted.answer_token
+        self.confident_prob = planted.confident_prob
 
-    def _answer(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        if not tokens:
-            return self._below
-        depth = max(1, int(tokens[-1]))
-        if len(tokens) >= depth:
-            return self._above
-        return self._below
+    def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        self._calls.add_one()
+        return self.at_or_above if tokens and len(tokens) >= tokens[-1] else self.below
 
 
 class DelayedBackend(BackendWrapper):

@@ -6,10 +6,10 @@ Subcommands: ``mcl`` (minimal context length pipeline), ``damcl``
 overhead timing), ``score`` (text metrics), ``synth`` (synthetic corpora).
 
 Exit codes: 0 success, 1 usage error, 2 backend failure, 3 data error.
-Backends come from ``--backend`` (``mock:...`` or ``http:URL``) or the
-``CTXLENS_BACKEND_URL`` environment variable. Output files are documented
-under "File formats" in README.md; reruns with the same seed and mock
-backend are byte-stable.
+Backends come from ``--backend`` (``mock:...``, ``openai:...`` or an
+``http://`` or ``https://`` URL) or the ``CTXLENS_BACKEND_URL`` environment
+variable. Output files are documented under "File formats" in README.md;
+reruns with the same seed and mock backend are byte-stable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import json
 import math
 import os
 import pickle
@@ -65,7 +64,6 @@ from .errors import (
     BackendError,
     CtxlensError,
     DataError,
-    InsufficientData,
     NotLabelable,
     StrategyError,
     UsageError,
@@ -91,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 def _common_options(parser: argparse.ArgumentParser, backend: bool = True, parallel: bool = True) -> None:
     """The options every subcommand shares, leaving out those a subcommand would not read."""
     if backend:
-        parser.add_argument("--backend", help="backend spec: mock:kind:k=v,... or http:URL")
+        parser.add_argument("--backend", help="backend spec: mock:kind:k=v,..., openai:URL,vocab=N or a URL")
         parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", default="out", help="output directory")
     if parallel:
@@ -102,7 +100,8 @@ def _common_options(parser: argparse.ArgumentParser, backend: bool = True, paral
 def _corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="JSONL corpus (documents or sequences)")
     parser.add_argument("--sample", type=int, help="treat corpus as documents, cut N sequences per bucket")
-    parser.add_argument("--buckets", help="length buckets lo-hi[,lo-hi...], default 32-100..900-1000")
+    default = ",".join(f"{lo}-{hi}" for lo, hi in DEFAULT_BUCKETS)
+    parser.add_argument("--buckets", default=default, help="length buckets lo-hi[,...], default %(default)s")
 
 
 def _grid_options(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +112,7 @@ def _grid_options(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="ctxlens", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"ctxlens {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="command")
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = subs.add_parser("mcl", help="minimal context length over a corpus")
     _common_options(p)
@@ -185,12 +184,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs.choices
 
 
-def load_config_file(path: str) -> dict:
-    """Parse the key=value config grammar: one pair per line, # comments."""
+def _config_flags(path: str, table: dict[str, argparse.ArgumentParser], command: str) -> list[str]:
+    """The ``--key=value`` flag of each ``key = value`` line of a config file that ``command`` has.
+
+    One pair per line, ``#`` comments. A key of another subcommand is skipped; a key that no
+    subcommand has is a usage error.
+    """
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
-    out: dict = {}
+    flags, unknown = [], []
     for raw in p.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -198,36 +201,27 @@ def load_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"bad config line (need key=value): {raw!r}")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
+        flag = "--" + key.strip().replace("_", "-")
+        if flag in table[command]._option_string_actions:
+            flags.append(f"{flag}={value.strip()}")
+        elif not any(flag in sub._option_string_actions for sub in table.values()):
+            unknown.append(key.strip())
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return flags
 
 
 def build_backend(spec: str | None):
     """The backend a spec names."""
     if spec is None:
-        url = os.environ.get(ENV_BACKEND_URL)
-        if not url:
+        spec = os.environ.get(ENV_BACKEND_URL)
+        if not spec:
             raise UsageError(f"no backend: pass --backend or set {ENV_BACKEND_URL}")
-        spec = url if url.startswith(("http://", "https://")) else f"http:{url}"
 
     if spec.startswith("mock:"):
         return parse_mock_spec(spec[len("mock:") :])
-    if not spec.startswith(("http:", "https://", "openai:")):
-        raise UsageError(f"unrecognized backend spec {spec!r}")
+    if not spec.startswith(("http://", "https://", "openai:")):
+        raise UsageError(f"unrecognized backend spec {spec!r}; a URL needs an http:// or https:// scheme")
     # Only these specs load the HTTP client and the stdlib it pulls in (http.client, ssl, email).
     from .backends.http import BackendEndpoint, HttpBackend, OpenAICompatBackend
 
@@ -239,8 +233,6 @@ def build_backend(spec: str | None):
 
     if spec.startswith(("http://", "https://")):
         return HttpBackend(endpoint(spec))
-    if spec.startswith("http:"):
-        return HttpBackend(endpoint(spec[len("http:") :]))
     url, _, params = spec[len("openai:") :].partition(",")
     kv = parse_kv(params)
     vocab = pop_number(kv, "vocab", int, None)
@@ -265,14 +257,12 @@ def _load_tokenized(path, tokenizer):
     return docs, warnings
 
 
-def _parse_buckets(text: str | None):
-    if not text:
-        return DEFAULT_BUCKETS
+def _parse_buckets(text: str):
     buckets = []
     for part in text.split(","):
         bounds = _parse_numbers(part, "--buckets", int, sep="-") if part.count("-") == 1 else []
-        if len(bounds) != 2:
-            raise UsageError(f"bad bucket {part!r}, expected lo-hi")
+        if len(bounds) != 2 or not 1 <= bounds[0] < bounds[1]:
+            raise UsageError(f"bad bucket {part!r}, expected lo-hi with 1 <= lo < hi")
         buckets.append(tuple(bounds))
     return tuple(buckets)
 
@@ -288,6 +278,13 @@ def _parse_numbers(text: str, flag: str, kind: type = float, sep: str = ",") -> 
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"{flag} values must be finite")
     return values
+
+
+def _parse_strategies(text: str) -> list[DecodingStrategy]:
+    strategies = [DecodingStrategy.parse(tok) for tok in text.split(",") if tok]
+    if not strategies:
+        raise UsageError("--strategies needs at least one strategy")
+    return strategies
 
 
 def _short_len_arg(value: float):
@@ -324,6 +321,49 @@ def _check_ranges(args) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
 
 
+# The value the commands read in place of each option's text, made once, after _check_ranges.
+_OPTION_VALUES = {
+    "strategies": _parse_strategies,
+    "strategy": DecodingStrategy.parse,
+    "epsilons": lambda text: _parse_numbers(text, "--epsilons"),
+    "tau_sweep": lambda text: _parse_numbers(text, "--tau-sweep"),
+    "lengths": lambda text: _parse_numbers(text, "--lengths", int),
+    "buckets": _parse_buckets,
+    "short_len": _short_len_arg,
+}
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The options of ``argv``, each read once and checked before a backend is built or ``--out`` made.
+
+    A ``--config`` file's lines go in right after the subcommand as the flags they name, so
+    argparse holds them to the types, choices and ``required`` of flags, and a later flag wins.
+    """
+    parser, table = build_parser()
+    find_config = _Parser(add_help=False)
+    find_config.add_argument("--config")
+    config_path = find_config.parse_known_args(argv)[0].config
+    at = next((i for i, arg in enumerate(argv) if arg in table), None)
+    if config_path and at is not None:
+        argv = [*argv[: at + 1], *_config_flags(config_path, table, argv[at]), *argv[at + 1 :]]
+    args = parser.parse_args(argv)
+    _check_ranges(args)
+    for dest, parse in _OPTION_VALUES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            setattr(args, dest, parse(value))
+    if args.command == "damcl":
+        slugs = [slug for _, _, slug in _damcl_combos(args)[2]]
+        for slug in slugs:
+            if slugs.count(slug) > 1:
+                raise UsageError(f"two --strategies x --epsilons combinations name damcl_{slug}.jsonl")
+    if args.command == "bench" and any(n <= args.short_len for n in args.lengths):
+        raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
+    if args.command == "generate" and args.method == "taboo" and args.lam is None:
+        raise UsageError("--method taboo requires --lam (no published default)")
+    return args
+
+
 @contextlib.contextmanager
 def _setup(args):
     """Build the command's backend and make its ``--out`` directory; close the backend on the way out.
@@ -353,12 +393,10 @@ def _load_input_sequences(args, backend):
         samples, warnings = load_sequences_jsonl(args.corpus)
     else:
         docs, warnings = _load_tokenized(args.corpus, _tokenizer_of(backend))
-        buckets = _parse_buckets(getattr(args, "buckets", None))
         samples = []
         for i, doc in enumerate(docs):
-            cut, warn = sample_sequences(
-                doc.tokens, args.sample, buckets=buckets, rng_seed=derive_seed(args.seed, i), doc_id=doc.doc_id
-            )
+            seed = derive_seed(args.seed, i)
+            cut, warn = sample_sequences(doc.tokens, args.sample, args.buckets, seed, doc.doc_id)
             samples.extend(cut)
             warnings.extend({"doc_id": doc.doc_id, **w} for w in warn)
         if not samples:
@@ -560,16 +598,12 @@ def _mcl_summary(args, units, warnings) -> dict:
 
 def _damcl_combos(args):
     """The strategies, the epsilons, and each (strategy, epsilon, file slug) combination of them."""
-    strategies = [DecodingStrategy.parse(tok) for tok in args.strategies.split(",") if tok]
-    if not strategies:
-        raise UsageError("--strategies needs at least one strategy")
-    epsilons = _parse_numbers(args.epsilons, "--epsilons")
     combos = [
         (strategy, eps, f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}")
-        for strategy in strategies
-        for eps in epsilons
+        for strategy in args.strategies
+        for eps in args.epsilons
     ]
-    return strategies, epsilons, combos
+    return args.strategies, args.epsilons, combos
 
 
 def cmd_damcl(args) -> int:
@@ -635,8 +669,7 @@ def _oracle_label_fn(args):
 
 
 def _lsds_config(args) -> LsdsConfig:
-    strategy = DecodingStrategy.parse(args.strategy)
-    return LsdsConfig(short_len=_short_len_arg(args.short_len), strategy=strategy, tau=args.tau)
+    return LsdsConfig(short_len=args.short_len, strategy=args.strategy, tau=args.tau)
 
 
 def cmd_detect(args) -> int:
@@ -644,8 +677,6 @@ def cmd_detect(args) -> int:
         samples, warnings = _load_input_sequences(args, backend)
         cfg = _lsds_config(args)
         label_of, oracle_len = _oracle_label_fn(args)
-        if args.tau_sweep:
-            _parse_numbers(args.tau_sweep, "--tau-sweep")  # the summary parses it again
         # Check every sequence before the first backend call, so a short one writes no partial results.
         too_short = [
             s.seq_id
@@ -687,7 +718,7 @@ def _detect_summary(args, units, warnings) -> dict:
     at_tau = tau_sweep(pairs, [cfg.tau])[0]
     artifacts = {}
     if args.tau_sweep:
-        rows = tau_sweep(pairs, _parse_numbers(args.tau_sweep, "--tau-sweep"))
+        rows = tau_sweep(pairs, args.tau_sweep)
         artifacts["detect_tau_sweep.csv"] = "tau,tpr,fpr,j,accuracy\n" + "".join(
             f"{r['tau']:g},{r['tpr']:.6f},{r['fpr']:.6f},{r['j']:.6f},{r['accuracy']:.6f}\n" for r in rows
         )
@@ -716,7 +747,7 @@ def _boost_config(args) -> tuple[BoostConfig, dict]:
         lam=args.lam if args.lam is not None else 1.0,
         gamma=args.gamma,
         epsilon=args.boost_eps,
-        strategy=DecodingStrategy.parse(args.strategy),
+        strategy=args.strategy,
         short_len=args.short_len,
     )
     return cfg, {
@@ -733,8 +764,6 @@ def _boost_config(args) -> tuple[BoostConfig, dict]:
 
 def cmd_generate(args) -> int:
     with _setup(args) as (backend, _):
-        if args.method == "taboo" and args.lam is None:
-            raise UsageError("--method taboo requires --lam (no published default)")
         cfg, config = _boost_config(args)
         tokenizer = _tokenizer_of(backend)
         docs, warnings = _load_tokenized(args.prompts, tokenizer)
@@ -796,10 +825,6 @@ def _generate_summary(args, units, prompts, warnings) -> dict:
 
 def cmd_bench(args) -> int:
     with _setup(args) as (backend, out):
-        lengths = _parse_numbers(args.lengths, "--lengths", int)
-        if any(n <= args.short_len for n in lengths):
-            raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
-        strategy = DecodingStrategy.parse(args.strategy)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
         # One warmup call resolves lazy vocab discovery on HTTP backends.
         prefix_distribution([0], 1, backend)
@@ -808,7 +833,7 @@ def cmd_bench(args) -> int:
         # Scheduling noise only ever adds time, so the fastest of the repeats is
         # the least disturbed estimate of each component's cost.
         rows = []
-        for n in lengths:
+        for n in args.lengths:
             seq = [int(t) for t in rng.integers(0, vocab, size=n)]
             full_s = short_s = arith_s = float("inf")
             for _ in range(args.repeat):
@@ -817,7 +842,7 @@ def cmd_bench(args) -> int:
                 t1 = time.perf_counter()
                 raw_short = prefix_distribution(seq, args.short_len, backend)
                 t2 = time.perf_counter()
-                jsd(apply_strategy(raw_short, strategy), apply_strategy(raw_full, strategy))
+                jsd(apply_strategy(raw_short, args.strategy), apply_strategy(raw_full, args.strategy))
                 t3 = time.perf_counter()
                 full_s = min(full_s, t1 - t0)
                 short_s = min(short_s, t2 - t1)
@@ -931,26 +956,8 @@ def _keep_freed_heap() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = build_parser()
     try:
-        config_path = _extract_config_path(argv)
-        if config_path:
-            overrides = load_config_file(config_path)
-            known = set()
-            for sub in table.values():
-                dests = {a.dest for a in sub._actions}
-                hit = {k: v for k, v in overrides.items() if k in dests}
-                known.update(hit)
-                sub.set_defaults(**hit)
-            unknown = set(overrides) - known
-            if unknown:
-                raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_help(sys.stderr)
-            return EXIT_USAGE
-        _check_ranges(args)
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (UsageError, StrategyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -958,7 +965,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, NotLabelable, InsufficientData, CtxlensError) as exc:
+    except CtxlensError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -372,11 +372,27 @@ class TestDamclCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan", "inf", "0.1,inf"])
+    @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan", "inf", "0.1,inf", ","])
     def test_negative_or_non_finite_epsilon_is_usage_error(self, tmp_path, epsilons):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
         argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--epsilons", epsilons]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            (["--epsilons", "0.1,0.1000001"], "damcl_nucleus-0.9_jsd_eps0.1.jsonl"),
+            (["--epsilons", "0.1,0.1"], "damcl_nucleus-0.9_jsd_eps0.1.jsonl"),
+            (["--strategies", "nucleus:0.9,nucleus:0.90", "--epsilons", "0.2"], "damcl_nucleus-0.9_jsd_eps0.2"),
+        ],
+    )
+    def test_combinations_sharing_a_file_are_usage_error(self, tmp_path, capsys, options, name):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=3, n_long=0))
+        out = tmp_path / "out"
+        assert run(["damcl", "--backend", PLANTED, "--corpus", str(corpus), *options, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and name in err
+        assert not out.exists()
 
     def test_fixed_50_is_a_step_not_a_mode(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
@@ -429,7 +445,7 @@ class TestDetectCommand:
         out = tmp_path / "out"
         assert run(["detect", "--backend", PLANTED, "--corpus", str(corpus), "--tau-sweep", taus,
                     "--out", str(out)]) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_score_equal_to_tau_counts_as_long(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(with_labels=True))
@@ -928,7 +944,7 @@ class TestRunner:
         out = tmp_path / "out"
         argv = [*self.argv(command, inputs), "--parallel", "2", "--out", str(out)]
         assert run(argv) == 0
-        args = cli.build_parser()[0].parse_args(argv)
+        args = cli.parse_args(argv)
         _, prompts = inputs
         if command == "mcl":
             summary = read_report(out / "mcl_summary.json")
@@ -1509,6 +1525,62 @@ class TestConfigAndEnvironment:
         assert code == 1
         assert "wibble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, line, flag",
+        [
+            ("mcl", "seed = 1.5", "--seed"),
+            ("mcl", "parallel = 2.5", "--parallel"),
+            ("generate", "max_new = 2.0", "--max-new"),
+            ("detect", "oracle = bogus", "--oracle"),
+        ],
+    )
+    def test_config_values_get_the_types_and_choices_of_flags(
+        self, tmp_path, monkeypatch, capsys, command, line, flag
+    ):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=1))
+        source = ["--prompts" if command == "generate" else "--corpus", str(corpus)]
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        monkeypatch.setattr(cli, "build_backend", lambda spec: pytest.fail("backend built"))
+        out = tmp_path / "out"
+        assert run([command, *source, "--backend", PLANTED, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+        assert not out.exists()
+
+    def test_config_value_meets_a_required_flag(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=2, n_long=0))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"corpus = {corpus}\nbackend = {PLANTED}\n")
+        out = tmp_path / "out"
+        assert run(["mcl", "--config", str(config), "--out", str(out)]) == 0
+        assert read_report(out / "mcl_summary.json")["n_input"] == 2
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            (["mcl"], ["delta = 0"]),
+            (["generate", "--max-new", "4", "--n-samples", "2"], ["lam = 4", "method = taboo"]),
+        ],
+    )
+    def test_config_run_writes_the_bytes_of_the_flag_run(self, tmp_path, command, lines):
+        if command[0] == "generate":
+            prompts = [{"id": f"p{i}", "tokens": [1] * (30 + i) + [20]} for i in range(2)]
+            source = ["--prompts", str(write_jsonl(tmp_path / "prompts.jsonl", prompts))]
+        else:
+            source = ["--corpus", str(write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(2, 1)))]
+        argv = [*command, *source, "--backend", PLANTED]
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(line + "\n" for line in lines))
+        flags = [arg for line in lines for arg in ("--" + line.split(" = ")[0], line.split(" = ")[1])]
+        assert run([*argv, "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+        assert run([*argv, *flags, "--out", str(tmp_path / "flags")]) == 0
+        assert tree_bytes(tmp_path / "config") == tree_bytes(tmp_path / "flags")
+
+    def test_env_url_without_scheme_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.ENV_BACKEND_URL, "localhost:8000")
+        assert run(["bench", "--lengths", "100", "--out", str(tmp_path / "out")]) == 1
+        assert "scheme" in capsys.readouterr().err
+
     def test_env_backend_url_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_BACKEND_URL, "http://127.0.0.1:9")
         code = run(
@@ -1682,6 +1754,7 @@ class TestOptionRanges:
         prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": [1, 2, 40]}])
         return {
             "mcl": ["mcl", "--corpus", str(corpus)],
+            "damcl": ["damcl", "--corpus", str(corpus)],
             "docs": ["mcl", "--corpus", str(docs)],
             "detect": ["detect", "--corpus", str(corpus)],
             "generate": ["generate", "--prompts", str(prompts)],
@@ -1723,6 +1796,32 @@ class TestOptionRanges:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {flag} must be ")
         assert mock.calls == 0
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("damcl", ["--strategies", ","]),
+            ("damcl", ["--strategies", "nucleus:2"]),
+            ("docs", ["--sample", "1", "--buckets", "5"]),
+            ("docs", ["--sample", "1", "--buckets", "100-50"]),
+            ("docs", ["--sample", "1", "--buckets", "0-10"]),
+            ("detect", ["--strategy", "bogus"]),
+            ("detect", ["--tau-sweep", ","]),
+            ("detect", ["--short-len", "1.5"]),
+            ("generate", ["--strategy", "topk:0"]),
+            ("generate", ["--method", "taboo"]),
+            ("bench", ["--lengths", "10"]),
+            ("bench", ["--strategy", "greedy:1"]),
+        ],
+    )
+    def test_bad_option_is_usage_error_before_the_backend_is_built(
+        self, tmp_path, monkeypatch, capsys, inputs, command, options
+    ):
+        monkeypatch.setattr(cli, "build_backend", lambda spec: pytest.fail("backend built"))
+        out = tmp_path / "out"
+        assert run([*inputs[command], "--backend", PLANTED, *options, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_config_file_values_are_held_to_the_same_ranges(self, tmp_path, capsys, inputs):
         config = tmp_path / "run.cfg"

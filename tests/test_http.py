@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import ssl
 import subprocess
 import sys
 import time
@@ -331,6 +332,13 @@ class TestHttpBackend:
     def test_endpoint_needs_an_http_scheme_and_a_host(self, url):
         with pytest.raises(ValueError):
             BackendEndpoint(base_url=url)
+
+    def test_https_connection_verifies_the_server(self):
+        conn = HttpBackend(BackendEndpoint("https://127.0.0.1:9"))._connect()
+        assert isinstance(conn, http_module.http.client.HTTPSConnection)
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+        assert conn._context.check_hostname
+        assert conn.sock is None  # built, not connected
 
     def test_client_errors_do_not_retry(self):
         with FakeModelServer() as srv:
