@@ -59,7 +59,7 @@ from .detection import (
     tau_sweep,
     youden_threshold,
 )
-from .dist import jsd
+from .dist import JSD_MAX, jsd
 from .errors import (
     BackendError,
     CtxlensError,
@@ -86,27 +86,99 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ranged(kind: type, bound: str, in_range):
+    """An option's converter (argparse's ``type=``): its text as a ``kind`` that passes ``in_range``.
+
+    argparse runs the converters on flags, string defaults and ``--config`` lines alike, before
+    the backend is built, and prints a bad value as ``argument --FLAG: ...``. NaN is never in range.
+    """
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return convert
+
+
+_SEED = _ranged(int, ">= 0", lambda v: v >= 0)
+_COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
+_SHARE = _ranged(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+_JSD_BOUND = _ranged(float, f"in [0, {JSD_MAX}]", lambda v: 0 <= v <= JSD_MAX)
+_NON_NEGATIVE = _ranged(float, ">= 0 and finite", lambda v: 0 <= v < math.inf)
+_FINITE = _ranged(float, "finite", math.isfinite)
+
+
+def _list_of(item):
+    """A converter of comma-separated ``item`` values, at least one; empty items are skipped."""
+
+    def convert(text: str) -> list:
+        values = [item(x) for x in text.split(",") if x]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    return convert
+
+
+def _strategy(text: str) -> DecodingStrategy:
+    try:
+        return DecodingStrategy.parse(text)
+    except StrategyError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _buckets(text: str) -> tuple:
+    """``lo-hi[,...]`` length buckets with 1 <= lo < hi; none twice, as samples are named by bucket."""
+    buckets = []
+    for part in text.split(","):
+        try:
+            lo, hi = map(int, part.split("-"))
+        except ValueError:
+            lo = hi = 0
+        if not 1 <= lo < hi:
+            raise argparse.ArgumentTypeError(f"bad bucket {part!r}, expected lo-hi with 1 <= lo < hi")
+        if (lo, hi) in buckets:
+            raise argparse.ArgumentTypeError(f"bucket {part!r} is given twice")
+        buckets.append((lo, hi))
+    return tuple(buckets)
+
+
+def _short_len(text: str) -> int | float:
+    """``detect --short-len``: a token count, or a fraction of the sequence length when below 1."""
+    value = _ranged(float, "> 0 and finite", lambda v: 0 < v < math.inf)(text)
+    if value >= 1 and value != int(value):
+        raise argparse.ArgumentTypeError(f"must be an integer when >= 1, got {value}")
+    return int(value) if value >= 1 else value
+
+
 def _common_options(parser: argparse.ArgumentParser, backend: bool = True, parallel: bool = True) -> None:
     """The options every subcommand shares, leaving out those a subcommand would not read."""
     if backend:
         parser.add_argument("--backend", help="backend spec: mock:kind:k=v,..., openai:URL,vocab=N or a URL")
-        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        parser.add_argument("--seed", type=_SEED, default=0, help="master RNG seed")
     parser.add_argument("--out", default="out", help="output directory")
     if parallel:
-        parser.add_argument("--parallel", type=int, default=1, help="worker processes for a command's units")
+        parser.add_argument("--parallel", type=_COUNT, default=1, help="worker processes for a command's units")
     parser.add_argument("--config", help="key=value config file; flags override it")
 
 
 def _corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="JSONL corpus (documents or sequences)")
-    parser.add_argument("--sample", type=int, help="treat corpus as documents, cut N sequences per bucket")
+    parser.add_argument("--sample", type=_COUNT, help="treat corpus as documents, cut N sequences per bucket")
     default = ",".join(f"{lo}-{hi}" for lo, hi in DEFAULT_BUCKETS)
-    parser.add_argument("--buckets", default=default, help="length buckets lo-hi[,...], default %(default)s")
+    parser.add_argument(
+        "--buckets", type=_buckets, default=default, help="length buckets lo-hi[,...], default %(default)s"
+    )
 
 
 def _grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-start", type=int, default=32)
-    parser.add_argument("--grid-step", type=int, default=16)
+    parser.add_argument("--grid-start", type=_COUNT, default=32)
+    parser.add_argument("--grid-step", type=_COUNT, default=16)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -117,16 +189,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("mcl", help="minimal context length over a corpus")
     _common_options(p)
     _corpus_options(p)
-    p.add_argument("--delta", type=float, default=0.2, help="confidence margin")
+    p.add_argument("--delta", type=_SHARE, default=0.2, help="confidence margin")
     _grid_options(p)
     p.set_defaults(func=cmd_mcl)
 
     p = subs.add_parser("damcl", help="divergence-based minimal context length")
     _common_options(p)
     _corpus_options(p)
-    p.add_argument("--strategies", default="nucleus:0.9", help="comma-separated decoding strategies")
+    p.add_argument(
+        "--strategies", type=_list_of(_strategy), default="nucleus:0.9",
+        help="comma-separated decoding strategies",
+    )
     p.add_argument("--metric", choices=METRIC_NAMES, default="jsd")
-    p.add_argument("--epsilons", default="0.1,0.2", help="comma-separated thresholds")
+    p.add_argument(
+        "--epsilons", type=_list_of(_NON_NEGATIVE), default="0.1,0.2", help="comma-separated thresholds"
+    )
     p.add_argument("--grid-mode", choices=GRID_MODES, default="percentile")
     _grid_options(p)
     p.set_defaults(func=cmd_damcl)
@@ -135,11 +212,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _common_options(p)
     p.add_argument("--corpus", required=True, help="JSONL sequences")
     p.add_argument("--oracle", choices=("planted", "mcl", "lsd_lcl"), default="planted")
-    p.add_argument("--tau", type=float, default=0.6, help="decision threshold")
-    p.add_argument("--short-len", type=float, default=32, help="suffix size; <1 means fraction of length")
-    p.add_argument("--strategy", default="nucleus:0.9")
-    p.add_argument("--tau-sweep", help="comma-separated taus for a sweep table")
-    p.add_argument("--delta", type=float, default=0.2, help="margin for the mcl oracle")
+    p.add_argument("--tau", type=_JSD_BOUND, default=0.6, help="decision threshold")
+    p.add_argument("--short-len", type=_short_len, default=32, help="suffix size; <1 means fraction of length")
+    p.add_argument("--strategy", type=_strategy, default="nucleus:0.9")
+    p.add_argument("--tau-sweep", type=_list_of(_FINITE), help="comma-separated taus for a sweep table")
+    p.add_argument("--delta", type=_SHARE, default=0.2, help="margin for the mcl oracle")
     _grid_options(p)
     p.set_defaults(func=cmd_detect)
 
@@ -147,24 +224,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _common_options(p)
     p.add_argument("--prompts", required=True, help="JSONL prompts: {id, tokens|text, gold?}")
     p.add_argument("--method", choices=GENERATION_METHODS, default="vanilla")
-    p.add_argument("--max-new", type=int, default=64)
-    p.add_argument("--n-samples", type=int, default=5)
-    p.add_argument("--strategy", default="nucleus:0.9")
-    p.add_argument("--lam", type=float, help="boost factor, required for --method taboo")
-    p.add_argument("--alpha", type=float, default=0.5, help="contrast strength for --method cad")
-    p.add_argument("--gamma", type=float, default=0.1225, help="score gate for boosting")
-    p.add_argument("--boost-eps", type=float, default=0.05, help="probability-shift cutoff")
-    p.add_argument("--short-len", type=int, default=32)
+    p.add_argument("--max-new", type=_COUNT, default=64)
+    p.add_argument("--n-samples", type=_COUNT, default=5)
+    p.add_argument("--strategy", type=_strategy, default="nucleus:0.9")
+    p.add_argument(
+        "--lam", type=_ranged(float, ">= 1 and finite", lambda v: 1 <= v < math.inf),
+        help="boost factor, required for --method taboo",
+    )
+    p.add_argument("--alpha", type=_NON_NEGATIVE, default=0.5, help="contrast strength for --method cad")
+    p.add_argument("--gamma", type=_JSD_BOUND, default=0.1225, help="score gate for boosting")
+    p.add_argument(
+        "--boost-eps", type=_ranged(float, "in (0, 1]", lambda v: 0 < v <= 1), default=0.05,
+        help="probability-shift cutoff",
+    )
+    p.add_argument("--short-len", type=_COUNT, default=32)
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("bench", help="detection overhead vs context length")
     _common_options(p)
-    p.add_argument("--lengths", default="100,200,500", help="comma-separated context lengths")
     p.add_argument(
-        "--repeat", type=int, default=3, help="timings per length; the fastest of each is kept"
+        "--lengths", type=_list_of(_COUNT), default="100,200,500", help="comma-separated context lengths"
     )
-    p.add_argument("--short-len", type=int, default=32)
-    p.add_argument("--strategy", default="nucleus:0.9")
+    p.add_argument(
+        "--repeat", type=_COUNT, default=3, help="timings per length; the fastest of each is kept"
+    )
+    p.add_argument("--short-len", type=_COUNT, default=32)
+    p.add_argument("--strategy", type=_strategy, default="nucleus:0.9")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("score", help="text metrics over prediction/gold pairs")
@@ -175,10 +260,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("synth", help="emit a synthetic labeled corpus")
     _common_options(p, parallel=False)
     p.add_argument("--kind", choices=tuple(SYNTH_KINDS), default="niah")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--total-len", type=int, default=200)
-    p.add_argument("--window", type=int, default=32)
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--n", type=_COUNT, default=20)
+    p.add_argument("--total-len", type=_COUNT, default=200)
+    p.add_argument("--window", type=_COUNT, default=32)
+    p.add_argument("--digits", type=_COUNT, default=6)
     p.set_defaults(func=cmd_synth)
 
     return parser, subs.choices
@@ -257,87 +342,14 @@ def _load_tokenized(path, tokenizer):
     return docs, warnings
 
 
-def _parse_buckets(text: str):
-    buckets = []
-    for part in text.split(","):
-        bounds = _parse_numbers(part, "--buckets", int, sep="-") if part.count("-") == 1 else []
-        if len(bounds) != 2 or not 1 <= bounds[0] < bounds[1]:
-            raise UsageError(f"bad bucket {part!r}, expected lo-hi with 1 <= lo < hi")
-        buckets.append(tuple(bounds))
-    return tuple(buckets)
-
-
-def _parse_numbers(text: str, flag: str, kind: type = float, sep: str = ",") -> list:
-    """The ``kind`` values of ``text`` split at ``sep``; empty items are skipped."""
-    try:
-        values = [kind(x) for x in text.split(sep) if x]
-    except ValueError:
-        raise UsageError(f"bad {flag} value {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} needs at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{flag} values must be finite")
-    return values
-
-
-def _parse_strategies(text: str) -> list[DecodingStrategy]:
-    strategies = [DecodingStrategy.parse(tok) for tok in text.split(",") if tok]
-    if not strategies:
-        raise UsageError("--strategies needs at least one strategy")
-    return strategies
-
-
-def _short_len_arg(value: float):
-    if value >= 1:
-        if value != int(value):
-            raise UsageError("--short-len must be an integer when >= 1")
-        return int(value)
-    return float(value)
-
-
-# The range of each numeric option, checked on the parsed options before the backend is built,
-# so config-file values are held to it too. NaN fails every comparison, so it is never in
-# range. The configs that read --tau, --gamma, --grid-start and --grid-step check those.
-_OPTION_RANGES = {
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "parallel": (lambda v: v >= 1, ">= 1"),
-    "n": (lambda v: v >= 1, ">= 1"),
-    "sample": (lambda v: v >= 1, ">= 1"),
-    "repeat": (lambda v: v >= 1, ">= 1"),
-    "n_samples": (lambda v: v >= 1, ">= 1"),
-    "max_new": (lambda v: v >= 1, ">= 1"),
-    "short_len": (lambda v: 0 < v < math.inf, "> 0 and finite"),
-    "delta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "boost_eps": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "lam": (lambda v: 1 <= v < math.inf, ">= 1 and finite"),
-    "alpha": (lambda v: 0 <= v < math.inf, ">= 0 and finite"),
-}
-
-
-def _check_ranges(args) -> None:
-    for dest, (in_range, bound) in _OPTION_RANGES.items():
-        value = getattr(args, dest, None)
-        if value is not None and not in_range(value):
-            raise UsageError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
-
-
-# The value the commands read in place of each option's text, made once, after _check_ranges.
-_OPTION_VALUES = {
-    "strategies": _parse_strategies,
-    "strategy": DecodingStrategy.parse,
-    "epsilons": lambda text: _parse_numbers(text, "--epsilons"),
-    "tau_sweep": lambda text: _parse_numbers(text, "--tau-sweep"),
-    "lengths": lambda text: _parse_numbers(text, "--lengths", int),
-    "buckets": _parse_buckets,
-    "short_len": _short_len_arg,
-}
-
-
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """The options of ``argv``, each read once and checked before a backend is built or ``--out`` made.
 
     A ``--config`` file's lines go in right after the subcommand as the flags they name, so
-    argparse holds them to the types, choices and ``required`` of flags, and a later flag wins.
+    argparse holds them to the converters, choices and ``required`` of flags, and a later flag
+    wins. The settings that a command and its summary share are built here, once: ``grid``,
+    ``combos`` (damcl's (strategy, epsilon, file slug) triples), ``lsds``, and ``boost`` with
+    ``boost_record``, the config that each generation record carries.
     """
     parser, table = build_parser()
     find_config = _Parser(add_help=False)
@@ -347,20 +359,29 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if config_path and at is not None:
         argv = [*argv[: at + 1], *_config_flags(config_path, table, argv[at]), *argv[at + 1 :]]
     args = parser.parse_args(argv)
-    _check_ranges(args)
-    for dest, parse in _OPTION_VALUES.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            setattr(args, dest, parse(value))
+    if "grid_start" in args:
+        args.grid = PrefixGrid(args.grid_start, args.grid_step, getattr(args, "grid_mode", "fixed_step"))
     if args.command == "damcl":
-        slugs = [slug for _, _, slug in _damcl_combos(args)[2]]
+        args.combos = [(strategy, eps, f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}")
+                       for strategy in args.strategies for eps in args.epsilons]
+        slugs = [slug for _, _, slug in args.combos]
         for slug in slugs:
             if slugs.count(slug) > 1:
                 raise UsageError(f"two --strategies x --epsilons combinations name damcl_{slug}.jsonl")
-    if args.command == "bench" and any(n <= args.short_len for n in args.lengths):
+    elif args.command == "detect":
+        args.lsds = LsdsConfig(short_len=args.short_len, strategy=args.strategy, tau=args.tau)
+    elif args.command == "generate":
+        if args.method == "taboo" and args.lam is None:
+            raise UsageError("--method taboo requires --lam (no published default)")
+        lam = 1.0 if args.lam is None else args.lam
+        args.boost = BoostConfig(lam, args.gamma, args.boost_eps, args.strategy, args.short_len)
+        args.boost_record = {
+            "method": args.method, "strategy": args.strategy.token(), "lam": lam, "gamma": args.gamma,
+            "epsilon": args.boost_eps, "alpha": args.alpha, "short_len": args.short_len,
+            "max_new": args.max_new,
+        }
+    elif args.command == "bench" and any(n <= args.short_len for n in args.lengths):
         raise UsageError(f"--lengths must all exceed --short-len {args.short_len}")
-    if args.command == "generate" and args.method == "taboo" and args.lam is None:
-        raise UsageError("--method taboo requires --lam (no published default)")
     return args
 
 
@@ -380,11 +401,6 @@ def _setup(args):
         close = getattr(backend, "close", None)
         if close is not None:
             close()
-
-
-def _grid(args) -> PrefixGrid:
-    mode = getattr(args, "grid_mode", "fixed_step")
-    return PrefixGrid(start=args.grid_start, step=args.grid_step, mode=mode)
 
 
 def _load_input_sequences(args, backend):
@@ -541,20 +557,19 @@ def _read(fd: int, n: int) -> bytes:
 def cmd_mcl(args) -> int:
     with _setup(args) as (backend, _):
         samples, warnings = _load_input_sequences(args, backend)
-        grid = _grid(args)
 
         def probe_one(sample, memo):
             """The sequence's record, or, in the stream no file holds, why it was filtered out."""
             if sample.next_token is None:
                 reason = "no ground-truth next token"
-            elif len(sample.tokens) < grid.start:
-                reason = f"sequence length {len(sample.tokens)} below grid start {grid.start}"
+            elif len(sample.tokens) < args.grid.start:
+                reason = f"sequence length {len(sample.tokens)} below grid start {args.grid.start}"
             elif not accepts(
                 prefix_distribution(sample.tokens, len(sample.tokens), memo), sample.next_token, args.delta
             ):
                 reason = "full-context prediction not confident-correct"
             else:
-                probe = mcl(sample.tokens, sample.next_token, args.delta, grid, memo)
+                probe = mcl(sample.tokens, sample.next_token, args.delta, args.grid, memo)
                 return [probe.to_record(sample.seq_id)], []
             return [], [{"seq_id": sample.seq_id, "reason": reason}]
 
@@ -589,36 +604,25 @@ def _mcl_summary(args, units, warnings) -> dict:
             "a": fit.a, "b_hat": fit.b_hat, "b_hat_signed": fit.slope, "r_squared": fit.r_squared
         },
         "delta": args.delta,
-        "grid": asdict(_grid(args)),
+        "grid": asdict(args.grid),
         "truncation": "suffix",
         "seed": args.seed,
     }
     return artifacts
 
 
-def _damcl_combos(args):
-    """The strategies, the epsilons, and each (strategy, epsilon, file slug) combination of them."""
-    combos = [
-        (strategy, eps, f"{strategy.token().replace(':', '-')}_{args.metric}_eps{eps:g}")
-        for strategy in args.strategies
-        for eps in args.epsilons
-    ]
-    return args.strategies, args.epsilons, combos
-
-
 def cmd_damcl(args) -> int:
     with _setup(args) as (backend, _):
         samples, warnings = _load_input_sequences(args, backend)
-        strategies, epsilons, combos = _damcl_combos(args)
+        strategies, epsilons, grid = args.strategies, args.epsilons, args.grid
         floor = min(epsilons)
-        grid = _grid(args)
 
         def probe_one(sample, memo):
             """Every combination of one sequence, cut from one walk per strategy at the smallest epsilon."""
             walks = [damcl(sample.tokens, strategy, args.metric, floor, grid, memo) for strategy in strategies]
             return [[walk.at_epsilon(eps).to_record(sample.seq_id)] for walk in walks for eps in epsilons]
 
-        files = [f"damcl_{slug}.jsonl" for _, _, slug in combos]
+        files = [f"damcl_{slug}.jsonl" for _, _, slug in args.combos]
         _run_units(
             args, backend, samples, probe_one, files, lambda units: _damcl_summary(args, units, warnings)
         )
@@ -627,23 +631,22 @@ def cmd_damcl(args) -> int:
 
 def _damcl_summary(args, units, warnings) -> dict:
     """A histogram per combination and ``damcl_summary.json``, from each unit's records per combination."""
-    _, _, combos = _damcl_combos(args)
-    lengths = [[] for _ in combos]
+    lengths = [[] for _ in args.combos]
     for row in units:
         for combo_lengths, records in zip(lengths, row):
             combo_lengths.extend(r["length"] for r in records)
     artifacts = {
-        f"damcl_{slug}_hist.csv": histogram_csv(ells) for (_, _, slug), ells in zip(combos, lengths)
+        f"damcl_{slug}_hist.csv": histogram_csv(ells) for (_, _, slug), ells in zip(args.combos, lengths)
     }
     artifacts["damcl_summary.json"] = {
         "command": "damcl",
         "combos": [
             {"strategy": strategy.token(), "metric": args.metric, "epsilon": eps, "n": len(ells),
              "mean_length": sum(ells) / len(ells)}
-            for (strategy, eps, _), ells in zip(combos, lengths)
+            for (strategy, eps, _), ells in zip(args.combos, lengths)
         ],
         "warnings": warnings,
-        "grid": asdict(_grid(args)),
+        "grid": asdict(args.grid),
         "truncation": "suffix",
         "seed": args.seed,
     }
@@ -652,8 +655,6 @@ def _damcl_summary(args, units, warnings) -> dict:
 
 def _oracle_label_fn(args):
     """The oracle as a function of (sample, memo), and the fewest tokens a sequence needs for it."""
-    grid = _grid(args)
-
     def label_of(sample, memo):
         if args.oracle == "planted":
             if sample.label is None:
@@ -662,20 +663,16 @@ def _oracle_label_fn(args):
         if sample.next_token is None:
             raise DataError(f"sequence {sample.seq_id} has no ground-truth token")
         if args.oracle == "mcl":
-            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, grid, memo)
+            return mcl_oracle_label(sample.tokens, sample.next_token, args.delta, args.grid, memo)
         return lsd_lcl_oracle_label(sample.tokens, sample.next_token, memo)
 
-    return label_of, {"planted": 1, "mcl": grid.start, "lsd_lcl": LSD_LCL_SHORT_LEN + 1}[args.oracle]
-
-
-def _lsds_config(args) -> LsdsConfig:
-    return LsdsConfig(short_len=args.short_len, strategy=args.strategy, tau=args.tau)
+    return label_of, {"planted": 1, "mcl": args.grid.start, "lsd_lcl": LSD_LCL_SHORT_LEN + 1}[args.oracle]
 
 
 def cmd_detect(args) -> int:
     with _setup(args) as (backend, _):
         samples, warnings = _load_input_sequences(args, backend)
-        cfg = _lsds_config(args)
+        cfg = args.lsds
         label_of, oracle_len = _oracle_label_fn(args)
         # Check every sequence before the first backend call, so a short one writes no partial results.
         too_short = [
@@ -713,7 +710,7 @@ def _detect_summary(args, units, warnings) -> dict:
     for records, dropped in units:
         pairs.extend((r["lsds"], r["label_oracle"] == LONG) for r in records)
         filtered.extend(dropped)
-    cfg = _lsds_config(args)
+    cfg = args.lsds
     auc = roc_auc(pairs)
     at_tau = tau_sweep(pairs, [cfg.tau])[0]
     artifacts = {}
@@ -741,30 +738,9 @@ def _detect_summary(args, units, warnings) -> dict:
     return artifacts
 
 
-def _boost_config(args) -> tuple[BoostConfig, dict]:
-    """The boost settings, and the ``config`` that each generation record and the summary carry."""
-    cfg = BoostConfig(
-        lam=args.lam if args.lam is not None else 1.0,
-        gamma=args.gamma,
-        epsilon=args.boost_eps,
-        strategy=args.strategy,
-        short_len=args.short_len,
-    )
-    return cfg, {
-        "method": args.method,
-        "strategy": cfg.strategy.token(),
-        "lam": cfg.lam,
-        "gamma": cfg.gamma,
-        "epsilon": cfg.epsilon,
-        "alpha": args.alpha,
-        "short_len": cfg.short_len,
-        "max_new": args.max_new,
-    }
-
-
 def cmd_generate(args) -> int:
     with _setup(args) as (backend, _):
-        cfg, config = _boost_config(args)
+        cfg, config = args.boost, args.boost_record
         tokenizer = _tokenizer_of(backend)
         docs, warnings = _load_tokenized(args.prompts, tokenizer)
         prompts = sorted(docs, key=lambda doc: doc.doc_id)
@@ -815,7 +791,7 @@ def _generate_summary(args, units, prompts, warnings) -> dict:
         "command": "generate",
         "n_prompts": len(prompts),
         "n_samples": args.n_samples,
-        "config": _boost_config(args)[1],
+        "config": args.boost_record,
         "prompt_errors": warnings,
         "had_backend_error": had_error,
         "seed": args.seed,

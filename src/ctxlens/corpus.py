@@ -313,6 +313,28 @@ def gen_niah(
     )
 
 
+def _register_lines(tokenizer: Tokenizer, rng_seed: int, total_len: int) -> tuple[list, list, list]:
+    """The tokens, ids and values of the register lines that fit ``total_len`` tokens with the query.
+
+    There is at least one line; ids and values are drawn from a fresh generator on ``rng_seed``.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
+    lines, line_ids, values, total = [], [], [], 0
+    probe = tokenizer.tokenize(REGISTER_QUERY.format("00000"))
+    while True:
+        line_id = f"{int(rng.integers(0, 100000)):05d}"
+        value = f"{int(rng.integers(0, 100000)):05d}"
+        toks = tokenizer.tokenize(REGISTER_LINE.format(line_id, value))
+        if lines and total + len(toks) + len(probe) > total_len:
+            return lines, line_ids, values
+        lines.append(toks)
+        line_ids.append(line_id)
+        values.append(value)
+        total += len(toks)
+        if total + len(probe) >= total_len:
+            return lines, line_ids, values
+
+
 def gen_longeval(
     tokenizer: Tokenizer,
     rng_seed: int = 0,
@@ -328,24 +350,7 @@ def gen_longeval(
     tokens of the prompt.
     """
     _check_layout(total_len, window)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    lines: list[list[int]] = []
-    line_ids: list[str] = []
-    values: list[str] = []
-    total = 0
-    probe = tokenizer.tokenize(REGISTER_QUERY.format("00000"))
-    while True:
-        line_id = f"{int(rng.integers(0, 100000)):05d}"
-        value = f"{int(rng.integers(0, 100000)):05d}"
-        toks = tokenizer.tokenize(REGISTER_LINE.format(line_id, value))
-        if lines and total + len(toks) + len(probe) > total_len:
-            break
-        lines.append(toks)
-        line_ids.append(line_id)
-        values.append(value)
-        total += len(toks)
-        if total + len(probe) >= total_len:
-            break
+    lines, line_ids, values = _register_lines(tokenizer, rng_seed, total_len)
     if len(lines) < 2:
         raise DataError("total_len too small for at least two register lines")
     if not 1 <= answer_line_distance <= len(lines):
@@ -376,6 +381,7 @@ def synth_sample(
 
     The draw is the first of a fresh generator on ``seed``, and so is the
     magic number inside ``gen_niah``; the filler comes from ``derive_seed(seed, 1)``.
+    A line distance is drawn among the lines ``gen_longeval`` builds.
     """
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}")
@@ -390,7 +396,6 @@ def synth_sample(
         return gen_niah(
             filler, tokenizer, seed, total_len=total_len, needle_pos=needle_pos, digits=digits, window=window
         )
-    line_len = len(tokenizer.tokenize(REGISTER_LINE.format("00000", "00000")))
-    est_lines = max(2, (total_len - 12) // max(1, line_len))
-    distance = int(rng.integers(1, est_lines + 1))
+    n_lines = len(_register_lines(tokenizer, seed, total_len)[0])
+    distance = int(rng.integers(1, n_lines + 1))
     return gen_longeval(tokenizer, seed, total_len=total_len, answer_line_distance=distance, window=window)

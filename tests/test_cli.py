@@ -373,10 +373,12 @@ class TestDamclCommand:
         assert code == 1
 
     @pytest.mark.parametrize("epsilons", ["0.1,-0.1", "nan", "0.1,nan", "inf", "0.1,inf", ","])
-    def test_negative_or_non_finite_epsilon_is_usage_error(self, tmp_path, epsilons):
+    def test_negative_or_non_finite_epsilon_is_usage_error(self, tmp_path, capsys, epsilons):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_corpus_records(n_short=1, n_long=0))
         argv = ["damcl", "--backend", PLANTED, "--corpus", str(corpus), "--epsilons", epsilons]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --epsilons: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "options, name",
@@ -952,8 +954,7 @@ class TestRunner:
             units = [(read_jsonl(out / "mcl_results.jsonl"), summary["filtered"])]
             artifacts = cli._mcl_summary(args, units, summary["warnings"])
         elif command == "damcl":
-            _, _, combos = cli._damcl_combos(args)
-            units = [tuple(read_jsonl(out / f"damcl_{slug}.jsonl") for _, _, slug in combos)]
+            units = [tuple(read_jsonl(out / f"damcl_{slug}.jsonl") for _, _, slug in args.combos)]
             artifacts = cli._damcl_summary(args, units, [])
         elif command == "detect":
             filtered = read_report(out / "detect_summary.json")["filtered"]
@@ -1163,7 +1164,7 @@ class TestBenchCommand:
     def test_malformed_lengths_are_usage_error(self, tmp_path, capsys):
         argv = ["bench", "--backend", "mock:uniform:vocab=8", "--lengths", "100,x"]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "usage error: bad --lengths value '100,x'\n"
+        assert capsys.readouterr().err == "usage error: argument --lengths: invalid int value: 'x'\n"
 
 
 class TestScoreCommand:
@@ -1370,11 +1371,11 @@ class TestSynthCommand:
         assert hashlib.sha256((tmp_path / "synth.jsonl").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("digits", ["-1", "0"])
-    def test_digits_below_one_is_a_data_error(self, tmp_path, capsys, digits):
+    def test_digits_below_one_is_a_usage_error(self, tmp_path, capsys, digits):
         argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", "niah", "--n", "2", "--digits", digits]
-        assert run([*argv, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == "data error: digits must be >= 1\n"
-        assert not (tmp_path / "synth.jsonl").exists()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"usage error: argument --digits: must be >= 1, got {digits}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_records_stay_in_example_order_past_four_digit_ids(self, tmp_path):
         argv = ["synth", "--backend", "mock:uniform:vocab=512", "--kind", "longeval", "--n", "10002"]
@@ -1702,7 +1703,9 @@ class TestTopLevelInterface:
         docs = write_jsonl(tmp_path / "docs.jsonl", [{"id": "d", "tokens": list(range(300))}])
         argv = ["mcl", "--backend", "mock:uniform:vocab=512", "--corpus", str(docs), "--sample", "1"]
         assert run([*argv, "--buckets", "a-b", "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "usage error: bad --buckets value 'a-b'\n"
+        assert capsys.readouterr().err == (
+            "usage error: argument --buckets: bad bucket 'a-b', expected lo-hi with 1 <= lo < hi\n"
+        )
 
     def test_unrecognized_backend_spec(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", planted_corpus_records(n_short=1, n_long=0))
@@ -1785,6 +1788,19 @@ class TestOptionRanges:
             ("bench", ["--seed", "-5"], "--seed"),
             ("synth", ["--seed", "-5"], "--seed"),
             ("synth", ["--n", "0"], "--n"),
+            ("detect", ["--tau", "5"], "--tau"),
+            ("detect", ["--tau", "-0.1"], "--tau"),
+            ("detect", ["--tau", "nan"], "--tau"),
+            ("generate", ["--gamma", "2"], "--gamma"),
+            ("generate", ["--gamma", "nan"], "--gamma"),
+            ("mcl", ["--grid-start", "0"], "--grid-start"),
+            ("detect", ["--oracle", "mcl", "--grid-step", "0"], "--grid-step"),
+            ("damcl", ["--grid-step", "0"], "--grid-step"),
+            ("damcl", ["--epsilons", "0.1,-0.1"], "--epsilons"),
+            ("synth", ["--digits", "0"], "--digits"),
+            ("synth", ["--window", "0"], "--window"),
+            ("synth", ["--total-len", "0"], "--total-len"),
+            ("bench", ["--lengths", "100,0"], "--lengths"),
         ],
     )
     def test_out_of_range_option_is_usage_error_before_any_call(
@@ -1792,10 +1808,11 @@ class TestOptionRanges:
     ):
         mock = cli.build_backend(PLANTED)
         monkeypatch.setattr(cli, "build_backend", lambda spec: mock)
-        argv = [*inputs[command], "--backend", PLANTED, *options, "--out", str(tmp_path / "out")]
-        assert run(argv) == 1
-        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be ")
+        out = tmp_path / "out"
+        assert run([*inputs[command], "--backend", PLANTED, *options, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: must be ")
         assert mock.calls == 0
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, options",
@@ -1805,6 +1822,7 @@ class TestOptionRanges:
             ("docs", ["--sample", "1", "--buckets", "5"]),
             ("docs", ["--sample", "1", "--buckets", "100-50"]),
             ("docs", ["--sample", "1", "--buckets", "0-10"]),
+            ("docs", ["--sample", "1", "--buckets", "32-100,32-100"]),
             ("detect", ["--strategy", "bogus"]),
             ("detect", ["--tau-sweep", ","]),
             ("detect", ["--short-len", "1.5"]),
@@ -1823,12 +1841,23 @@ class TestOptionRanges:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not out.exists()
 
+    def test_every_numeric_option_carries_its_range(self):
+        # A bare int or float type would let any value through to the command.
+        _, table = cli.build_parser()
+        bare = [
+            f"{name} {action.option_strings[0]}"
+            for name, sub in table.items()
+            for action in sub._actions
+            if action.type in (int, float)
+        ]
+        assert bare == []
+
     def test_config_file_values_are_held_to_the_same_ranges(self, tmp_path, capsys, inputs):
         config = tmp_path / "run.cfg"
         config.write_text("delta = 1e999\n")
         argv = [*inputs["mcl"], "--backend", PLANTED, "--config", str(config), "--out", str(tmp_path / "out")]
         assert run(argv) == 1
-        assert capsys.readouterr().err == "usage error: --delta must be in [0, 1], got inf\n"
+        assert capsys.readouterr().err == "usage error: argument --delta: must be in [0, 1], got inf\n"
 
 
 def test_http_backend_is_closed_when_the_command_ends(tmp_path):

@@ -426,6 +426,20 @@ class TestSynthSample:
             gen_longeval(TOKENIZER, total_len=10, answer_line_distance=1, window=0)
         with pytest.raises(DataError, match="window must be >= 1"):
             synth_sample("longeval", 300, 0, 6, TOKENIZER, seed=0)
+        with pytest.raises(DataError, match="digits must be >= 1"):
+            gen_niah(filler, TOKENIZER, total_len=10, needle_pos=0, digits=0)
+
+    @pytest.mark.parametrize("total_len", [200, 500])
+    def test_longeval_queries_a_line_that_was_built(self, total_len):
+        # With one token per character the query takes more than 12 tokens, so a line count
+        # estimated from the length alone could exceed the lines the prompt holds.
+        class CharTokenizer:
+            def tokenize(self, text):
+                return [ord(ch) for ch in text]
+
+        for seed in range(30):
+            sample = synth_sample("longeval", total_len, 32, 6, CharTokenizer(), seed=seed)
+            assert len(sample.tokens) <= total_len
 
     @pytest.mark.parametrize("kind, doc_id", [("niah", "niah"), ("longeval", "longeval")])
     def test_sample_has_the_drawn_layout(self, kind, doc_id):
