@@ -83,26 +83,34 @@ def complete_distribution(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int
     """Turn parallel columns of token ids and logprobs into a full distribution.
 
     Residual mass 1 - sum(exp(logprob)) is spread uniformly over ids that
-    did not appear. A completed vector whose total is not finite or strays
-    from 1 by more than 1e-6 means the server reported inconsistent logprobs.
-    Otherwise it is divided by that total in place, which gives the bits
-    ``TokenDistribution.from_weights`` would without its checks and its copy:
-    the entries are finite and non-negative once the total is.
+    did not appear. An id listed twice, or a completed vector whose total is
+    not finite or strays from 1 by more than 1e-6, means the server reported
+    inconsistent logprobs. Otherwise the vector is divided by that total in
+    place, which gives the bits ``TokenDistribution.from_weights`` would
+    without its checks and its copy: the entries are finite and non-negative
+    once the total is. The caller's arrays are left as they are.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    logprobs = np.asarray(logprobs, dtype=np.float64)
+    return _complete(np.asarray(ids, dtype=np.int64), np.array(logprobs, dtype=np.float64), vocab_size)
+
+
+def _complete(ids: np.ndarray, logprobs: np.ndarray, vocab_size: int) -> TokenDistribution:
+    """``complete_distribution`` of columns no one else holds: ``logprobs`` is exponentiated in place."""
     if ids.shape != logprobs.shape or ids.ndim != 1:
         raise BackendError(f"token ids {ids.shape} and logprobs {logprobs.shape} do not pair up")
     outside = (ids < 0) | (ids >= vocab_size)
     if outside.any():
         raise BackendError(f"server returned token id {ids[outside][0]} outside vocab {vocab_size}")
-    probs = np.zeros(vocab_size, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is caught by the total check below
-        probs[ids] = np.exp(logprobs)
     seen = np.zeros(vocab_size, dtype=bool)
     seen[ids] = True
+    listed = int(np.count_nonzero(seen))
+    if listed < len(ids):
+        raise BackendError(f"server returned token id {np.flatnonzero(np.bincount(ids) > 1)[0]} more than once")
+    with np.errstate(over="ignore"):  # an overflow is caught by the total check below
+        np.exp(logprobs, out=logprobs)
+    probs = np.zeros(vocab_size, dtype=np.float64)
+    probs[ids] = logprobs
     residual = 1.0 - float(probs.sum())
-    missing = vocab_size - int(np.count_nonzero(seen))
+    missing = vocab_size - listed
     if missing > 0 and residual > 0.0:
         probs[~seen] = residual / missing
     total = float(probs.sum())
@@ -241,7 +249,7 @@ class HttpBackend(_HttpBase):
         self._vocab_size = vocab
         if eos is not None:
             self.eos_token_id = eos
-        return complete_distribution(ids, logprobs, vocab)
+        return _complete(ids, logprobs, vocab)
 
     def tokenize(self, text: str) -> list[int]:
         return self._post(
@@ -278,7 +286,7 @@ class OpenAICompatBackend(_HttpBase):
             "echo": False,
         }
         ids, logprobs = self._post("/v1/completions", body, lambda raw: _read_top_logprobs(orjson.loads(raw)))
-        return complete_distribution(ids, logprobs, self._vocab_size)
+        return _complete(ids, logprobs, self._vocab_size)
 
 
 # The two entry-list layouts that get the columnar decode: ``json.dumps``'s
@@ -292,7 +300,7 @@ _NUMBER_CHARS = b"0123456789.eE+-"
 _BLANK_LAYOUT = bytes.maketrans(b'{}":idlogprb ', b" \n" + b" " * 11)
 # The entry list is read in pieces of about this many bytes, each ending at an
 # entry boundary, so a decode's working set does not grow with the vocabulary.
-_PIECE_BYTES = 1 << 20
+_PIECE_BYTES = 1 << 18
 
 
 def _decode_next_logprobs(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray]:
@@ -322,9 +330,15 @@ def _read_columns(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray] 
     the layout with a number in each gap. The body with the list emptied
     must parse, once, to an object whose ``logprobs`` is ``[]``. The body is
     then valid JSON, and orjson reads the same numbers from it as from the
-    pieces; they go through the same ``np.fromiter`` as in
-    ``_read_next_logprobs``. Any other body, one with a malformed value
-    included, returns None and is left to that reference path.
+    pieces. Every id must be an integer; ids and logprobs go through the
+    same ``np.fromiter`` as in ``_read_next_logprobs``. Any other body, one
+    with a malformed value included, returns None and is left to that
+    reference path.
+
+    The pieces are written into two columns allocated once. Every entry of
+    the layout holds one ``}`` and a number holds none, so the list's count
+    of ``}``, taken a piece at a time, bounds its entries, and meets it when
+    the list is the layout.
     """
     start, end = raw.find(b"["), raw.rfind(b"]")
     if not 0 <= start < end:
@@ -334,7 +348,11 @@ def _read_columns(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray] 
     if sep is None:
         return None
     boundary = b"}" + sep + b"{"
-    ids, logprobs = [], []
+    listed = np.frombuffer(raw, dtype=np.uint8)[start:end]
+    capacity = sum(int(np.count_nonzero(listed[i : i + _PIECE_BYTES] == ord("}")))
+                   for i in range(0, len(listed), _PIECE_BYTES))
+    ids, logprobs = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.float64)
+    filled = 0
     try:
         head = orjson.loads(raw[: start + 1] + raw[end:])
         if type(head) is not dict or head.get("logprobs") != []:
@@ -347,13 +365,17 @@ def _read_columns(raw: bytes) -> tuple[int, int | None, np.ndarray, np.ndarray] 
             numbers = _read_piece(memoryview(raw)[at:stop], entry, sep)
             if numbers is None:
                 return None
-            k = len(numbers) // 2
-            ids.append(np.fromiter(numbers[0::2], dtype=np.int64, count=k))
-            logprobs.append(np.fromiter(numbers[1::2], dtype=np.float64, count=k))
+            piece_ids = numbers[0::2]
+            if type(sum(piece_ids)) is not int:  # an id such as 5.0 or 1e2 is a float, and so is the sum
+                return None
+            k = len(piece_ids)
+            ids[filled : filled + k] = np.fromiter(piece_ids, dtype=np.int64, count=k)
+            logprobs[filled : filled + k] = np.fromiter(numbers[1::2], dtype=np.float64, count=k)
+            filled += k
             at = stop + len(sep)
     except (BackendError, ValueError, OverflowError):  # orjson.JSONDecodeError is a ValueError
         return None
-    return vocab, eos, np.concatenate(ids), np.concatenate(logprobs)
+    return vocab, eos, ids[:filled], logprobs[:filled]
 
 
 def _read_piece(piece: memoryview, entry: bytes, sep: bytes) -> list | None:
@@ -386,7 +408,11 @@ def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.nda
         eos = data.get("eos_token_id")
         entries = data["logprobs"]
         n = len(entries)
-        ids = np.fromiter(map(itemgetter("id"), entries), dtype=np.int64, count=n)
+        ids = list(map(itemgetter("id"), entries))
+        for token_id in ids:
+            if type(token_id) is not int:  # np.fromiter would read JSON true as 1 and 1.5 as 1
+                raise BackendError(f"malformed next_logprobs response: token id {token_id!r} is no integer")
+        ids = np.fromiter(ids, dtype=np.int64, count=n)
         logprobs = np.fromiter(map(itemgetter("logprob"), entries), dtype=np.float64, count=n)
         return vocab, None if eos is None else int(eos), ids, logprobs
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

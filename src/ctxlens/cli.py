@@ -569,6 +569,7 @@ def cmd_mcl(args) -> int:
             ):
                 reason = "full-context prediction not confident-correct"
             else:
+                memo.longest_kept = 0  # the walk asks twice only for the full sequence, stored by the gate
                 probe = mcl(sample.tokens, sample.next_token, args.delta, args.grid, memo)
                 return [probe.to_record(sample.seq_id)], []
             return [], [{"seq_id": sample.seq_id, "reason": reason}]
@@ -750,6 +751,10 @@ def cmd_generate(args) -> int:
             p_idx, prompt = item
             records = []
             for k in range(args.n_samples):
+                if k == args.n_samples - 1:
+                    # A later sample may follow an earlier one's tokens, but none follows the last,
+                    # whose full contexts grow every step: only its short suffixes can come back.
+                    memo.longest_kept = args.short_len
                 seed = derive_seed(args.seed, p_idx, k)
                 result = generate(prompt.tokens, args.max_new, args.method, cfg, seed, memo, alpha=args.alpha)
                 text = tokenizer.detokenize(result.tokens)
@@ -921,7 +926,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     # glibc's largest mmap threshold, 4 MiB per byte of a long (32 MiB on 64-bit): blocks up
-    # to it, such as a float64 vector at V=131072 or orjson's parse buffers for a 6 MB body,
+    # to it, such as a float64 vector at V=131072 or the 6 MB JSON body of a V=131072 reply,
     # come from the heap.
     mallopt(_M_MMAP_THRESHOLD, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
     # Above the free top one call leaves (tens of MB at most, with every thread's

@@ -1,5 +1,8 @@
 import collections
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -13,6 +16,33 @@ from ctxlens.dist import TokenDistribution
 
 #: Property tests run a fixed example sequence and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run by ``peak_rss_mb``: it spawns the command, reaps it with os.wait4 and prints the exit code
+# and ru_maxrss (KiB on Linux) on its last line of output.
+_LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "ctxlens.cli", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(argv: list[str]) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of ``python -m ctxlens.cli *argv`` as a child process.
+
+    The peak is the child's ``ru_maxrss`` from ``os.wait4``, the measure ``perfbench/run.py``
+    takes. On Linux that figure also counts the memory of the process that forked the child,
+    so a small launcher process starts the command: started from the test process, the
+    command would read at least the test process's own peak.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    code, kib = done.stdout.splitlines()[-1].split()
+    return int(code), int(kib) / 1024
 
 
 def pytest_collection_modifyitems(items):

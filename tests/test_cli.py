@@ -9,17 +9,28 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ctxlens.cli as cli
-from conftest import FakeModelServer, write_jsonl
-from ctxlens.backends import ConstantBackend, FlakyBackend, PlantedLastTokenBackend
+from conftest import PROPERTY, FakeModelServer, peak_rss_mb, write_jsonl
+from ctxlens.backends import (
+    ConstantBackend,
+    FlakyBackend,
+    PlantedDependencyBackend,
+    PlantedLastTokenBackend,
+)
+from ctxlens.backends.base import BackendWrapper
 from ctxlens.boosting import GENERATION_METHODS
 from ctxlens.corpus import SYNTH_KINDS, load_jsonl
 from ctxlens.decoding import apply_strategy
@@ -847,6 +858,116 @@ class TestUpstreamCalls:
                 assert run([argv[0], "--backend", srv.url, *argv[1:]]) == 0
                 tokenized.append(srv.hits["/v1/tokenize"] - before)
         assert tokenized == [2, 2, 0, 2]
+
+
+class KeepEverythingMemo(BackendWrapper):
+    """The memo before ``longest_kept``: it stores every miss. Kept as the reference for the keep rule."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.store = {}
+        self.longest_kept = math.inf  # the commands set it; this memo ignores it
+
+    def next_token_distribution(self, tokens):
+        if tokens not in self.store:
+            self.store[tokens] = self.inner.next_token_distribution(tokens)
+        return self.store[tokens]
+
+
+class FreshCopies(BackendWrapper):
+    """``inner``'s distributions, each in a new array, as an HTTP backend returns them."""
+
+    def next_token_distribution(self, tokens):
+        return TokenDistribution.from_probs(self.inner.next_token_distribution(tokens).probs)
+
+
+class TestMemoKeepRule:
+    """A unit's memo stores a distribution only if the unit can ask for it again."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_same_calls_and_records_as_a_memo_that_keeps_everything(self, data):
+        def draw_ints(lo, hi):
+            return data.draw(st.integers(lo, hi))
+
+        command = data.draw(st.sampled_from([*GENERATION_METHODS, "mcl"]))
+        if command == "mcl":
+            # The last token plants the dependency depth, so walks resolve anywhere or nowhere.
+            vocab, start, step = 64, draw_ints(1, 6), draw_ints(1, 5)
+            rows = [
+                {"seq_id": f"s{i}", "tokens": [draw_ints(0, 63) for _ in range(n - 1)] + [draw_ints(1, 63)],
+                 "next_token": 1}
+                for i, n in enumerate(data.draw(st.lists(st.integers(start, 40), min_size=1, max_size=3)))
+            ]
+            argv = ["mcl", "--corpus", "{dir}/in.jsonl", "--grid-start", str(start), "--grid-step", str(step),
+                    "--delta", "0.2"]
+        else:
+            # A vocab of 2 to 4 ids and a short suffix of 1 to 4 tokens: draws repeat and short suffixes
+            # recur, within a sample and across samples. Prompts are shorter and longer than the suffix.
+            vocab, short_len = draw_ints(2, 4), draw_ints(1, 4)
+            rows = [{"id": f"p{i}", "tokens": [draw_ints(0, vocab - 1) for _ in range(n)]}
+                    for i, n in enumerate(data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=2)))]
+            argv = ["generate", "--prompts", "{dir}/in.jsonl", "--method", command, "--lam", "2",
+                    "--short-len", str(short_len), "--n-samples", str(draw_ints(1, 3)),
+                    "--max-new", str(draw_ints(1, 8)), "--gamma", "0"]
+        argv += ["--backend", "unused", "--seed", str(draw_ints(0, 2**16)), "--out", "{dir}/out"]
+        outcomes = []
+        for memo in (cli.CachedBackend, KeepEverythingMemo):
+            backend = PlantedLastTokenBackend(vocab_size=vocab, answer_token=1)
+            with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CachedBackend", memo),
+                  mock.patch.object(cli, "build_backend", lambda spec: backend)):
+                write_jsonl(Path(tmp) / "in.jsonl", rows)
+                assert run([arg.format(dir=tmp) for arg in argv]) == 0
+                outcomes.append((backend.calls, tree_bytes(Path(tmp) / "out")))
+        assert outcomes[0] == outcomes[1]
+
+    def test_mcl_walk_at_128k_holds_one_distribution(self, tmp_path, monkeypatch):
+        # Grid points 32, 48, ..., 1888 and the full 1890 tokens: 118. Only the full context is
+        # confident, so the walk visits them all and ends at the gate's context.
+        vocab, length = 131072, 1890
+        inner = PlantedDependencyBackend(vocab, dependency_length=length, answer_token=5)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: FreshCopies(inner))
+        held, walk = [], cli.mcl
+
+        def traced_walk(*args):
+            probe = walk(*args)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            return probe
+
+        monkeypatch.setattr(cli, "mcl", traced_walk)
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", [{"seq_id": "s", "tokens": [1] * length, "next_token": 5}])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(["mcl", "--backend", "unused", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+        finally:
+            tracemalloc.stop()
+        (record,) = read_jsonl(tmp_path / "out" / "mcl_results.jsonl")
+        assert (len(record["grid"]), record["length"], inner.calls) == (118, length, 118)
+        # The gate's distribution is 1 MiB; keeping every point's held 119 MiB.
+        assert held[0] < 3 * 2**20
+
+    def test_generate_peak_rss_does_not_grow_with_max_new(self, tmp_path):
+        # Each step's context is one token longer than the last, so the one sample stores none of them.
+        # Keeping them all grew the peak by about 1.1 MB per step, 11 MB over these ten.
+        vocab = 131072
+        logprobs = np.full(vocab, math.log(0.01 / (vocab - 1)))
+        logprobs[7] = math.log(0.99)
+        raw = json.dumps({"logprobs": [{"id": i, "logprob": lp} for i, lp in enumerate(logprobs.tolist())],
+                          "vocab_size": vocab}).encode()
+        prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"id": "p", "tokens": list(range(40))}])
+        peaks = {}
+        with FakeModelServer() as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw)
+            srv.routes["/v1/detokenize"] = lambda body, n: (200, {"text": "t"})
+            for max_new in (2, 12):
+                code, peaks[max_new] = peak_rss_mb([
+                    "generate", "--backend", srv.url, "--prompts", str(prompts), "--method", "vanilla",
+                    "--n-samples", "1", "--max-new", str(max_new), "--out", str(tmp_path / f"out{max_new}"),
+                ])
+                assert code == 0
+        assert srv.hits["/v1/next_logprobs"] == 2 + 12
+        assert abs(peaks[12] - peaks[2]) < 3, peaks
 
 
 class MinimalBackend:

@@ -104,6 +104,12 @@ class TestCompleteDistribution:
         with pytest.raises(BackendError):
             complete_distribution([-1], [0.0], 4)
 
+    @pytest.mark.parametrize("ids", [[0, 0], [2, 1, 2]])
+    def test_repeated_id_rejected(self, ids):
+        # Listed twice, an id's first mass was overwritten, then spread over the unlisted ids as residual.
+        with pytest.raises(BackendError, match=f"token id {ids[-1]} more than once"):
+            complete_distribution(ids, [math.log(0.5)] * len(ids), 3)
+
     @PROPERTY
     @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_matches_math_exp_loop(self, vocab, seed, share):
@@ -130,9 +136,12 @@ class TestCompleteDistribution:
         if missing:
             completed[np.isin(np.arange(vocab), ids, invert=True)] = (1.0 - float(completed.sum())) / missing
         want = TokenDistribution.from_weights(completed)
+        sent = ids.copy(), logprobs.copy()
         got = complete_distribution(ids, logprobs, vocab)
         assert got.probs.tobytes() == want.probs.tobytes()
         assert got.ids is None and not got.probs.flags.writeable
+        # The client exponentiates its own columns in place; a caller's arrays are left as they were.
+        assert ids.tobytes() == sent[0].tobytes() and logprobs.tobytes() == sent[1].tobytes()
 
 
 class TestProbesOnFreshBackend:
@@ -640,6 +649,34 @@ class TestColumnarDecode:
         assert got[0] == vocab and len(got[2]) == vocab
         assert peak < 10 * 2**20
 
+    def test_decode_and_completion_at_128k_peak_below_4_mib(self):
+        # 2 MiB of id and logprob columns allocated once, pieces of 256 KiB and a 1 MiB vector
+        # completed from the logprobs column in place; the columns grown piece by piece and a
+        # temporary for the probabilities peaked near 6 MiB.
+        vocab = 131072
+        entries = [{"id": i, "logprob": lp} for i, lp in enumerate(fp32_log_softmax(1, vocab).tolist())]
+        raw = json.dumps({"logprobs": entries, "vocab_size": vocab}).encode()
+        del entries
+        tracemalloc.start()
+        try:
+            vocab_size, _, ids, logprobs = http_module._decode_next_logprobs(raw)
+            got = http_module._complete(ids, logprobs, vocab_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.vocab_size == vocab and float(got.probs.sum()) == pytest.approx(1.0)
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("entry", ['{"id": %s, "logprob": -1.5}', '{"logprob": -1.5, "id": %s}'],
+                             ids=["columnar", "reference"])
+    @pytest.mark.parametrize("token_id", ["1.5", "5.0", "1e2", "-0.0", "true"])
+    def test_an_id_that_is_no_integer_is_a_backend_error(self, entry, token_id):
+        # np.int64 used to take 1.5 and true as 1, 5.0 as 5 and 1e2 as 100.
+        raw = b'{"logprobs": [{"id": 0, "logprob": -0.5}, %s], "vocab_size": 200}' % (entry % token_id).encode()
+        assert http_module._read_columns(raw) is None
+        with pytest.raises(BackendError, match="is no integer"):
+            http_module._decode_next_logprobs(raw)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fp32_logprobs_at_128k(self, seed):
         vocab = 131072
@@ -786,9 +823,17 @@ class TestOpenAICompatBackend:
             assert d.entry(3) == pytest.approx(0.4, abs=1e-9)
             assert b.vocab_size == 4
 
-    def test_malformed_response_is_backend_error(self):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"choices": []},
+            # Keys "1" and "01" both name id 1.
+            {"choices": [{"logprobs": {"top_logprobs": [{"1": math.log(0.5), "01": math.log(0.5)}]}}]},
+        ],
+    )
+    def test_malformed_response_is_backend_error(self, payload):
         with FakeModelServer() as srv:
-            srv.routes["/v1/completions"] = lambda body, n: (200, {"choices": []})
+            srv.routes["/v1/completions"] = lambda body, n: (200, payload)
             b = OpenAICompatBackend(
                 BackendEndpoint(base_url=srv.url, timeout_s=5.0), model="m", vocab_size=4
             )
