@@ -404,8 +404,13 @@ def _has_empty_gap(listed: np.ndarray) -> bool:
 def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.ndarray]:
     """Vocab size, EOS id, and the id and logprob columns of a next_logprobs response."""
     try:
-        vocab = int(data["vocab_size"])
+        vocab = data["vocab_size"]
         eos = data.get("eos_token_id")
+        # int() would read 4.9 as 4 and true as 1.
+        if type(vocab) is not int or vocab < 1:
+            raise BackendError(f"malformed next_logprobs response: vocab_size {vocab!r} is no integer >= 1")
+        if eos is not None and type(eos) is not int:
+            raise BackendError(f"malformed next_logprobs response: eos_token_id {eos!r} is no integer")
         entries = data["logprobs"]
         n = len(entries)
         ids = list(map(itemgetter("id"), entries))
@@ -414,7 +419,7 @@ def _read_next_logprobs(data: dict) -> tuple[int, int | None, np.ndarray, np.nda
                 raise BackendError(f"malformed next_logprobs response: token id {token_id!r} is no integer")
         ids = np.fromiter(ids, dtype=np.int64, count=n)
         logprobs = np.fromiter(map(itemgetter("logprob"), entries), dtype=np.float64, count=n)
-        return vocab, None if eos is None else int(eos), ids, logprobs
+        return vocab, eos, ids, logprobs
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed next_logprobs response: {exc!r}") from exc
 
@@ -424,8 +429,18 @@ def _read_top_logprobs(data: dict) -> tuple[np.ndarray, np.ndarray]:
     try:
         table = data["choices"][0]["logprobs"]["top_logprobs"][0]
         n = len(table)
-        ids = np.fromiter(map(int, table), dtype=np.int64, count=n)
+        ids = np.fromiter(map(_token_id_key, table), dtype=np.int64, count=n)
         logprobs = np.fromiter(table.values(), dtype=np.float64, count=n)
         return ids, logprobs
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise BackendError(f"malformed completion response: {exc!r}") from exc
+
+
+def _token_id_key(key: str) -> int:
+    """The token id a ``top_logprobs`` key names: ASCII digits without a leading zero.
+
+    ``int()`` alone would also read ``" 1"`` as 1, ``"1_0"`` as 10 and the fullwidth ``"２"`` as 2.
+    """
+    if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
+        raise BackendError(f"malformed completion response: top_logprobs key {key!r} is no token id")
+    return int(key)

@@ -20,6 +20,13 @@ STRATEGY_KINDS = ("greedy", "top_k", "nucleus", "adaptive")
 #: First chunk of the partial scans in ``_keep_largest`` and ``_nucleus_size``; each next chunk doubles.
 _CHUNK = 256
 
+#: ``_nucleus_size`` brackets its cut with sums of blocks this long. On a flat V=32768 vector the
+#: cut's sequential sums then cover 512 entries: the first chunk, 128 block sums and one block.
+_BLOCK = 128
+
+#: Allowed gap between two orders of summing k entries of sum S, per entry and unit of S: 4u, u = 2**-53.
+_SUM_ERR = 2.0**-51
+
 #: A decoded distribution records its positive ids when it keeps at most 1/_SPARSE_SHARE of the
 #: vocabulary. Above that, gathers by id cost more than the boolean masks they replace.
 _SPARSE_SHARE = 4
@@ -115,15 +122,17 @@ def _keep_largest(probs: np.ndarray, desc: np.ndarray) -> TokenDistribution:
         size *= 2
     stop = start + int(np.flatnonzero(tied[start : start + size])[need - 1]) + 1
     keep[:stop] |= tied[:stop]
-    out = np.zeros(len(probs))
     ids = None
     if _SPARSE_SHARE * len(desc) <= len(probs):
+        out = np.zeros(len(probs))
         ids = np.flatnonzero(keep)
         out[ids] = probs[ids] / desc.sum()
         ids = ids[out[ids] > 0.0]  # a cut at zero keeps zero entries
         ids.flags.writeable = False
     else:
-        np.divide(probs, desc.sum(), out=out, where=keep)
+        # Zeroing by a multiply costs the same for any mask; a masked divide slows on scattered ones.
+        out = np.divide(probs, desc.sum())
+        out *= keep
     out.flags.writeable = False
     return TokenDistribution(out, ids)
 
@@ -131,26 +140,56 @@ def _keep_largest(probs: np.ndarray, desc: np.ndarray) -> TokenDistribution:
 def _nucleus_size(desc: np.ndarray, p: float) -> int:
     """Length of the shortest prefix of ``desc`` whose running sum reaches ``p``.
 
-    The running sum is taken in growing chunks and stops at the chunk that
-    reaches ``p``. Each chunk is summed in place after the previous chunk's
-    total, so every partial sum equals ``np.cumsum(desc)``'s bitwise.
-    Rounding can leave the whole sum short of p = 1; the answer is then
-    ``len(desc)``.
+    That is the first i with ``np.cumsum(desc)[i - 1] >= p``, or
+    ``len(desc)`` when rounding leaves the whole running sum short of p = 1.
+
+    The first ``_CHUNK`` entries are summed with ``np.cumsum``, so a peaked
+    distribution gets its exact answer there. Past them, ranges that double
+    in size are summed pairwise until the total reaches p. A running sum of
+    that range's ``_BLOCK``-entry block sums finds the block where the sum
+    reaches p, and ``np.cumsum`` runs over that block only. These sums add
+    the same entries as ``np.cumsum`` in another order, so they estimate
+    its running sum rather than repeat it.
+
+    Each floating-point addition of non-negative terms errs by at most u =
+    2**-53 of its result, so any order of summing k of them lands within
+    (k-1)u/(1-(k-1)u) of their exact sum S (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 4), and two orders within about 2·k·u·S
+    of each other. The bound below is twice that, ``_SUM_ERR`` · k · S with
+    k the end of the range and S its estimated total, which also covers the
+    rounding of the bound and of p ± bound. The block's crossing i is
+    accepted only when the estimate at i is at least p + bound and the one
+    at i - 1 is below p - bound: then ``np.cumsum`` reaches p at i and not
+    before, as its running sum never decreases. Otherwise p lies within the
+    bound of an estimate, or no estimate reaches it, and the answer comes
+    from ``np.cumsum`` over the whole of ``desc``. Either way it is the
+    sequential sum's answer, bit for bit.
     """
     n = len(desc)
-    cum = np.empty(n + 1)  # cum[i] becomes the sum of desc[:i]
-    cum[0] = 0.0
-    start, size = 0, _CHUNK
-    while start < n:
+    head = np.cumsum(desc[:_CHUNK])
+    j = int(head.searchsorted(p, side="left"))
+    if j < len(head) or n == len(head):
+        return min(j + 1, n)
+    reached, start, size = float(head[-1]), _CHUNK, 2 * _CHUNK  # reached estimates the sum of desc[:start]
+    while True:
         stop = min(start + size, n)
-        seg = cum[start : stop + 1]  # seg[0] already holds the sum of desc[:start]
-        seg[1:] = desc[start:stop]
-        np.cumsum(seg, out=seg)
-        j = int(np.searchsorted(seg, p, side="left"))
-        if j < len(seg):
-            return start + j
-        start, size = stop, 2 * size
-    return n
+        total = reached + float(desc[start:stop].sum())
+        if total >= p or stop == n:
+            break
+        reached, start, size = total, stop, 2 * size
+    bound = _SUM_ERR * stop * total
+    ends = np.add.reduceat(desc[start:stop], np.arange(0, stop - start, _BLOCK))  # block sums
+    ends[0] += reached
+    np.cumsum(ends, out=ends)  # ends[b] estimates the sum of desc up to the end of block b
+    b = int(ends.searchsorted(p, side="left"))
+    lo = start + b * _BLOCK
+    before = reached if b == 0 else float(ends[b - 1])
+    run = np.cumsum(desc[lo : min(lo + _BLOCK, stop)])  # empty if no block sum reaches p
+    run += before
+    i = int(run.searchsorted(p, side="left"))
+    if i < len(run) and run[i] >= p + bound and (run[i - 1] if i else before) < p - bound:
+        return lo + i + 1
+    return min(int(np.cumsum(desc).searchsorted(p, side="left")) + 1, n)
 
 
 def apply_strategy(dist: TokenDistribution, strategy: DecodingStrategy) -> TokenDistribution:

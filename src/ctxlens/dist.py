@@ -136,10 +136,20 @@ def _positive(p: TokenDistribution) -> np.ndarray:
 
 
 def _kl_to_midpoint(p: TokenDistribution, q: TokenDistribution) -> float:
-    """KL(p || (p + q) / 2), with the midpoint formed only on p's support."""
+    """KL(p || (p + q) / 2), with the midpoint formed only on p's support.
+
+    The terms are formed in place in the gather of q, a fresh copy, with the
+    operations of ``(a * np.log(a / ((a + b) / 2.0))).sum()`` in its order.
+    """
     pos = _positive(p)
     a = p.probs[pos]
-    return float((a * np.log(a / ((a + q.probs[pos]) / 2.0))).sum())
+    m = q.probs[pos]
+    m += a
+    m /= 2.0
+    np.divide(a, m, out=m)
+    np.log(m, out=m)
+    m *= a
+    return float(m.sum())
 
 
 def jsd(p1: TokenDistribution, p2: TokenDistribution) -> float:

@@ -46,12 +46,14 @@ def peak_rss_mb(argv: list[str]) -> tuple[int, float]:
 
 
 def pytest_collection_modifyitems(items):
-    """A test in this directory that leaves a socket or file to the garbage collector fails."""
+    """A test in this directory fails if it leaves a socket or file to the garbage collector, or if
+    numpy overflows, divides by zero or takes log(0) (a ``RuntimeWarning``) on its way to a number."""
     here = Path(__file__).parent
     for item in items:
         if item.path.is_relative_to(here):  # the hook sees every item of the session
             item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 def rand_dist(rng: np.random.Generator, vocab: int, zeros: bool = False) -> TokenDistribution:

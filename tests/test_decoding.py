@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import PROPERTY, dists, rand_dist
+from ctxlens import decoding
 from ctxlens.decoding import (
     DecodingStrategy,
     _nucleus_size,
@@ -60,6 +61,71 @@ def argsort_apply_strategy(dist, strategy):
     out = np.zeros_like(probs)
     out[kept] = probs[kept] / probs[kept].sum()
     return TokenDistribution(out)
+
+
+def bf16(values):
+    """``values`` rounded to bfloat16 (8 significant bits), to nearest with ties to even."""
+    bits = values.astype(np.float32).view(np.uint32)
+    bits = (bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000
+    return bits.view(np.float32).astype(np.float64)
+
+
+@st.composite
+def nucleus_case(draw):
+    """A descending probability vector and a nucleus p.
+
+    Vocabularies run from 1 to 131,072 ids, with free, tied or bf16-rounded
+    weights. p is a fixed or free value, or a running sum of the vector moved
+    by up to three ulps, where only the sequential sum can place the cut.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = draw(st.one_of(st.integers(1, 600), st.integers(1, 131072)))
+    weights = gen.random(vocab) ** draw(st.sampled_from([1.0, 4.0, 16.0]))
+    shape = draw(st.sampled_from(["free", "tied", "bf16"]))
+    if shape == "tied":
+        weights = np.floor(weights * draw(st.sampled_from([3, 50])))
+    elif shape == "bf16":
+        weights = bf16(weights)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    desc = np.sort(TokenDistribution.from_weights(weights).probs)[::-1]
+    kind = draw(st.sampled_from(["fixed", "free", "running sum"]))
+    if kind == "fixed":
+        return desc, draw(st.sampled_from([0.5, 0.9, 0.999, 1.0]))
+    if kind == "free":
+        return desc, draw(st.floats(1e-9, 1.0))
+    p = float(np.cumsum(desc)[draw(st.integers(0, vocab - 1))])
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        p = float(np.nextafter(p, np.inf if steps > 0 else 0.0))
+    return desc, min(max(p, np.nextafter(0.0, 1.0)), 1.0)
+
+
+def flat_case(vocab, p):
+    """The descending vector of ``vocab`` equal weights of 0.1, and p."""
+    return np.sort(TokenDistribution.from_weights(np.full(vocab, 0.1)).probs)[::-1], p
+
+
+class _CountingNumpy:
+    """numpy, recording the length of every array given to ``cumsum``."""
+
+    def __init__(self, sizes):
+        self._sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, *args, **kwargs):
+        self._sizes.append(len(a))
+        return np.cumsum(a, *args, **kwargs)
+
+
+@pytest.fixture
+def counted_cumsum(monkeypatch):
+    """The lengths of the arrays ``ctxlens.decoding`` hands to ``np.cumsum``, in call order."""
+    sizes = []
+    monkeypatch.setattr(decoding, "np", _CountingNumpy(sizes))
+    return sizes
 
 
 @st.composite
@@ -189,17 +255,38 @@ class TestApplyStrategy:
         assert out.same_values(argsort_apply_strategy(d, DecodingStrategy.nucleus(1.0)))
 
     @PROPERTY
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 5000),
-        st.sampled_from([1.0, 4.0, 16.0]),
-        st.one_of(st.sampled_from([0.5, 0.9, 0.999, 1.0]), st.floats(1e-9, 1.0)),
-    )
-    def test_bounded_nucleus_sum_matches_full_cumsum(self, seed, vocab, power, p):
-        probs = TokenDistribution.from_weights(np.random.default_rng(seed).random(vocab) ** power).probs
-        desc = np.sort(probs)[::-1]
-        full = min(int(np.searchsorted(np.cumsum(desc), p, side="left")) + 1, vocab)
+    @given(nucleus_case())
+    @example(flat_case(32768, 0.9))
+    # These two running sums end below 1.0, by about 2e-12 and 1e-16.
+    @example(flat_case(100000, 1.0))
+    @example(flat_case(131072, 1.0))
+    def test_bounded_nucleus_sum_matches_full_cumsum(self, case):
+        desc, p = case
+        full = min(int(np.searchsorted(np.cumsum(desc), p, side="left")) + 1, len(desc))
         assert _nucleus_size(desc, p) == full
+
+    @pytest.mark.parametrize(
+        "vocab, at, whole",
+        [
+            (32768, None, False),  # p = 0.9 lies far from every estimate: the block decides
+            (32768, 20000, True),  # p is a running sum itself: only the whole cumsum can decide
+            (131072, 70000, True),
+        ],
+    )
+    def test_nucleus_cut_takes_the_block_or_the_whole_cumsum(self, counted_cumsum, vocab, at, whole):
+        desc = np.sort(rand_dist(np.random.default_rng(vocab), vocab).probs)[::-1]
+        p = 0.9 if at is None else float(np.cumsum(desc)[at])
+        counted_cumsum.clear()
+        assert _nucleus_size(desc, p) == min(int(np.searchsorted(np.cumsum(desc), p)) + 1, vocab)
+        assert (vocab in counted_cumsum) is whole
+        assert at is None or _nucleus_size(desc, p) == at + 1
+
+    def test_flat_nucleus_cut_sums_at_most_512_entries_in_sequence(self, counted_cumsum):
+        # The first chunk (256), the block sums of the range holding the cut (128) and that block
+        # (128). A running sum over the whole nucleus would take 29,492 entries or more.
+        out = apply_strategy(TokenDistribution.uniform(32768), DecodingStrategy.nucleus(0.9))
+        assert len(out.positive_ids()) == 29492
+        assert counted_cumsum == [256, 128, 128]
 
     def test_bounded_nucleus_sum_keeps_everything_when_the_cumsum_falls_short(self):
         # A running sum past several chunks that ends below 1.0 through rounding.

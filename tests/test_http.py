@@ -677,6 +677,28 @@ class TestColumnarDecode:
         with pytest.raises(BackendError, match="is no integer"):
             http_module._decode_next_logprobs(raw)
 
+    @pytest.mark.parametrize("layout", ['{"id": 0, "logprob": 0.0}', '{"logprob": 0.0, "id": 0}'],
+                             ids=["columnar", "reference"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"vocab_size": 4.9',
+            '"vocab_size": 1.0',
+            '"vocab_size": true',
+            '"vocab_size": "4"',
+            '"vocab_size": 0',
+            '"vocab_size": -3',
+            '"vocab_size": 4, "eos_token_id": true',
+            '"vocab_size": 4, "eos_token_id": 1.0',
+            '"vocab_size": 4, "eos_token_id": "1"',
+        ],
+    )
+    def test_vocab_size_and_eos_must_be_json_integers(self, layout, fields):
+        # int() used to read 4.9 as vocab 4 and true as EOS id 1.
+        raw = b'{"logprobs": [%s], %s}' % (layout.encode(), fields.encode())
+        with pytest.raises(BackendError, match="vocab_size|eos_token_id"):
+            http_module._decode_next_logprobs(raw)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fp32_logprobs_at_128k(self, seed):
         vocab = 131072
@@ -823,11 +845,23 @@ class TestOpenAICompatBackend:
             assert d.entry(3) == pytest.approx(0.4, abs=1e-9)
             assert b.vocab_size == 4
 
+    @pytest.mark.parametrize("key", [" 1", "1 ", "+1", "-1", "1_0", "\uff12", "\u0661", "01", "00", "", "1.0", "0x1"])
+    def test_a_key_that_is_not_plain_decimal_digits_is_a_backend_error(self, key):
+        # int() used to read " 1" as 1, "1_0" as 10 and the fullwidth "２" as 2.
+        table = {"0": math.log(0.5), key: math.log(0.5)}
+        with pytest.raises(BackendError, match="top_logprobs key"):
+            http_module._read_top_logprobs({"choices": [{"logprobs": {"top_logprobs": [table]}}]})
+
+    def test_keys_read_as_decimal_token_ids(self):
+        table = {"0": math.log(0.25), "7": math.log(0.25), "10": math.log(0.25), "131071": math.log(0.25)}
+        ids, _ = http_module._read_top_logprobs({"choices": [{"logprobs": {"top_logprobs": [table]}}]})
+        assert ids.tolist() == [0, 7, 10, 131071]
+
     @pytest.mark.parametrize(
         "payload",
         [
             {"choices": []},
-            # Keys "1" and "01" both name id 1.
+            # "01" is no token id; int() read it as a second entry for id 1.
             {"choices": [{"logprobs": {"top_logprobs": [{"1": math.log(0.5), "01": math.log(0.5)}]}}]},
         ],
     )
