@@ -265,25 +265,18 @@ class TestApplyStrategy:
         full = min(int(np.searchsorted(np.cumsum(desc), p, side="left")) + 1, len(desc))
         assert _nucleus_size(desc, p) == full
 
-    @pytest.mark.parametrize(
-        "vocab, at, whole",
-        [
-            (32768, None, False),  # p = 0.9 lies far from every estimate: the block decides
-            (32768, 20000, True),  # p is a running sum itself: only the whole cumsum can decide
-            (131072, 70000, True),
-        ],
-    )
-    def test_nucleus_cut_takes_the_block_or_the_whole_cumsum(self, counted_cumsum, vocab, at, whole):
+    @pytest.mark.parametrize("vocab, at", [(32768, 20000), (131072, 70000)])
+    def test_p_at_a_running_sum_takes_the_whole_cumsum(self, counted_cumsum, vocab, at):
+        # Block sums land within rounding of p, so only the sequential sum can place the cut.
         desc = np.sort(rand_dist(np.random.default_rng(vocab), vocab).probs)[::-1]
-        p = 0.9 if at is None else float(np.cumsum(desc)[at])
-        counted_cumsum.clear()
-        assert _nucleus_size(desc, p) == min(int(np.searchsorted(np.cumsum(desc), p)) + 1, vocab)
-        assert (vocab in counted_cumsum) is whole
-        assert at is None or _nucleus_size(desc, p) == at + 1
+        p = float(np.cumsum(desc)[at])
+        assert _nucleus_size(desc, p) == at + 1
+        assert counted_cumsum[-1] == vocab
 
     def test_flat_nucleus_cut_sums_at_most_512_entries_in_sequence(self, counted_cumsum):
-        # The first chunk (256), the block sums of the range holding the cut (128) and that block
-        # (128). A running sum over the whole nucleus would take 29,492 entries or more.
+        # The first chunk (256), the block sums of the range holding the cut (128) and the block
+        # holding it (128), and no sum over the whole vector. A running sum over the whole
+        # nucleus would take 29,492 entries or more.
         out = apply_strategy(TokenDistribution.uniform(32768), DecodingStrategy.nucleus(0.9))
         assert len(out.positive_ids()) == 29492
         assert counted_cumsum == [256, 128, 128]
