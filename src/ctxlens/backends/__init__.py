@@ -4,7 +4,7 @@ The HTTP client names load ``backends.http`` (and with it ``http.client``, ``ssl
 ``email``) the first time one of them is used, so a run on a mock never imports them.
 """
 
-from .base import Backend, Tokenizer, prefix_distribution
+from .base import Backend, Tokenizer, prefix_distribution, prefix_distributions
 from .cache import CachedBackend
 from .mock import (
     ConstantBackend,
@@ -32,6 +32,7 @@ __all__ = [
     "Backend",
     "Tokenizer",
     "prefix_distribution",
+    "prefix_distributions",
     "CachedBackend",
     "BackendEndpoint",
     "HttpBackend",

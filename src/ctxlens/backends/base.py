@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 from array import array
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from ..dist import TokenDistribution
-from ..errors import SequenceTooShort
+from ..errors import BackendError, SequenceTooShort
 
 
 @runtime_checkable
 class Backend(Protocol):
-    """The model as an oracle: the context shown to it in, the next-token distribution out."""
+    """The model as an oracle: the context shown to it in, the next-token distribution out.
+
+    A backend may also have ``next_token_distributions(contexts)``, which takes a list of
+    contexts and returns, in input order, the distributions ``next_token_distribution``
+    would, with the requests in flight together. A ``BackendError`` from it carries the
+    distributions fetched before the failed context as ``fetched``, so ``batch_index`` is the
+    failed context's position. ``prefix_distributions`` uses the member when it is there and
+    makes one call per context otherwise.
+    """
 
     vocab_size: int
     eos_token_id: int | None
@@ -41,14 +49,44 @@ class BackendWrapper:
         return self.inner.eos_token_id
 
 
+def fetch_each(
+    fetch: Callable[[tuple[int, ...]], TokenDistribution], contexts: Sequence[tuple[int, ...]]
+) -> list[TokenDistribution]:
+    """``fetch`` of each context, one at a time, in order; a ``BackendError`` carries those ``fetched``."""
+    out: list[TokenDistribution] = []
+    try:
+        for tokens in contexts:
+            out.append(fetch(tokens))
+    except BackendError as err:
+        err.fetched = out
+        raise
+    return out
+
+
 def prefix_distribution(s: Sequence[int], ell: int, backend: Backend) -> TokenDistribution:
     """Next-token distribution conditioned on the final ``ell`` tokens of ``s``."""
+    return backend.next_token_distribution(_suffix(s, ell))
+
+
+def prefix_distributions(s: Sequence[int], ells: Sequence[int], backend: Backend) -> list[TokenDistribution]:
+    """``prefix_distribution`` of each length in ``ells``, in order, with the requests in flight together.
+
+    The backend's ``next_token_distributions`` gets every context at once; a backend without
+    that member gets one call per context, in order.
+    """
+    contexts = [_suffix(s, ell) for ell in ells]
+    batch = getattr(backend, "next_token_distributions", None)
+    if batch is None:
+        return fetch_each(backend.next_token_distribution, contexts)
+    return batch(contexts)
+
+
+def _suffix(s: Sequence[int], ell: int) -> tuple[int, ...]:
+    """The final ``ell`` tokens of ``s`` as the tuple of ints a backend takes."""
     n = len(s)
     if not 1 <= ell <= n:
         raise SequenceTooShort(f"prefix length {ell} outside [1, {n}]")
     tail = s[n - ell :]
     if isinstance(tail, array) and tail.typecode == "i":
-        suffix = tuple(tail.tolist())  # the library's token type converts in one C call
-    else:
-        suffix = tuple(int(t) for t in tail)
-    return backend.next_token_distribution(suffix)
+        return tuple(tail.tolist())  # the library's token type converts in one C call
+    return tuple(int(t) for t in tail)

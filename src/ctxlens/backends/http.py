@@ -26,9 +26,13 @@ sending a logprob of ``-Infinity``; the residual rule covers them.
 Probabilities are ``np.exp`` of the logprobs, which can differ from
 ``math.exp`` in the last digit.
 
-The client is ``http.client`` over one keep-alive connection per backend. A
-backend serves one thread; programs parallelise with processes, and a forked
-child opens its own connection. The client reads no proxy environment
+The client is ``http.client`` over keep-alive connections, one per request in
+flight: at most two, the largest batch a unit sends. ``next_token_distributions``
+sends each request of a batch on its own connection before it reads any reply,
+then reads and decodes the replies one at a time, in order, so that one reply
+body is in memory at a time. A backend serves one thread; programs parallelise
+with processes, and a forked child closes the connections it inherited and
+opens its own. The client reads no proxy environment
 variables, follows no redirects (a 3xx ends in :class:`BackendError`), asks
 for identity encoding only and sends no credentials embedded in the URL.
 HTTPS verifies against the system trust store through
@@ -43,6 +47,7 @@ import os
 import selectors
 import ssl
 import time
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
@@ -135,6 +140,12 @@ class _ServerBusy(http.client.HTTPException):
 
 
 class _HttpBase:
+    """Connections, retries and batches of a model server client.
+
+    A subclass names its distribution route ``_ROUTE``, builds a context's request with
+    ``_body`` and reads a reply into a distribution with ``_read_distribution``.
+    """
+
     def __init__(self, endpoint: BackendEndpoint):
         self.endpoint = endpoint
         self.eos_token_id: int | None = None
@@ -149,8 +160,8 @@ class _HttpBase:
             self._connect = lambda: http.client.HTTPConnection(
                 url.hostname, url.port, timeout=endpoint.timeout_s
             )
-        self._idle: http.client.HTTPConnection | None = None  # the keep-alive connection between requests
-        self._owner_pid = os.getpid()  # the process whose socket ``_idle`` holds
+        self._idle: list[http.client.HTTPConnection] = []  # keep-alive connections between requests
+        self._owner_pid = os.getpid()  # the process whose sockets ``_idle`` holds
         self._vocab_size: int | None = None
 
     @property
@@ -160,28 +171,38 @@ class _HttpBase:
         return self._vocab_size
 
     def close(self) -> None:
-        """Close the idle connection; a later request opens a new one."""
-        conn, self._idle = self._idle, None
-        if conn is not None:
+        """Close the idle connections; a later request opens a new one."""
+        idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
     def _checkout(self) -> http.client.HTTPConnection:
-        """The idle connection if the server has not closed it, or a new one."""
-        conn, self._idle = self._idle, None
-        if conn is not None:
-            # A forked child shares its parent's socket; a request on it would mix its reply
-            # with the parent's or a sibling worker's. The child closes its copy unused.
-            if self._owner_pid == os.getpid() and not _closed_by_peer(conn):
+        """The last idle connection the server has not closed, or a new one."""
+        if self._owner_pid != os.getpid():
+            # A forked child shares its parent's sockets; a request on one would mix its reply
+            # with the parent's or a sibling worker's. The child closes its copies unused.
+            self.close()
+            self._owner_pid = os.getpid()
+        while self._idle:
+            conn = self._idle.pop()
+            if not _closed_by_peer(conn):
                 return conn
             conn.close()
-        self._owner_pid = os.getpid()
         return self._connect()
 
-    def _roundtrip(self, route: str, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
-        """Send one request on the keep-alive connection; return the response and its whole body."""
+    def _send(self, route: str, body: bytes) -> http.client.HTTPConnection:
+        """Send one request on an idle or a new connection; ``_receive`` reads its reply."""
         conn = self._checkout()
         try:
             conn.request("POST", self._prefix + route, body, {"Content-Type": "application/json"})
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _receive(self, conn: http.client.HTTPConnection) -> tuple[http.client.HTTPResponse, bytes]:
+        """The response to the request sent on ``conn`` and its whole body; ``conn`` is kept if it can be."""
+        try:
             resp = conn.getresponse()
             raw = resp.read()
         except BaseException:
@@ -190,23 +211,30 @@ class _HttpBase:
         if resp.will_close:
             conn.close()
         else:
-            self._idle = conn
+            self._idle.append(conn)
         return resp, raw
 
-    def _post(self, route: str, payload: dict, read: Callable[[bytes], _T]) -> _T:
-        """POST ``payload`` and return ``read`` of the response body.
+    def _post(
+        self, route: str, body: bytes, read: Callable[[bytes], _T],
+        sent: http.client.HTTPConnection | Exception | None = None,
+    ) -> _T:
+        """POST the JSON ``body`` and return ``read`` of the response body.
 
         Transport errors, 429, 5xx and bodies ``read`` cannot parse (it raises
         ``orjson.JSONDecodeError``) are retried with backoff, or after a longer
         numeric ``Retry-After`` of a 429 or 503 (at most ``timeout_s``); other
-        statuses and other errors raised by ``read`` are not.
+        statuses and other errors raised by ``read`` are not. A batch that
+        already sent the request passes its connection, or the error that
+        sending raised, as ``sent``: that send is attempt 1.
         """
         url = self.endpoint.base_url.rstrip("/") + route
-        body = json.dumps(payload, allow_nan=False).encode()
         last: Exception | None = None
         for attempts in range(1, _ATTEMPTS + 1):
             try:
-                resp, raw = self._roundtrip(route, body)
+                conn, sent = sent, None
+                if isinstance(conn, Exception):
+                    raise conn
+                resp, raw = self._receive(conn or self._send(route, body))
                 if resp.status >= 500 or resp.status == 429:
                     raise _ServerBusy(resp.status, _retry_after(resp))
                 if resp.status != 200:
@@ -221,6 +249,34 @@ class _HttpBase:
                         delay = max(delay, min(exc.retry_after, self.endpoint.timeout_s))
                     time.sleep(delay)
         raise BackendError(f"{url} failed after {attempts} attempts: {last}", attempts=attempts, cause=last)
+
+    def next_token_distributions(self, contexts: list[tuple[int, ...]]) -> list[TokenDistribution]:
+        """``next_token_distribution`` of each context, with every request sent before any reply is read.
+
+        Each request goes out on its own connection. The replies are then read and parsed one
+        at a time, in order, so that one reply body is in memory at a time. A reply that fails
+        goes on alone through ``_post``'s retries. A ``BackendError`` carries the distributions
+        read before it as ``fetched``, and the connections of the replies not yet read are closed.
+        """
+        bodies = [self._body(tokens) for tokens in contexts]
+        pending: deque[http.client.HTTPConnection | Exception] = deque()
+        out: list[TokenDistribution] = []
+        try:
+            for body in bodies:
+                try:
+                    pending.append(self._send(self._ROUTE, body))
+                except (OSError, http.client.HTTPException) as exc:
+                    pending.append(exc)
+            for body in bodies:
+                out.append(self._post(self._ROUTE, body, self._read_distribution, pending.popleft()))
+        except BackendError as err:
+            err.fetched = out
+            raise
+        finally:
+            for conn in pending:
+                if not isinstance(conn, Exception):
+                    conn.close()
+        return out
 
 
 def _closed_by_peer(conn: http.client.HTTPConnection) -> bool:
@@ -243,9 +299,16 @@ def _retry_after(resp: http.client.HTTPResponse) -> float | None:
 class HttpBackend(_HttpBase):
     """Client for the native next-logprobs protocol, including tokenize routes."""
 
+    _ROUTE = "/v1/next_logprobs"
+
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        body = {"tokens": list(tokens), "top": self.endpoint.top}
-        vocab, eos, ids, logprobs = self._post("/v1/next_logprobs", body, _decode_next_logprobs)
+        return self._post(self._ROUTE, self._body(tokens), self._read_distribution)
+
+    def _body(self, tokens: tuple[int, ...]) -> bytes:
+        return _json({"tokens": list(tokens), "top": self.endpoint.top})
+
+    def _read_distribution(self, raw: bytes) -> TokenDistribution:
+        vocab, eos, ids, logprobs = _decode_next_logprobs(raw)
         self._vocab_size = vocab
         if eos is not None:
             self.eos_token_id = eos
@@ -253,11 +316,11 @@ class HttpBackend(_HttpBase):
 
     def tokenize(self, text: str) -> list[int]:
         return self._post(
-            "/v1/tokenize", {"text": text}, lambda raw: [int(t) for t in orjson.loads(raw)["tokens"]]
+            "/v1/tokenize", _json({"text": text}), lambda raw: [int(t) for t in orjson.loads(raw)["tokens"]]
         )
 
     def detokenize(self, tokens: Sequence[int]) -> str:
-        body = {"tokens": [int(t) for t in tokens]}
+        body = _json({"tokens": [int(t) for t in tokens]})
         return self._post("/v1/detokenize", body, lambda raw: str(orjson.loads(raw)["text"]))
 
 
@@ -270,23 +333,35 @@ class OpenAICompatBackend(_HttpBase):
     over this API, so it is required up front.
     """
 
+    _ROUTE = "/v1/completions"
+
     def __init__(self, endpoint: BackendEndpoint, model: str, vocab_size: int):
         super().__init__(endpoint)
         self.model = model
         self._vocab_size = int(vocab_size)
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
+        return self._post(self._ROUTE, self._body(tokens), self._read_distribution)
+
+    def _body(self, tokens: tuple[int, ...]) -> bytes:
         top = self.endpoint.top
-        body = {
+        return _json({
             "model": self.model,
             "prompt": list(tokens),
             "max_tokens": 1,
             "temperature": 0,
             "logprobs": self._vocab_size if top == "full" else int(top),
             "echo": False,
-        }
-        ids, logprobs = self._post("/v1/completions", body, lambda raw: _read_top_logprobs(orjson.loads(raw)))
+        })
+
+    def _read_distribution(self, raw: bytes) -> TokenDistribution:
+        ids, logprobs = _read_top_logprobs(orjson.loads(raw))
         return _complete(ids, logprobs, self._vocab_size)
+
+
+def _json(payload: dict) -> bytes:
+    """The request body: ``json.dumps`` of ``payload``, which must hold no NaN or infinity."""
+    return json.dumps(payload, allow_nan=False).encode()
 
 
 # The two entry-list layouts that get the columnar decode: ``json.dumps``'s

@@ -10,6 +10,7 @@ made in the CLI's worker processes.
 from __future__ import annotations
 
 import ctypes
+import math
 import mmap
 import os
 import time
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from ..dist import TokenDistribution
 from ..errors import BackendError, UsageError
-from .base import BackendWrapper
+from .base import BackendWrapper, fetch_each
 
 
 class _PipeLock:
@@ -161,7 +162,12 @@ class PlantedLastTokenBackend(SwitchBackend):
 
 
 class DelayedBackend(BackendWrapper):
-    """Wraps a backend and sleeps per call, optionally per context token."""
+    """Wraps a backend and sleeps per call, optionally per context token.
+
+    A batch sleeps once, as long as its longest context's call would, then
+    asks ``inner`` for each context in order: requests in flight together to
+    a server with capacity to spare.
+    """
 
     def __init__(self, inner, per_call_s: float = 0.0, per_token_s: float = 0.0):
         super().__init__(inner)
@@ -173,10 +179,18 @@ class DelayedBackend(BackendWrapper):
         return self.inner.calls
 
     def next_token_distribution(self, tokens: tuple[int, ...]) -> TokenDistribution:
-        delay = self.per_call_s + self.per_token_s * len(tokens)
+        self._sleep(len(tokens))
+        return self.inner.next_token_distribution(tokens)
+
+    def next_token_distributions(self, contexts: list[tuple[int, ...]]) -> list[TokenDistribution]:
+        if contexts:
+            self._sleep(max(map(len, contexts)))
+        return fetch_each(self.inner.next_token_distribution, contexts)
+
+    def _sleep(self, n_tokens: int) -> None:
+        delay = self.per_call_s + self.per_token_s * n_tokens
         if delay > 0:
             time.sleep(delay)
-        return self.inner.next_token_distribution(tokens)
 
 
 class FlakyBackend(BackendWrapper):
@@ -184,7 +198,8 @@ class FlakyBackend(BackendWrapper):
 
     ``fail_first`` makes the first n calls raise (the transient-failure
     shape); ``fail_after`` makes every call past the first n raise (the
-    mid-run outage shape).
+    mid-run outage shape). It has no batch member: its attempt counter is per
+    context, so a batch reaches it one context at a time.
     """
 
     def __init__(self, inner, fail_first: int = 0, fail_after: int | None = None):
@@ -263,14 +278,24 @@ def parse_mock_spec(spec: str):
 
     Supported kinds: ``planted``, ``planted_last``, ``uniform``. Optional
     keys on any kind: ``eos`` (token id), ``latency_ms`` and
-    ``token_latency_us`` (wraps the mock in a delay).
+    ``token_latency_us`` (wraps the mock in a delay). ``vocab`` must be at
+    least 2 for the planted kinds and 1 for ``uniform``; the latency keys
+    must be finite and >= 0.
     """
     kind, _, rest = spec.partition(":")
+    if kind not in ("planted", "planted_last", "uniform"):
+        raise UsageError(f"unknown mock backend kind {kind!r}")
     kv = parse_kv(rest)
     vocab = pop_number(kv, "vocab", int, 64)
+    least_vocab = 1 if kind == "uniform" else 2
+    if vocab < least_vocab:
+        raise UsageError(f"backend parameter 'vocab' must be >= {least_vocab}, got {vocab}")
     eos = pop_number(kv, "eos", int, None)
     latency_ms = pop_number(kv, "latency_ms", float, 0.0)
     token_latency_us = pop_number(kv, "token_latency_us", float, 0.0)
+    for key, value in (("latency_ms", latency_ms), ("token_latency_us", token_latency_us)):
+        if not 0.0 <= value < math.inf:  # NaN fails too
+            raise UsageError(f"backend parameter {key!r} must be finite and >= 0, got {value!r}")
 
     if kind == "planted":
         backend = PlantedDependencyBackend(
@@ -287,10 +312,8 @@ def parse_mock_spec(spec: str):
             confident_prob=pop_number(kv, "conf", float, 0.9),
             eos_token_id=eos,
         )
-    elif kind == "uniform":
-        backend = ConstantBackend(TokenDistribution.uniform(vocab), eos_token_id=eos)
     else:
-        raise UsageError(f"unknown mock backend kind {kind!r}")
+        backend = ConstantBackend(TokenDistribution.uniform(vocab), eos_token_id=eos)
     if kv:
         raise UsageError(f"unknown mock parameters: {', '.join(sorted(kv))}")
     if latency_ms > 0 or token_latency_us > 0:

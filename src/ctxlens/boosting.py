@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import Backend, prefix_distribution
+from .backends import Backend, prefix_distribution, prefix_distributions
 from .decoding import DecodingStrategy, apply_strategy, derive_seed, sample
 from .detection import PROB_FLOOR
 from .dist import JSD_MAX, TokenDistribution, jsd
@@ -81,11 +81,11 @@ def taboo_step(
     is at most ``gamma`` the decoded distribution passes through unchanged
     and the boosted set is empty.
     """
-    raw_full = prefix_distribution(s, len(s), backend)
-    pre = apply_strategy(raw_full, cfg.strategy)
     if len(s) <= cfg.short_len:
+        pre = apply_strategy(prefix_distribution(s, len(s), backend), cfg.strategy)
         return pre, BoostReport(pre, pre, short_fallback=True)
-    short = apply_strategy(prefix_distribution(s, cfg.short_len, backend), cfg.strategy)
+    raw_full, raw_short = prefix_distributions(s, (len(s), cfg.short_len), backend)
+    pre, short = apply_strategy(raw_full, cfg.strategy), apply_strategy(raw_short, cfg.strategy)
     score = jsd(short, pre)
     boosted_ids = np.empty(0, int)
     if score > cfg.gamma:
@@ -106,23 +106,28 @@ def cad_step(
     strategy: DecodingStrategy,
     backend: Backend,
     short_len: int = 32,
-    raw_full: TokenDistribution | None = None,
+    raw: Sequence[TokenDistribution] | None = None,
 ) -> TokenDistribution:
     """Contrast the full context against the short suffix, then decode.
 
     Weights are p_full^(1+alpha) * p_short^(-alpha); the short operand is
     floored before the negative power. alpha=0 reduces to plain decoding.
     Applied at every step, with no gate and no token selection. A caller
-    that already holds the full-context distribution passes it as
-    ``raw_full`` to save the call.
+    that already holds the full-context and short-suffix distributions
+    passes them, in that order, as ``raw`` to save the calls.
     """
     if not alpha >= 0:
         raise StrategyError("alpha must be >= 0")
-    if raw_full is None:
-        raw_full = prefix_distribution(s, len(s), backend)
-    raw_short = prefix_distribution(s, min(short_len, len(s)), backend)
+    if raw is None:
+        raw = prefix_distributions(s, _cad_lengths(s, short_len), backend)
+    raw_full, raw_short = raw
     weights = raw_full.probs ** (1.0 + alpha) * np.maximum(raw_short.probs, PROB_FLOOR) ** (-alpha)
     return apply_strategy(TokenDistribution.from_weights(weights), strategy)
+
+
+def _cad_lengths(s: Sequence[int], short_len: int) -> tuple[int, int]:
+    """The full length of ``s`` and the suffix length cad contrasts it with."""
+    return len(s), min(short_len, len(s))
 
 
 @dataclass
@@ -170,11 +175,13 @@ def generate(
         try:
             if method == "taboo":
                 post, report = taboo_step(ctx, cfg, backend)
+            elif method == "cad":
+                raw = prefix_distributions(ctx, _cad_lengths(ctx, cfg.short_len), backend)
+                pre = apply_strategy(raw[0], cfg.strategy)
+                post = cad_step(ctx, alpha, cfg.strategy, backend, cfg.short_len, raw)
+                report = BoostReport(pre, post)
             else:
-                raw_full = prefix_distribution(ctx, len(ctx), backend)
-                pre = post = apply_strategy(raw_full, cfg.strategy)
-                if method == "cad":
-                    post = cad_step(ctx, alpha, cfg.strategy, backend, cfg.short_len, raw_full)
+                pre = post = apply_strategy(prefix_distribution(ctx, len(ctx), backend), cfg.strategy)
                 report = BoostReport(pre, post)
         except BackendError as err:
             result.error = str(err)

@@ -389,7 +389,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def _setup(args):
     """Build the command's backend and make its ``--out`` directory; close the backend on the way out.
 
-    Mocks hold nothing to close. An HTTP backend closes its keep-alive connection, which nothing
+    Mocks hold nothing to close. An HTTP backend closes its keep-alive connections, which nothing
     else would: the ``ctxlens`` process ends with ``os._exit``, without interpreter teardown.
     """
     backend = build_backend(args.backend)

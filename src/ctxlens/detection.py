@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
-from .backends import Backend, prefix_distribution
+from .backends import Backend, prefix_distributions
 from .decoding import DecodingStrategy, apply_strategy
 from .dist import JSD_MAX, TokenDistribution, jsd
 from .errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
@@ -67,9 +67,8 @@ def lsds(s: Sequence[int], cfg: LsdsConfig, backend: Backend) -> float:
     ell = cfg.resolved_short_len(len(s))
     if len(s) <= ell:
         raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {ell}")
-    short = apply_strategy(prefix_distribution(s, ell, backend), cfg.strategy)
-    full = apply_strategy(prefix_distribution(s, len(s), backend), cfg.strategy)
-    return jsd(short, full)
+    raw_short, raw_full = prefix_distributions(s, (ell, len(s)), backend)
+    return jsd(apply_strategy(raw_short, cfg.strategy), apply_strategy(raw_full, cfg.strategy))
 
 
 def mcl_oracle_label(
@@ -98,9 +97,9 @@ def lsd_lcl_oracle_label(s: Sequence[int], t: int, backend: Backend) -> str:
     """
     if len(s) <= LSD_LCL_SHORT_LEN:
         raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {LSD_LCL_SHORT_LEN}")
+    raw_full, raw_short = prefix_distributions(s, (len(s), LSD_LCL_SHORT_LEN), backend)
     # entry() checks t against the fetched distribution's vocab.
-    p_full = prefix_distribution(s, len(s), backend).entry(t)
-    p_short = prefix_distribution(s, LSD_LCL_SHORT_LEN, backend).entry(t)
+    p_full, p_short = raw_full.entry(t), raw_short.entry(t)
     lsd = math.log(max(p_full, PROB_FLOOR)) - math.log(max(p_short, PROB_FLOOR))
     lcl = math.log(max(p_full, PROB_FLOOR))
     return LONG if (lsd > LSD_LCL_LIFT and lcl >= LSD_LCL_FLOOR) else SHORT

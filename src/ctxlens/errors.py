@@ -41,6 +41,13 @@ class BackendError(CtxlensError, RuntimeError):
         self.cause = cause
         # Probe loops attach the grid points evaluated before the failure.
         self.partial_trace: list | None = None
+        # A batch of contexts attaches the distributions fetched before the context that failed.
+        self.fetched: list | None = None
+
+    @property
+    def batch_index(self) -> int | None:
+        """The failed context's position in its batch, or None if the call was not a batch."""
+        return None if self.fetched is None else len(self.fetched)
 
 
 class DataError(CtxlensError, ValueError):

@@ -22,7 +22,7 @@ from .errors import (
     StrategyError,
     VocabMismatch,
 )
-from .backends import Backend, prefix_distribution
+from .backends import Backend, prefix_distribution, prefix_distributions
 
 GRID_MODES = ("fixed_step", "percentile")
 
@@ -102,21 +102,23 @@ class ProbeResult:
 
 
 def _walk(
-    kind: str, s: Sequence[int], grid: PrefixGrid, backend: Backend,
-    measure: Callable, stop: Callable, threshold: float,
+    kind: str, s: Sequence[int], points: list[int], backend: Backend,
+    measure: Callable, stop: Callable, threshold: float, first: TokenDistribution | None = None,
 ) -> ProbeResult:
     """Fetch the grid points in order, tracing ``(ell, measure(dist))``, up to the first ``stop``.
 
-    A backend failure carries the trace so far as ``partial_trace``.
+    ``first`` is the first point's distribution when the caller already holds it. A backend
+    failure carries the trace so far as ``partial_trace``.
     """
-    points = grid.points(len(s))
     trace: list[tuple] = []
     for ell in points:
-        try:
-            dist = prefix_distribution(s, ell, backend)
-        except BackendError as err:
-            err.partial_trace = trace
-            raise
+        dist, first = first, None
+        if dist is None:
+            try:
+                dist = prefix_distribution(s, ell, backend)
+            except BackendError as err:
+                err.partial_trace = trace
+                raise
         trace.append((ell, measure(dist)))
         if stop(trace[-1][1]):
             return ProbeResult(kind, ell, tuple(trace), tuple(points), threshold)
@@ -146,7 +148,7 @@ def mcl(s: Sequence[int], t: int, delta: float, grid: PrefixGrid, backend: Backe
             raise VocabMismatch(f"target token {t} outside vocab {dist.vocab_size}")
         return top1(dist), confidence(dist)
 
-    return _walk("mcl", s, grid, backend, measure, lambda v: v[0] == t and v[1] >= delta, delta)
+    return _walk("mcl", s, grid.points(len(s)), backend, measure, lambda v: v[0] == t and v[1] >= delta, delta)
 
 
 _METRICS: dict[str, Callable[[TokenDistribution, TokenDistribution], float]] = {
@@ -180,12 +182,20 @@ def damcl(
     if not epsilon >= 0:
         raise StrategyError("epsilon must be >= 0")
     fn = divergence_metric(metric)
-    reference = apply_strategy(prefix_distribution(s, len(s), backend), strategy)
+    points = grid.points(len(s))
+    # The reference and the first grid point are asked for together; the walk takes the point.
+    try:
+        raw_full, first = prefix_distributions(s, (len(s), points[0]), backend)
+    except BackendError as err:
+        if err.batch_index == 1:
+            err.partial_trace = []  # the reference was fetched, the walk's first point failed
+        raise
+    reference = apply_strategy(raw_full, strategy)
 
     def measure(dist: TokenDistribution) -> float:
         return float(fn(apply_strategy(dist, strategy), reference))
 
-    return _walk("damcl", s, grid, backend, measure, lambda v: v <= epsilon, epsilon)
+    return _walk("damcl", s, points, backend, measure, lambda v: v <= epsilon, epsilon, first)
 
 
 def mcl_histogram(lengths: Sequence[int]) -> tuple[list[tuple[int, int]], PowerLawFit | None]:

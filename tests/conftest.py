@@ -99,6 +99,33 @@ def write_jsonl(path, records):
     return path
 
 
+class Recorder:
+    """A backend that logs what reaches it; each context always gets the same distribution object."""
+
+    vocab_size = 4
+    eos_token_id = None
+
+    def __init__(self):
+        self.calls: list[tuple[int, ...]] = []
+        self._made: dict[tuple[int, ...], TokenDistribution] = {}
+
+    def next_token_distribution(self, tokens):
+        self.calls.append(tokens)
+        return self._made.setdefault(tokens, TokenDistribution.point_mass(len(tokens) % 4, vocab_size=4))
+
+
+class BatchRecorder(Recorder):
+    """A ``Recorder`` with the batch member; ``batches`` logs what each batch asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches: list[list[tuple[int, ...]]] = []
+
+    def next_token_distributions(self, contexts):
+        self.batches.append(list(contexts))
+        return [self.next_token_distribution(tokens) for tokens in contexts]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PROPERTY
+from conftest import PROPERTY, BatchRecorder, Recorder
 from ctxlens.backends import (
     CachedBackend,
     ConstantBackend,
@@ -22,7 +22,9 @@ from ctxlens.backends import (
     SwitchBackend,
     parse_mock_spec,
     prefix_distribution,
+    prefix_distributions,
 )
+from ctxlens.backends import mock as mock_module
 from ctxlens.dist import TokenDistribution
 from ctxlens.errors import BackendError, UsageError
 
@@ -124,6 +126,31 @@ class TestPrefixDistribution:
         assert out.same_values(hit)
 
 
+class TestPrefixDistributions:
+    def test_a_backend_without_the_batch_member_gets_one_call_per_length_in_order(self):
+        rec = Recorder()
+        got = prefix_distributions(array("i", [5, 6, 7, 8]), [2, 4, 2], rec)
+        assert rec.calls == [(7, 8), (5, 6, 7, 8), (7, 8)]
+        assert got == [rec._made[(7, 8)], rec._made[(5, 6, 7, 8)], rec._made[(7, 8)]]
+
+    def test_the_batch_member_gets_every_context_at_once(self):
+        rec = BatchRecorder()
+        prefix_distributions((5, 6, 7, 8), (4, 1), rec)
+        assert rec.batches == [[(5, 6, 7, 8), (8,)]]
+
+    def test_a_length_out_of_range_sends_nothing(self):
+        rec = BatchRecorder()
+        with pytest.raises(ValueError):
+            prefix_distributions((1, 2, 3), (3, 4), rec)
+        assert rec.calls == []
+
+    def test_a_failure_names_its_position(self):
+        flaky = FlakyBackend(ConstantBackend(TokenDistribution.uniform(2)), fail_after=1)
+        with pytest.raises(BackendError) as err:
+            prefix_distributions((1, 2, 3), (3, 1, 2), flaky)
+        assert (err.value.batch_index, flaky.attempts) == (1, 2)
+
+
 class TestCachedBackend:
     def test_differential_against_uncached(self, rng):
         plain = PlantedLastTokenBackend(answer_token=3, vocab_size=32)
@@ -160,6 +187,55 @@ class TestCachedBackend:
         assert b.vocab_size == 8
         assert b.eos_token_id == 7
         assert b.inner is inner
+
+    @PROPERTY
+    @given(
+        st.lists(st.lists(st.sampled_from([(1,), (2,), (1, 2), (3, 1, 2), (4, 4, 4, 4)]), max_size=6), max_size=5),
+        st.one_of(st.just(float("inf")), st.integers(0, 4)),
+        st.booleans(),
+    )
+    def test_batches_match_single_calls(self, batches, longest_kept, inner_batches):
+        inner = BatchRecorder() if inner_batches else Recorder()
+        memo, single = CachedBackend(inner), CachedBackend(Recorder())
+        memo.longest_kept = single.longest_kept = longest_kept
+        for contexts in batches:
+            held, sent = set(memo._store), len(inner.calls)
+            got = memo.next_token_distributions(contexts)
+            assert got == [inner._made[c] for c in contexts]  # the objects the upstream made
+            assert all(a.same_values(single.next_token_distribution(c)) for a, c in zip(got, contexts))
+            unseen = list(dict.fromkeys(c for c in contexts if c not in held))
+            assert inner.calls[sent:] == unseen  # each unseen context once, in first-seen order
+            if inner_batches and unseen:
+                assert inner.batches[-1] == unseen
+            assert all(len(c) <= longest_kept for c in memo._store)
+        # A context asked twice in one batch goes upstream once, even where the memo does not keep it.
+        assert len(inner.calls) <= len(single.inner.calls)
+        assert not inner_batches or all(inner.batches)  # a batch the memo holds sends nothing
+
+    def test_a_failure_names_its_position_in_the_callers_batch(self):
+        inner = ConstantBackend(TokenDistribution.uniform(2))
+        memo = CachedBackend(FlakyBackend(inner, fail_after=2))
+        memo.next_token_distribution((1,))
+        with pytest.raises(BackendError) as err:
+            # (1,) is held and (2,) is asked twice, so the flaky backend sees (2,) then (3,).
+            memo.next_token_distributions([(1,), (2,), (2,), (3,)])
+        assert err.value.batch_index == 3
+        assert memo.next_token_distributions([(2,), (1,)])[0] is memo.next_token_distribution((2,))
+
+    def test_a_failed_batch_keeps_what_arrived_before_the_failure(self):
+        class FailsAfterFirst(BatchRecorder):
+            def next_token_distributions(self, contexts):
+                err = BackendError("down")
+                err.fetched = [self.next_token_distribution(contexts[0])]
+                raise err
+
+        inner = FailsAfterFirst()
+        memo = CachedBackend(inner)
+        with pytest.raises(BackendError) as err:
+            memo.next_token_distributions([(1,), (1,), (2,)])
+        assert err.value.fetched == [inner._made[(1,)]] * 2 and err.value.batch_index == 2
+        # A later call finds the context that arrived, as it would after two single calls.
+        assert memo.next_token_distribution((1,)) is inner._made[(1,)] and inner.calls == [(1,)]
 
 
 class TestFlakyBackend:
@@ -231,6 +307,17 @@ class TestDelayedBackend:
         b.next_token_distribution(_req([1] * 20))
         assert time.perf_counter() - start >= 0.02
 
+    def test_a_batch_sleeps_once_for_its_longest_context(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(mock_module.time, "sleep", slept.append)
+        rec = Recorder()
+        b = DelayedBackend(rec, per_call_s=0.004, per_token_s=0.001)
+        got = b.next_token_distributions([(1, 2), (1, 2, 3, 4, 5), (1,)])
+        assert slept == [0.004 + 0.001 * 5]
+        assert rec.calls == [(1, 2), (1, 2, 3, 4, 5), (1,)]
+        assert got == [rec._made[c] for c in rec.calls]
+        assert b.next_token_distributions([]) == [] and len(slept) == 1
+
 
 class TestMockTokenizer:
     def test_roundtrip_shape(self):
@@ -281,3 +368,25 @@ class TestParseMockSpec:
     def test_unknown_param_rejected(self):
         with pytest.raises(UsageError):
             parse_mock_spec("uniform:vocab=4,bogus=1")
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("uniform:vocab=4,latency_ms=-5", "latency_ms"),
+            ("uniform:vocab=4,latency_ms=nan", "latency_ms"),
+            ("uniform:vocab=4,latency_ms=inf", "latency_ms"),
+            ("planted_last:vocab=64,token_latency_us=-3,latency_ms=1", "token_latency_us"),
+            ("planted:vocab=64,token_latency_us=inf", "token_latency_us"),
+            ("uniform:vocab=0", "vocab"),
+            ("uniform:vocab=-2", "vocab"),
+            ("planted:vocab=1", "vocab"),
+            ("planted_last:vocab=1", "vocab"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors_naming_the_key(self, spec, key):
+        with pytest.raises(UsageError, match=f"'{key}'"):
+            parse_mock_spec(spec)
+
+    def test_the_least_values_are_accepted(self):
+        assert parse_mock_spec("uniform:vocab=1,latency_ms=0,token_latency_us=0").vocab_size == 1
+        assert parse_mock_spec("planted:vocab=2,answer=1").vocab_size == 2

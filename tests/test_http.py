@@ -1,7 +1,10 @@
 """HTTP backend client against an in-process fake model server."""
 
+import gc
+import http.client
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import ssl
@@ -183,7 +186,8 @@ class TestProbesOnFreshBackend:
             srv.routes["/v1/next_logprobs"] = self.lsd_lcl_route
             with pytest.raises(VocabMismatch):
                 lsd_lcl_oracle_label([0] * 40, 3, _backend(srv.url))
-            assert srv.hits["/v1/next_logprobs"] == 1
+            # The short suffix's request goes out with the full context's; neither asks for the vocab first.
+            assert srv.hits["/v1/next_logprobs"] == 2
 
 
 class TestHttpBackend:
@@ -825,6 +829,135 @@ class TestConnectionPool:
         assert out.stdout.split() == ["0", "False"]
         summary = orjson.loads((tmp_path / "out" / "mcl_summary.json").read_bytes())
         assert summary["fit"] is not None
+
+def one_completion(body, n):
+    """``one_token`` in the completions format: a point mass on the prompt's first token."""
+    return 200, {"choices": [{"logprobs": {"top_logprobs": [{str(body["prompt"][0]): 0.0}]}}]}
+
+
+def _openai(url):
+    return OpenAICompatBackend(BackendEndpoint(base_url=url, timeout_s=5.0), model="m", vocab_size=1000)
+
+
+class TestBatchedRequests:
+    """``next_token_distributions`` puts every request in flight before it reads a reply."""
+
+    D = 0.4  # seconds the slow server spends on each request
+
+    @pytest.mark.parametrize(
+        "make, route, reply",
+        [(_backend, "/v1/next_logprobs", one_token), (_openai, "/v1/completions", one_completion)],
+        ids=["native", "openai"],
+    )
+    def test_two_contexts_are_in_flight_together(self, make, route, reply):
+        def slow(body, n):
+            time.sleep(self.D)
+            return reply(body, n)
+
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes[route] = slow
+            b = make(srv.url)
+            start = time.perf_counter()
+            together = b.next_token_distributions([(3,), (4,)])
+            together_s, together_inflight = time.perf_counter() - start, srv.max_inflight
+            srv.max_inflight = 0
+            start = time.perf_counter()
+            apart = [b.next_token_distribution(tokens) for tokens in [(3,), (4,)]]
+            apart_s = time.perf_counter() - start
+            b.close()
+        assert [d.entry(t) for d, t in zip(together, (3, 4))] == [1.0, 1.0]
+        assert [d.same_values(e) for d, e in zip(together, apart)] == [True, True]
+        assert together_inflight == 2 and together_s < 1.5 * self.D
+        assert srv.max_inflight == 1 and apart_s >= 2 * self.D
+
+    def test_a_busy_reply_is_retried_alone_while_the_other_is_returned(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(http_module.time, "sleep", slept.append)
+        busy = [[3]]  # the first request for (3,) gets a 503
+
+        def route(body, n):
+            if body["tokens"] in busy:
+                busy.remove(body["tokens"])
+                return 503, {"error": "busy"}
+            return one_token(body, n)
+
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = route
+            b = _backend(srv.url)
+            got = b.next_token_distributions([(3,), (4,)])
+            b.close()
+        assert [got[0].entry(3), got[1].entry(4)] == [1.0, 1.0]
+        assert sorted(body["tokens"] for body in srv.bodies["/v1/next_logprobs"]) == [[3], [3], [4]]
+        assert slept == [0.1]  # the wait a single call makes before its second attempt
+
+    @pytest.mark.parametrize("status, attempts, waits", [(503, 4, [0.1, 0.2, 0.4]), (400, 1, [])])
+    def test_a_failed_context_leaves_no_unread_reply_behind(self, monkeypatch, status, attempts, waits):
+        slept = []
+        monkeypatch.setattr(http_module.time, "sleep", slept.append)
+
+        def route(body, n):
+            return (status, {"error": "no"}) if body["tokens"] == [3] else one_token(body, n)
+
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = route
+            b = _backend(srv.url)
+            with pytest.raises(BackendError) as err:
+                b.next_token_distributions([(3,), (4,)])
+            gc.collect()  # a dropped connection that is still open warns here
+            states = [conn._HTTPConnection__state for conn in b._idle]
+            later = b.next_token_distribution((5,))  # gets its own reply, not the unread one for (4,)
+            b.close()
+        assert (err.value.attempts, err.value.batch_index) == (attempts, 0)
+        assert slept == waits
+        assert states == [http.client._CS_IDLE] * len(states)
+        assert later.entry(5) == 1.0
+
+    def test_a_forked_child_closes_every_idle_connection_it_inherited(self):
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = one_token
+            b = _backend(srv.url)
+            b.next_token_distributions([(1,), (2,)])
+            inherited = list(b._idle)
+
+            def child():
+                fresh = b.next_token_distribution((3,)).entry(3) == 1.0
+                closed = all(conn.sock is None for conn in inherited)
+                os._exit(0 if fresh and closed and [c in inherited for c in b._idle] == [False] else 1)
+
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=60)
+            got = b.next_token_distributions([(4,), (5,)])  # the parent keeps both of its connections
+            b.close()
+        assert len(inherited) == 2 and proc.exitcode == 0
+        assert [got[0].entry(4), got[1].entry(5)] == [1.0, 1.0]
+        assert len(srv.peers) == 3
+
+    def test_a_batch_at_128k_holds_one_reply_body_at_a_time(self):
+        # Fixed before the run: a batch of two may peak 1.5 MiB above one call, room for the
+        # first context's 1 MiB result. Holding both 6 MB bodies at once would add 6 MB.
+        vocab = 131072
+        entries = [{"id": i, "logprob": lp} for i, lp in enumerate(fp32_log_softmax(2, vocab).tolist())]
+        raw = json.dumps({"logprobs": entries, "vocab_size": vocab}).encode()
+        del entries
+        with FakeModelServer(keep_alive_s=5.0) as srv:
+            srv.routes["/v1/next_logprobs"] = lambda body, n: (200, raw)
+            b = _backend(srv.url)
+            b.next_token_distributions([(1,), (2,)])  # opens both connections
+            tracemalloc.start()
+            try:
+                single = b.next_token_distribution((1,))
+                single_peak = tracemalloc.get_traced_memory()[1]
+                del single
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                pair = b.next_token_distributions([(1,), (2,)])
+                pair_peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+                b.close()
+        assert [d.vocab_size for d in pair] == [vocab, vocab]
+        assert pair_peak < single_peak + 1.5 * 2**20
 
 
 class TestOpenAICompatBackend:
