@@ -74,7 +74,11 @@ def prefix_distributions(s: Sequence[int], ells: Sequence[int], backend: Backend
     The backend's ``next_token_distributions`` gets every context at once; a backend without
     that member gets one call per context, in order.
     """
-    contexts = [_suffix(s, ell) for ell in ells]
+    return distributions(backend, [_suffix(s, ell) for ell in ells])
+
+
+def distributions(backend: Backend, contexts: list[tuple[int, ...]]) -> list[TokenDistribution]:
+    """``backend``'s distributions of ``contexts``, in order: one batch if it can, else one call each."""
     batch = getattr(backend, "next_token_distributions", None)
     if batch is None:
         return fetch_each(backend.next_token_distribution, contexts)

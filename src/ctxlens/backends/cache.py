@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..dist import TokenDistribution
 from ..errors import BackendError
-from .base import BackendWrapper, fetch_each
+from .base import BackendWrapper, distributions
 
 
 class CachedBackend(BackendWrapper):
@@ -47,9 +47,8 @@ class CachedBackend(BackendWrapper):
                 unseen.append(tokens)
         if not unseen:
             return out
-        batch = getattr(self.inner, "next_token_distributions", None)
         try:
-            dists = fetch_each(self.inner.next_token_distribution, unseen) if batch is None else batch(unseen)
+            dists = distributions(self.inner, unseen)
         except BackendError as err:
             if err.fetched is not None:
                 # Keep what arrived, as single calls would have, and report it in the caller's order.

@@ -10,7 +10,6 @@ made in the CLI's worker processes.
 from __future__ import annotations
 
 import ctypes
-import math
 import mmap
 import os
 import time
@@ -279,8 +278,8 @@ def parse_mock_spec(spec: str):
     Supported kinds: ``planted``, ``planted_last``, ``uniform``. Optional
     keys on any kind: ``eos`` (token id), ``latency_ms`` and
     ``token_latency_us`` (wraps the mock in a delay). ``vocab`` must be at
-    least 2 for the planted kinds and 1 for ``uniform``; the latency keys
-    must be finite and >= 0.
+    least 2 for the planted kinds and 1 for ``uniform``; ``latency_ms`` must
+    lie in [0, 3.6e6] (an hour) and ``token_latency_us`` in [0, 1e6] (a second).
     """
     kind, _, rest = spec.partition(":")
     if kind not in ("planted", "planted_last", "uniform"):
@@ -293,9 +292,10 @@ def parse_mock_spec(spec: str):
     eos = pop_number(kv, "eos", int, None)
     latency_ms = pop_number(kv, "latency_ms", float, 0.0)
     token_latency_us = pop_number(kv, "token_latency_us", float, 0.0)
-    for key, value in (("latency_ms", latency_ms), ("token_latency_us", token_latency_us)):
-        if not 0.0 <= value < math.inf:  # NaN fails too
-            raise UsageError(f"backend parameter {key!r} must be finite and >= 0, got {value!r}")
+    # An hour per call and a second per token keep every delay within what time.sleep takes.
+    for key, value, most in (("latency_ms", latency_ms, 3.6e6), ("token_latency_us", token_latency_us, 1e6)):
+        if not 0.0 <= value <= most:  # NaN fails too
+            raise UsageError(f"backend parameter {key!r} must lie in [0, {most:g}], got {value!r}")
 
     if kind == "planted":
         backend = PlantedDependencyBackend(

@@ -106,21 +106,27 @@ def cad_step(
     strategy: DecodingStrategy,
     backend: Backend,
     short_len: int = 32,
-    raw: Sequence[TokenDistribution] | None = None,
+    raw_full: TokenDistribution | None = None,
+    raw_short: TokenDistribution | None = None,
 ) -> TokenDistribution:
     """Contrast the full context against the short suffix, then decode.
 
     Weights are p_full^(1+alpha) * p_short^(-alpha); the short operand is
     floored before the negative power. alpha=0 reduces to plain decoding.
     Applied at every step, with no gate and no token selection. A caller
-    that already holds the full-context and short-suffix distributions
-    passes them, in that order, as ``raw`` to save the calls.
+    that already holds the full-context or short-suffix distribution passes
+    it as ``raw_full`` or ``raw_short`` to save the call; when it holds
+    neither, the two are fetched together.
     """
     if not alpha >= 0:
         raise StrategyError("alpha must be >= 0")
-    if raw is None:
-        raw = prefix_distributions(s, _cad_lengths(s, short_len), backend)
-    raw_full, raw_short = raw
+    full_len, short_len = _cad_lengths(s, short_len)
+    if raw_full is None and raw_short is None:
+        raw_full, raw_short = prefix_distributions(s, (full_len, short_len), backend)
+    if raw_full is None:
+        raw_full = prefix_distribution(s, full_len, backend)
+    if raw_short is None:
+        raw_short = prefix_distribution(s, short_len, backend)
     weights = raw_full.probs ** (1.0 + alpha) * np.maximum(raw_short.probs, PROB_FLOOR) ** (-alpha)
     return apply_strategy(TokenDistribution.from_weights(weights), strategy)
 
@@ -176,9 +182,9 @@ def generate(
             if method == "taboo":
                 post, report = taboo_step(ctx, cfg, backend)
             elif method == "cad":
-                raw = prefix_distributions(ctx, _cad_lengths(ctx, cfg.short_len), backend)
-                pre = apply_strategy(raw[0], cfg.strategy)
-                post = cad_step(ctx, alpha, cfg.strategy, backend, cfg.short_len, raw)
+                raw_full, raw_short = prefix_distributions(ctx, _cad_lengths(ctx, cfg.short_len), backend)
+                pre = apply_strategy(raw_full, cfg.strategy)
+                post = cad_step(ctx, alpha, cfg.strategy, backend, cfg.short_len, raw_full, raw_short)
                 report = BoostReport(pre, post)
             else:
                 pre = post = apply_strategy(prefix_distribution(ctx, len(ctx), backend), cfg.strategy)

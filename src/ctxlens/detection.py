@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
-from .backends import Backend, prefix_distributions
+from .backends import Backend, prefix_distribution, prefix_distributions
 from .decoding import DecodingStrategy, apply_strategy
 from .dist import JSD_MAX, TokenDistribution, jsd
 from .errors import InsufficientData, NotLabelable, SequenceTooShort, StrategyError
@@ -97,9 +97,11 @@ def lsd_lcl_oracle_label(s: Sequence[int], t: int, backend: Backend) -> str:
     """
     if len(s) <= LSD_LCL_SHORT_LEN:
         raise SequenceTooShort(f"sequence length {len(s)} must exceed short prefix {LSD_LCL_SHORT_LEN}")
-    raw_full, raw_short = prefix_distributions(s, (len(s), LSD_LCL_SHORT_LEN), backend)
-    # entry() checks t against the fetched distribution's vocab.
-    p_full, p_short = raw_full.entry(t), raw_short.entry(t)
+    # entry() checks t against the fetched distribution's vocab. The short suffix is fetched
+    # only after that check, so the two calls are not sent together: a target outside the
+    # vocab would otherwise cost a request whose reply is never read.
+    p_full = prefix_distribution(s, len(s), backend).entry(t)
+    p_short = prefix_distribution(s, LSD_LCL_SHORT_LEN, backend).entry(t)
     lsd = math.log(max(p_full, PROB_FLOOR)) - math.log(max(p_short, PROB_FLOOR))
     lcl = math.log(max(p_full, PROB_FLOOR))
     return LONG if (lsd > LSD_LCL_LIFT and lcl >= LSD_LCL_FLOOR) else SHORT

@@ -375,8 +375,12 @@ class TestParseMockSpec:
             ("uniform:vocab=4,latency_ms=-5", "latency_ms"),
             ("uniform:vocab=4,latency_ms=nan", "latency_ms"),
             ("uniform:vocab=4,latency_ms=inf", "latency_ms"),
+            ("uniform:vocab=4,latency_ms=1e300", "latency_ms"),
+            ("uniform:vocab=4,latency_ms=3600001", "latency_ms"),
             ("planted_last:vocab=64,token_latency_us=-3,latency_ms=1", "token_latency_us"),
             ("planted:vocab=64,token_latency_us=inf", "token_latency_us"),
+            ("planted:vocab=64,token_latency_us=1e300", "token_latency_us"),
+            ("planted:vocab=64,token_latency_us=1000001", "token_latency_us"),
             ("uniform:vocab=0", "vocab"),
             ("uniform:vocab=-2", "vocab"),
             ("planted:vocab=1", "vocab"),
@@ -387,6 +391,8 @@ class TestParseMockSpec:
         with pytest.raises(UsageError, match=f"'{key}'"):
             parse_mock_spec(spec)
 
-    def test_the_least_values_are_accepted(self):
+    def test_the_least_and_greatest_values_are_accepted(self):
         assert parse_mock_spec("uniform:vocab=1,latency_ms=0,token_latency_us=0").vocab_size == 1
+        slowest = parse_mock_spec("uniform:vocab=1,latency_ms=3.6e6,token_latency_us=1e6")
+        assert (slowest.per_call_s, slowest.per_token_s) == (3600.0, 1.0)
         assert parse_mock_spec("planted:vocab=2,answer=1").vocab_size == 2

@@ -21,10 +21,12 @@ def test_lsds_sends_the_short_suffix_with_the_full_context():
     assert rec.batches == [[S[-8:], S]]
 
 
-def test_lsd_lcl_oracle_sends_the_full_context_with_its_short_suffix():
+def test_lsd_lcl_oracle_fetches_its_short_suffix_after_checking_the_target():
+    # The target is checked against the full context's vocab before the short suffix is asked for.
     rec = BatchRecorder()
     lsd_lcl_oracle_label(S, 0, rec)
-    assert rec.batches == [[S, S[-LSD_LCL_SHORT_LEN:]]]
+    assert rec.batches == []
+    assert rec.calls == [S, S[-LSD_LCL_SHORT_LEN:]]
 
 
 def test_taboo_step_batches_only_a_context_it_can_score():
@@ -44,6 +46,15 @@ def test_cad_sends_each_step_as_one_batch(prompt):
     assert rec.batches == [[ctx, ctx[-8:]] for ctx in contexts]
     cad_step(S, 0.5, KEEP_ALL, rec, short_len=8)
     assert rec.batches[-1] == [S, S[-8:]]
+
+
+def test_cad_step_fetches_only_the_distribution_it_is_not_handed():
+    rec = BatchRecorder()
+    full, short = Recorder().next_token_distribution(S), Recorder().next_token_distribution(S[-8:])
+    cad_step(S, 0.5, KEEP_ALL, rec, short_len=8, raw_full=full)
+    cad_step(S, 0.5, KEEP_ALL, rec, short_len=8, raw_short=short)
+    cad_step(S, 0.5, KEEP_ALL, rec, short_len=8, raw_full=full, raw_short=short)
+    assert (rec.batches, rec.calls) == ([], [S[-8:], S])
 
 
 def test_damcl_sends_the_reference_with_the_first_grid_point():

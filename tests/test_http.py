@@ -186,8 +186,7 @@ class TestProbesOnFreshBackend:
             srv.routes["/v1/next_logprobs"] = self.lsd_lcl_route
             with pytest.raises(VocabMismatch):
                 lsd_lcl_oracle_label([0] * 40, 3, _backend(srv.url))
-            # The short suffix's request goes out with the full context's; neither asks for the vocab first.
-            assert srv.hits["/v1/next_logprobs"] == 2
+            assert srv.hits["/v1/next_logprobs"] == 1
 
 
 class TestHttpBackend:
